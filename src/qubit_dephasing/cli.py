@@ -16,7 +16,7 @@ import cmath
 import math
 import os
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import astuple, dataclass, replace
 
 import numpy as np
 
@@ -78,12 +78,13 @@ class ExperimentConfig:
             raise ConfigError("omega_c must be positive")
         if self.beta is not None and not self.beta > 0.0:
             raise ConfigError("beta must be positive when given")
-        for name in ("e_j1", "e_j2"):
+        for name in ("eta", "omega_c", "e_j1", "e_j2", "t_start", "t_end"):
             if not math.isfinite(getattr(self, name)):
                 raise ConfigError(f"{name} must be finite")
-        a = self.alpha
-        if not (math.isfinite(a.real) and math.isfinite(a.imag)):
-            raise ConfigError("alpha must be finite")
+        try:
+            initial_state(self.alpha)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
         if self.t_start < 0.0:
             raise ConfigError("t_start must be nonnegative")
         if not self.t_end > self.t_start:
@@ -153,18 +154,6 @@ class OracleRow:
     split_vs_exact: float
     channel_vs_split: float
     ratio_at_half_t: float
-
-
-def _fmt(value: float) -> str:
-    return f"{value:.16e}"
-
-
-def _write_text(path: str, text: str) -> None:
-    try:
-        with open(path, "w", encoding="utf-8", newline="") as handle:
-            handle.write(text)
-    except OSError as exc:
-        raise IoError(f"cannot write {path}: {exc}") from exc
 
 
 # -- configuration files ----------------------------------------------------
@@ -270,29 +259,43 @@ def serialize_config(cfg: ExperimentConfig) -> str:
 
 # -- experiment -------------------------------------------------------------
 
-def run_experiment(cfg: ExperimentConfig) -> list[TimeSeriesRecord]:
-    """Sweep the time grid and collect one record per point.
+def _at(t: float, fn, *args):
+    """``fn(*args)`` for grid point ``t``; a library error names ``t``."""
+    try:
+        return fn(*args)
+    except DephasingError as exc:
+        raise type(exc)(f"at t = {t:.6e} s: {exc}") from exc
 
-    Both qubits see statistically identical baths, so one exponent
-    evaluation per time serves both; the reference column is
-    ``C(0) * delta1 * delta2``.
+
+def _g_sweep(cfg: ExperimentConfig) -> tuple[list[float], list[float]]:
+    """The time grid and the Ohmic exponent ``G`` at each of its points.
+
+    Both qubits see statistically identical baths, so one evaluation per
+    time serves both; ``G`` does not depend on ``alpha``.
     """
     ohmic = OhmicBath(cfg.eta, cfg.omega_c)
     temp = cfg.temperature()
     quad = default_quadrature()
+    times = [float(t) for t in np.linspace(cfg.t_start, cfg.t_end, cfg.n_points)]
+    return times, [_at(t, g_ohmic, ohmic, temp, t, quad) for t in times]
+
+
+def _evolved_states(cfg: ExperimentConfig, times, gs) -> list[np.ndarray]:
+    """The pair state evolved from ``initial_state(cfg.alpha)`` to each time."""
     params1, params2 = QubitParams(cfg.e_j1), QubitParams(cfg.e_j2)
     rho0 = initial_state(cfg.alpha)
+    return [
+        _at(t, evolve_pair, rho0, params1, params2, g, g, t) for t, g in zip(times, gs)
+    ]
+
+
+def _records(cfg: ExperimentConfig, times, gs) -> list[TimeSeriesRecord]:
+    """One record per grid point; the reference is ``C(0) * delta1 * delta2``."""
     c0 = 2.0 * abs(cfg.alpha) / (1.0 + abs(cfg.alpha) ** 2)
     records = []
-    for t in np.linspace(cfg.t_start, cfg.t_end, cfg.n_points):
-        t = float(t)
-        try:
-            g = g_ohmic(ohmic, temp, t, quad)
-            delta = suppression_factor(g)
-            d_max = max_decoherence_analytic(g)
-            c_t = concurrence(evolve_pair(rho0, params1, params2, g, g, t))
-        except DephasingError as exc:
-            raise type(exc)(f"at t = {t:.6e} s: {exc}") from exc
+    for t, g, rho_t in zip(times, gs, _evolved_states(cfg, times, gs)):
+        delta = suppression_factor(g)
+        d_max = max_decoherence_analytic(g)
         records.append(
             TimeSeriesRecord(
                 t_seconds=t,
@@ -301,7 +304,7 @@ def run_experiment(cfg: ExperimentConfig) -> list[TimeSeriesRecord]:
                 g2=g,
                 delta1=delta,
                 delta2=delta,
-                concurrence=c_t,
+                concurrence=_at(t, concurrence, rho_t),
                 s_reference=c0 * delta * delta,
                 d1=d_max,
                 d2=d_max,
@@ -310,30 +313,26 @@ def run_experiment(cfg: ExperimentConfig) -> list[TimeSeriesRecord]:
     return records
 
 
+def run_experiment(cfg: ExperimentConfig) -> list[TimeSeriesRecord]:
+    """Sweep the time grid and collect one record per point."""
+    return _records(cfg, *_g_sweep(cfg))
+
+
+def _write_table(path: str, header: str, rows) -> None:
+    """Write a CSV table: pinned header, 17-significant-digit floats, LF."""
+    lines = [header] + [",".join(f"{v:.16e}" for v in row) for row in rows]
+    try:
+        with open(path, "w", encoding="utf-8", newline="") as handle:
+            handle.write("\n".join(lines) + "\n")
+    except OSError as exc:
+        raise IoError(f"cannot write {path}: {exc}") from exc
+
+
 def emit_csv(rows: list[TimeSeriesRecord], path: str) -> None:
-    """Write records as CSV: pinned header, 17-significant-digit floats, LF."""
+    """Write records as CSV under ``CSV_HEADER``."""
     if not rows:
         raise ValueError("rows must be non-empty")
-    lines = [CSV_HEADER]
-    for r in rows:
-        lines.append(
-            ",".join(
-                _fmt(v)
-                for v in (
-                    r.t_seconds,
-                    r.t_ks,
-                    r.g1,
-                    r.g2,
-                    r.delta1,
-                    r.delta2,
-                    r.concurrence,
-                    r.s_reference,
-                    r.d1,
-                    r.d2,
-                )
-            )
-        )
-    _write_text(path, "\n".join(lines) + "\n")
+    _write_table(path, CSV_HEADER, [astuple(r) for r in rows])
 
 
 # -- oracle check -----------------------------------------------------------
@@ -377,72 +376,53 @@ def run_oracle_check(cfg: OracleCheckConfig) -> tuple[list[OracleRow], list[str]
 
 # -- subcommands ------------------------------------------------------------
 
+def _configure(args, from_mapping, **flags):
+    """Config from the ``--config`` file, overridden by the flags given."""
+    cfg = from_mapping(load_config(args.config) if args.config else {})
+    return replace(cfg, **{k: v for k, v in flags.items() if v is not None})
+
+
 def _experiment_config(args) -> ExperimentConfig:
-    mapping = load_config(args.config) if args.config else {}
-    cfg = config_from_mapping(mapping)
-    updates = {}
-    if args.alpha is not None:
-        updates["alpha"] = args.alpha
-    if args.eta is not None:
-        updates["eta"] = args.eta
-    if args.omega_c is not None:
-        updates["omega_c"] = args.omega_c
-    if args.beta is not None:
-        updates["beta"] = args.beta
-    if args.t_end_ps is not None:
-        updates["t_end"] = args.t_end_ps * 1e-12
-    if args.points is not None:
-        updates["n_points"] = args.points
-    if updates:
-        cfg = replace(cfg, **updates)
-    return cfg
-
-
-def _time_grid(cfg: ExperimentConfig) -> list[float]:
-    return [float(t) for t in np.linspace(cfg.t_start, cfg.t_end, cfg.n_points)]
+    return _configure(
+        args,
+        config_from_mapping,
+        alpha=args.alpha,
+        eta=args.eta,
+        omega_c=args.omega_c,
+        beta=args.beta,
+        t_end=None if args.t_end_ps is None else args.t_end_ps * 1e-12,
+        n_points=args.points,
+    )
 
 
 def _cmd_gfactor(args) -> int:
     cfg = _experiment_config(args)
-    ohmic = OhmicBath(cfg.eta, cfg.omega_c)
-    temp = cfg.temperature()
-    quad = default_quadrature()
-    lines = ["t_seconds,t_ks,g,delta"]
-    for t in _time_grid(cfg):
-        g = g_ohmic(ohmic, temp, t, quad)
-        lines.append(
-            ",".join(_fmt(v) for v in (t, t / KS_IN_SECONDS, g, suppression_factor(g)))
-        )
+    times, gs = _g_sweep(cfg)
     path = args.out or cfg.output_path or "gfactor.csv"
-    _write_text(path, "\n".join(lines) + "\n")
+    _write_table(
+        path,
+        "t_seconds,t_ks,g,delta",
+        [(t, t / KS_IN_SECONDS, g, suppression_factor(g)) for t, g in zip(times, gs)],
+    )
     print(f"wrote {path} ({cfg.n_points} rows)")
     return 0
 
 
 _BASIS_LABELS = ("00", "01", "10", "11")
+_EVOLVE_CSV_HEADER = "t_seconds,t_ks," + ",".join(
+    f"{p}_{i}{j}" for i in _BASIS_LABELS for j in _BASIS_LABELS for p in ("re", "im")
+)
 
 
 def _cmd_evolve(args) -> int:
     cfg = _experiment_config(args)
-    ohmic = OhmicBath(cfg.eta, cfg.omega_c)
-    temp = cfg.temperature()
-    quad = default_quadrature()
-    params1, params2 = QubitParams(cfg.e_j1), QubitParams(cfg.e_j2)
-    rho0 = initial_state(cfg.alpha)
-    entry_cols = []
-    for i in _BASIS_LABELS:
-        for j in _BASIS_LABELS:
-            entry_cols += [f"re_{i}{j}", f"im_{i}{j}"]
-    lines = ["t_seconds,t_ks," + ",".join(entry_cols)]
-    for t in _time_grid(cfg):
-        g = g_ohmic(ohmic, temp, t, quad)
-        rho_t = evolve_pair(rho0, params1, params2, g, g, t)
-        cells = [_fmt(t), _fmt(t / KS_IN_SECONDS)]
-        for value in rho_t.reshape(-1):
-            cells += [_fmt(value.real), _fmt(value.imag)]
-        lines.append(",".join(cells))
+    times, gs = _g_sweep(cfg)
+    rows = [
+        [t, t / KS_IN_SECONDS, *(p for v in rho_t.reshape(-1) for p in (v.real, v.imag))]
+        for t, rho_t in zip(times, _evolved_states(cfg, times, gs))
+    ]
     path = args.out or cfg.output_path or "evolve.csv"
-    _write_text(path, "\n".join(lines) + "\n")
+    _write_table(path, _EVOLVE_CSV_HEADER, rows)
     print(f"wrote {path} ({cfg.n_points} rows)")
     return 0
 
@@ -450,48 +430,29 @@ def _cmd_evolve(args) -> int:
 def _cmd_fig1(args) -> int:
     cfg = _experiment_config(args)
     if args.alpha is not None:
-        path = args.out or cfg.output_path or "fig1_custom.csv"
-        emit_csv(run_experiment(cfg), path)
-        print(f"wrote {path} ({cfg.n_points} rows)")
-        return 0
-    outdir = args.out or cfg.output_path or "."
-    try:
-        os.makedirs(outdir, exist_ok=True)
-    except OSError as exc:
-        raise IoError(f"cannot create {outdir}: {exc}") from exc
-    for idx in (1, 2, 3):
-        path = os.path.join(outdir, f"fig1_alpha{idx}.csv")
-        emit_csv(run_experiment(replace(cfg, alpha=complex(idx))), path)
+        tables = [(args.out or cfg.output_path or "fig1_custom.csv", cfg)]
+    else:
+        outdir = args.out or cfg.output_path or "."
+        try:
+            os.makedirs(outdir, exist_ok=True)
+        except OSError as exc:
+            raise IoError(f"cannot create {outdir}: {exc}") from exc
+        tables = [
+            (os.path.join(outdir, f"fig1_alpha{k}.csv"), replace(cfg, alpha=complex(k)))
+            for k in (1, 2, 3)
+        ]
+    times, gs = _g_sweep(cfg)  # G does not depend on alpha: one sweep serves all
+    for path, table_cfg in tables:
+        emit_csv(_records(table_cfg, times, gs), path)
         print(f"wrote {path} ({cfg.n_points} rows)")
     return 0
 
 
 def _cmd_oracle_check(args) -> int:
-    mapping = load_config(args.config) if args.config else {}
-    cfg = oracle_config_from_mapping(mapping)
-    updates = {}
-    if args.beta is not None:
-        updates["beta"] = args.beta
-    if args.seed is not None:
-        updates["seed"] = args.seed
-    if updates:
-        cfg = replace(cfg, **updates)
+    cfg = _configure(args, oracle_config_from_mapping, beta=args.beta, seed=args.seed)
     rows, violations = run_oracle_check(cfg)
     path = args.out or cfg.output_path or "oracle_check.csv"
-    lines = [ORACLE_CSV_HEADER]
-    for row in rows:
-        lines.append(
-            ",".join(
-                _fmt(v)
-                for v in (
-                    row.t_seconds,
-                    row.split_vs_exact,
-                    row.channel_vs_split,
-                    row.ratio_at_half_t,
-                )
-            )
-        )
-    _write_text(path, "\n".join(lines) + "\n")
+    _write_table(path, ORACLE_CSV_HEADER, [astuple(row) for row in rows])
     kind = "zero" if cfg.beta is None else f"beta = {cfg.beta:g} s"
     print(
         f"system: e_j = {cfg.e_j:.3e} rad/s, mode omega = {cfg.omega:.3e} rad/s, "
@@ -520,20 +481,24 @@ def _parse_complex(raw: str) -> complex:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    shared = argparse.ArgumentParser(add_help=False)
-    shared.add_argument("--config", metavar="PATH", help="key = value config file")
-    shared.add_argument("--out", metavar="PATH", help="output file (directory for fig1)")
-    shared.add_argument("--alpha", type=_parse_complex, help="initial-state weight")
-    shared.add_argument("--eta", type=float, help="dimensionless bath strength")
-    shared.add_argument("--omega-c", dest="omega_c", type=float, help="bath cutoff, rad/s")
-    shared.add_argument(
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--config", metavar="PATH", help="key = value config file")
+    common.add_argument("--out", metavar="PATH", help="output file (directory for fig1)")
+    common.add_argument(
         "--beta", type=float, help="inverse temperature, seconds; omit for zero"
     )
-    shared.add_argument(
+    sweep = argparse.ArgumentParser(add_help=False, parents=[common])
+    sweep.add_argument(
+        "--alpha",
+        type=_parse_complex,
+        help="initial-state weight (gfactor validates it but does not use it)",
+    )
+    sweep.add_argument("--eta", type=float, help="dimensionless bath strength")
+    sweep.add_argument("--omega-c", dest="omega_c", type=float, help="bath cutoff, rad/s")
+    sweep.add_argument(
         "--t-end-ps", dest="t_end_ps", type=float, help="final time, picoseconds"
     )
-    shared.add_argument("--points", type=int, help="number of grid points")
-    shared.add_argument("--seed", type=int, help="oracle sampling seed")
+    sweep.add_argument("--points", type=int, help="number of grid points")
 
     parser = argparse.ArgumentParser(
         prog="qubit-dephasing",
@@ -542,17 +507,19 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
     sub.add_parser(
-        "gfactor", parents=[shared], help="tabulate the exponent G and factor delta"
+        "gfactor", parents=[sweep], help="tabulate the exponent G and factor delta"
     ).set_defaults(func=_cmd_gfactor)
     sub.add_parser(
-        "evolve", parents=[shared], help="two-qubit state trajectory as CSV"
+        "evolve", parents=[sweep], help="two-qubit state trajectory as CSV"
     ).set_defaults(func=_cmd_evolve)
     sub.add_parser(
-        "fig1", parents=[shared], help="bundled concurrence experiment (three sweeps)"
+        "fig1", parents=[sweep], help="bundled concurrence experiment (three sweeps)"
     ).set_defaults(func=_cmd_fig1)
-    sub.add_parser(
-        "oracle-check", parents=[shared], help="brute-force channel validation"
-    ).set_defaults(func=_cmd_oracle_check)
+    oracle = sub.add_parser(
+        "oracle-check", parents=[common], help="brute-force channel validation"
+    )
+    oracle.add_argument("--seed", type=int, help="oracle sampling seed")
+    oracle.set_defaults(func=_cmd_oracle_check)
     return parser
 
 

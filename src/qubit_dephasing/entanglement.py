@@ -44,10 +44,14 @@ def initial_state(alpha: complex) -> np.ndarray:
     a = complex(alpha)
     if not (math.isfinite(a.real) and math.isfinite(a.imag)):
         raise ValueError("alpha must be finite")
+    try:
+        norm = math.sqrt(1.0 + abs(a) ** 2)
+    except OverflowError:
+        raise ValueError("alpha too large: |alpha|**2 overflows") from None
     vec = np.zeros(4, dtype=complex)
     vec[1] = 1.0
     vec[2] = a
-    vec /= math.sqrt(1.0 + abs(a) ** 2)
+    vec /= norm
     return np.outer(vec, vec.conj())
 
 

@@ -4,6 +4,14 @@ import re
 import numpy as np
 import pytest
 
+from qubit_dephasing.bath import (
+    OhmicBath,
+    Temperature,
+    default_quadrature,
+    g_ohmic,
+    suppression_factor,
+)
+from qubit_dephasing.channel import QubitParams, evolve_pair, max_decoherence_analytic
 from qubit_dephasing.cli import (
     CSV_HEADER,
     KS_IN_SECONDS,
@@ -19,6 +27,7 @@ from qubit_dephasing.cli import (
     run_oracle_check,
     serialize_config,
 )
+from qubit_dephasing.entanglement import concurrence, initial_state
 from qubit_dephasing.errors import ConfigError
 
 FLOAT_CELL = re.compile(r"^-?\d\.\d{16}e[+-]\d{2,3}$")
@@ -80,6 +89,22 @@ def test_config_rejects_bad_value():
         config_from_mapping({"n_points": "1"})
     with pytest.raises(ConfigError):
         config_from_mapping({"beta": "0"})
+
+
+@pytest.mark.parametrize(
+    "key,value",
+    [
+        ("eta", "inf"),
+        ("omega_c", "inf"),
+        ("t_start", "nan"),
+        ("t_end", "inf"),
+        ("alpha", "nan+0j"),
+        ("alpha", "1e200"),
+    ],
+)
+def test_config_rejects_non_finite_or_overflowing_values(key, value):
+    with pytest.raises(ConfigError):
+        config_from_mapping({key: value})
 
 
 def test_config_round_trip_is_lossless():
@@ -291,3 +316,146 @@ def test_load_config_round_trip_through_disk(tmp_path):
     path = tmp_path / "saved.conf"
     path.write_text(serialize_config(cfg), encoding="utf-8")
     assert config_from_mapping(load_config(str(path))) == cfg
+
+
+# -- reference sweeps: the per-point library calls, written out ------------
+
+REF_ETA, REF_OMEGA_C, REF_E_J = 1e-5, 1e12, 1e10
+REF_T_END_PS, REF_POINTS = 8.0, 6
+
+
+def reference_csv(header, rows):
+    lines = [header] + [",".join(f"{v:.16e}" for v in row) for row in rows]
+    return ("\n".join(lines) + "\n").encode("utf-8")
+
+
+def reference_points(beta):
+    """(t, G) on the sweep grid, one quadrature per point."""
+    bath = OhmicBath(REF_ETA, REF_OMEGA_C)
+    temp = Temperature.zero() if beta is None else Temperature.finite(beta)
+    quad = default_quadrature()
+    for t in np.linspace(0.0, REF_T_END_PS * 1e-12, REF_POINTS):
+        t = float(t)
+        yield t, g_ohmic(bath, temp, t, quad)
+
+
+def reference_gfactor(beta):
+    rows = []
+    for t, g in reference_points(beta):
+        rows.append((t, t / KS_IN_SECONDS, g, suppression_factor(g)))
+    return reference_csv("t_seconds,t_ks,g,delta", rows)
+
+
+def reference_evolve(alpha, beta):
+    names = []
+    for i in ("00", "01", "10", "11"):
+        for j in ("00", "01", "10", "11"):
+            names += [f"re_{i}{j}", f"im_{i}{j}"]
+    params = QubitParams(REF_E_J)
+    rho0 = initial_state(alpha)
+    rows = []
+    for t, g in reference_points(beta):
+        row = [t, t / KS_IN_SECONDS]
+        for value in evolve_pair(rho0, params, params, g, g, t).reshape(-1):
+            row += [value.real, value.imag]
+        rows.append(row)
+    return reference_csv("t_seconds,t_ks," + ",".join(names), rows)
+
+
+def reference_fig1(alpha, beta):
+    params = QubitParams(REF_E_J)
+    rho0 = initial_state(alpha)
+    c0 = 2.0 * abs(alpha) / (1.0 + abs(alpha) ** 2)
+    rows = []
+    for t, g in reference_points(beta):
+        delta = suppression_factor(g)
+        d_max = max_decoherence_analytic(g)
+        c_t = concurrence(evolve_pair(rho0, params, params, g, g, t))
+        rows.append(
+            (t, t / KS_IN_SECONDS, g, g, delta, delta, c_t, c0 * delta * delta, d_max, d_max)
+        )
+    return reference_csv(CSV_HEADER, rows)
+
+
+def sweep_argv(command, out, beta, *extra):
+    argv = [command, "--out", str(out), "--t-end-ps", repr(REF_T_END_PS)]
+    argv += ["--points", str(REF_POINTS), *extra]
+    if beta is not None:
+        argv += ["--beta", repr(beta)]
+    return argv
+
+
+TEMPERATURES = pytest.mark.parametrize("beta", [None, 2e-12], ids=["zero", "finite"])
+
+
+@TEMPERATURES
+def test_gfactor_matches_reference(tmp_path, beta):
+    out = tmp_path / "g.csv"
+    assert main(sweep_argv("gfactor", out, beta)) == 0
+    assert out.read_bytes() == reference_gfactor(beta)
+
+
+@TEMPERATURES
+def test_evolve_matches_reference_for_complex_alpha(tmp_path, beta):
+    out = tmp_path / "e.csv"
+    assert main(sweep_argv("evolve", out, beta, "--alpha", "0.6-1.3j")) == 0
+    assert out.read_bytes() == reference_evolve(0.6 - 1.3j, beta)
+
+
+@TEMPERATURES
+def test_fig1_single_alpha_matches_reference(tmp_path, beta):
+    out = tmp_path / "one.csv"
+    assert main(sweep_argv("fig1", out, beta, "--alpha", "0.5+0.25j")) == 0
+    assert out.read_bytes() == reference_fig1(0.5 + 0.25j, beta)
+
+
+@TEMPERATURES
+def test_fig1_bundle_matches_reference_and_single_alpha_runs(tmp_path, beta):
+    bundle = tmp_path / "bundle"
+    assert main(sweep_argv("fig1", bundle, beta)) == 0
+    for k in (1, 2, 3):
+        single = tmp_path / f"alpha{k}.csv"
+        assert main(sweep_argv("fig1", single, beta, "--alpha", str(k))) == 0
+        raw = (bundle / f"fig1_alpha{k}.csv").read_bytes()
+        assert raw == single.read_bytes()
+        assert raw == reference_fig1(complex(k), beta)
+
+
+@pytest.mark.parametrize("command", ["gfactor", "evolve"])
+def test_sweep_past_quadrature_edge_exits_three_naming_t(tmp_path, capsys, command):
+    # omega_c t = 500 at the last point: the Ohmic quadrature cannot
+    # resolve sin^2(omega_c t x) and raises ToleranceNotMet
+    argv = [command, "--t-end-ps", "500", "--points", "3", "--out", str(tmp_path / "x")]
+    assert main(argv) == 3
+    assert "at t = 5.000000e-10 s" in capsys.readouterr().err
+
+
+def exit_code(argv):
+    try:
+        return main(argv)
+    except SystemExit as exc:  # argparse rejects unknown flags this way
+        return exc.code
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["oracle-check", "--alpha", "2"],
+        ["oracle-check", "--eta", "1e-5"],
+        ["oracle-check", "--omega-c", "1e12"],
+        ["oracle-check", "--t-end-ps", "5"],
+        ["oracle-check", "--points", "4"],
+        ["gfactor", "--seed", "1"],
+        ["evolve", "--seed", "1"],
+        ["fig1", "--seed", "1"],
+        ["gfactor", "--omega-c", "inf"],
+        ["gfactor", "--eta", "inf"],
+        ["evolve", "--t-end-ps", "inf"],
+        ["fig1", "--alpha", "1e200"],
+        ["evolve", "--alpha", "1e200"],
+        ["gfactor", "--alpha", "1e200"],
+    ],
+    ids=" ".join,
+)
+def test_main_exit_two_on_rejected_flags_and_values(tmp_path, argv):
+    assert exit_code(argv + ["--out", str(tmp_path / "x")]) == 2

@@ -230,3 +230,9 @@ def test_analytic_bell_state_rejects_negative_exponents():
         analytic_bell_state(-0.1, 0.0, 2e10, 1e-12)
     with pytest.raises(ValueError):
         analytic_bell_concurrence(0.0, -0.1)
+
+
+@pytest.mark.parametrize("alpha", [complex("nan"), complex("inf"), 1e200, 1e308 + 1e308j])
+def test_initial_state_rejects_non_finite_and_overflowing_alpha(alpha):
+    with pytest.raises(ValueError):
+        initial_state(alpha)

@@ -178,6 +178,6 @@ def default_quadrature() -> QuadratureSpec:
 
 def suppression_factor(g_value: float) -> float:
     """Coherence survival factor ``exp(-4 G)``, in ``(0, 1]`` for ``G >= 0``."""
-    if g_value < 0.0:
+    if not g_value >= 0.0:
         raise ValueError("g_value must be nonnegative")
     return math.exp(-4.0 * g_value)

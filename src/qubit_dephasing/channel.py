@@ -62,49 +62,57 @@ class QubitParams:
 
 
 def _check_state(rho, dim: int, psd_floor: float) -> np.ndarray:
+    # Each check covers the whole stack; a failure reports the worst state.
     a = np.asarray(rho, dtype=complex)
-    if a.shape != (dim, dim):
+    if a.ndim < 2 or a.shape[-2:] != (dim, dim) or a.size == 0:
         raise InvalidState(f"expected a {dim}x{dim} matrix, got shape {a.shape}")
     if not np.isfinite(a).all():
         raise InvalidState("state entries must be finite")
-    defect = float(np.abs(a - a.conj().T).max())
+    defect = float(np.abs(a - a.conj().swapaxes(-1, -2)).max())
     if defect > HERMITICITY_TOL:
         raise InvalidState(f"not Hermitian, defect {defect:.3e}")
-    trace_gap = abs(a.trace() - 1.0)
+    trace_gap = float(np.abs(np.trace(a, axis1=-2, axis2=-1) - 1.0).max())
     if trace_gap > TRACE_TOL:
         raise InvalidState(f"trace differs from one by {trace_gap:.3e}")
-    lowest = float(np.linalg.eigvalsh(0.5 * (a + a.conj().T)).min())
+    lowest = float(np.linalg.eigvalsh(0.5 * (a + a.conj().swapaxes(-1, -2))).min())
     if lowest < psd_floor:
         raise InvalidState(f"negative eigenvalue {lowest:.3e}")
     return a
 
 
 def check_qubit_state(rho) -> np.ndarray:
-    """Validate a single-qubit density matrix; returns it as an ndarray."""
+    """Validate a qubit state or stack ``(..., 2, 2)``; returns it as an ndarray."""
     return _check_state(rho, 2, QUBIT_PSD_FLOOR)
 
 
 def check_pair_state(rho) -> np.ndarray:
-    """Validate a two-qubit density matrix; returns it as an ndarray."""
+    """Validate a two-qubit state or stack ``(..., 4, 4)``; returns it as an ndarray."""
     return _check_state(rho, 4, PAIR_PSD_FLOOR)
 
 
+def _times(c: complex, z: np.ndarray) -> np.ndarray:
+    # c * z rounding each product, as a scalar complex product does. numpy's
+    # array loop may fuse multiply-adds, which would give a state different
+    # last bits alone and in a stack.
+    out = np.empty_like(z)
+    out.real = c.real * z.real - c.imag * z.imag
+    out.imag = c.real * z.imag + c.imag * z.real
+    return out
+
+
 def _apply_single(rho: np.ndarray, e_j: float, g_value: float, t: float) -> np.ndarray:
-    # Linear action on an arbitrary 2x2 matrix; no input validation, so it
-    # can serve both state evolution and the process-matrix construction.
+    # Linear action on any 2x2 matrix or stack of them; no input validation,
+    # so it can serve both state evolution and the process-matrix construction.
     delta = math.exp(-4.0 * g_value)
     up = 0.5 * (1.0 + delta)
     dn = 0.5 * (1.0 - delta)
     ph = cmath.exp(-1j * e_j * t)
-    return np.array(
-        [
-            [up * rho[0, 0] + dn * rho[1, 1], up * ph * rho[0, 1] + dn * rho[1, 0]],
-            [
-                up * ph.conjugate() * rho[1, 0] + dn * rho[0, 1],
-                up * rho[1, 1] + dn * rho[0, 0],
-            ],
-        ]
-    )
+    out = np.empty(rho.shape, dtype=complex)
+    out[..., 0, 0] = up * rho[..., 0, 0] + dn * rho[..., 1, 1]
+    out[..., 0, 1] = _times(up * ph, rho[..., 0, 1]) + dn * rho[..., 1, 0]
+    out[..., 1, 0] = _times(up * ph.conjugate(), rho[..., 1, 0]) + dn * rho[..., 0, 1]
+    out[..., 1, 1] = up * rho[..., 1, 1] + dn * rho[..., 0, 0]
+    return out
 
 
 def _kraus_ops(e_j: float, g_value: float, t: float) -> list[np.ndarray]:
@@ -116,20 +124,20 @@ def _kraus_ops(e_j: float, g_value: float, t: float) -> list[np.ndarray]:
 
 
 def evolve_single(rho0, params: QubitParams, g_value: float, t: float) -> np.ndarray:
-    """Evolve one qubit for time ``t`` at decoherence exponent ``g_value``.
+    """Evolve one qubit, or a stack ``(..., 2, 2)`` of states, for time ``t``.
 
-    ``g_value`` must be the exponent evaluated at the same ``t`` by the
-    bath module. Populations mix with weights ``(1 +- delta)/2`` and the
-    coherence precesses at ``E_J`` while contracting; the output is
-    Hermitized to suppress rounding drift.
+    ``g_value`` must be the decoherence exponent evaluated at the same
+    ``t`` by the bath module. Populations mix with weights
+    ``(1 +- delta)/2`` and the coherence precesses at ``E_J`` while
+    contracting; the output is Hermitized to suppress rounding drift.
     """
     a = check_qubit_state(rho0)
-    if g_value < 0.0:
+    if not g_value >= 0.0:
         raise ValueError("g_value must be nonnegative")
-    if t < 0.0:
+    if not 0.0 <= t < math.inf:
         raise ValueError("t must be nonnegative")
     out = _apply_single(a, params.e_j, g_value, t)
-    return 0.5 * (out + out.conj().T)
+    return 0.5 * (out + out.conj().swapaxes(-1, -2))
 
 
 def evolve_pair(
@@ -143,9 +151,9 @@ def evolve_pair(
     tensor product of the single-qubit outputs.
     """
     a = check_pair_state(rho0)
-    if g1 < 0.0 or g2 < 0.0:
+    if not (g1 >= 0.0 and g2 >= 0.0):
         raise ValueError("exponents must be nonnegative")
-    if t < 0.0:
+    if not 0.0 <= t < math.inf:
         raise ValueError("t must be nonnegative")
     out = np.zeros((4, 4), dtype=complex)
     for ka in _kraus_ops(p1.e_j, g1, t):
@@ -156,32 +164,36 @@ def evolve_pair(
 
 
 def deviation(rho_real, rho_ideal) -> np.ndarray:
-    """Difference of two valid qubit states; Hermitian and traceless."""
+    """Difference of two valid qubit states (or stacks); Hermitian and traceless."""
     a = check_qubit_state(rho_real)
     b = check_qubit_state(rho_ideal)
     return a - b
 
 
-def lambda_norm(sigma) -> float:
+def lambda_norm(sigma) -> float | np.ndarray:
     """Norm ``sqrt(|sigma_10|^2 + |sigma_11|^2)`` of a deviation operator.
 
     For a traceless Hermitian 2x2 matrix this equals its largest
-    eigenvalue.
+    eigenvalue. A stack ``(..., 2, 2)`` gives an array of norms.
     """
     a = np.asarray(sigma, dtype=complex)
-    if a.shape != (2, 2):
+    if a.ndim < 2 or a.shape[-2:] != (2, 2) or a.size == 0:
         raise InvalidState(f"expected a 2x2 matrix, got shape {a.shape}")
-    defect = float(np.abs(a - a.conj().T).max())
+    defect = float(np.abs(a - a.conj().swapaxes(-1, -2)).max())
     if defect > HERMITICITY_TOL:
         raise InvalidState(f"deviation not Hermitian, defect {defect:.3e}")
-    if abs(a.trace()) > TRACE_TOL:
-        raise InvalidState(f"deviation not traceless, trace {a.trace():.3e}")
-    return math.sqrt(abs(a[1, 0]) ** 2 + abs(a[1, 1]) ** 2)
+    trace_size = float(np.abs(np.trace(a, axis1=-2, axis2=-1)).max())
+    if trace_size > TRACE_TOL:
+        raise InvalidState(f"deviation not traceless, |trace| {trace_size:.3e}")
+    row = a[..., 1, :]
+    # hypot, as abs() of a complex scalar; numpy's array abs rounds differently
+    norms = np.sqrt((np.hypot(row.real, row.imag) ** 2).sum(axis=-1))
+    return float(norms) if a.ndim == 2 else norms
 
 
 def max_decoherence_analytic(g_value: float) -> float:
     """Largest deviation norm over initial states: ``(1 - exp(-4 G))/2``."""
-    if g_value < 0.0:
+    if not g_value >= 0.0:
         raise ValueError("g_value must be nonnegative")
     return 0.5 * (1.0 - math.exp(-4.0 * g_value))
 
@@ -191,29 +203,23 @@ def max_decoherence_numeric(
 ) -> float:
     """Brute-force maximum of the deviation norm over pure initial states.
 
-    Scans ``grid_size**2`` Bloch angles plus both poles, comparing the
-    dephased channel against the purely unitary one for each, and is
-    expected to approach :func:`max_decoherence_analytic` from below as
-    the grid refines.
+    Scans ``grid_size**2`` Bloch angles plus both poles in one array pass,
+    comparing the dephased channel against the purely unitary one for
+    each, and is expected to approach :func:`max_decoherence_analytic`
+    from below as the grid refines.
     """
     if grid_size < 8:
         raise ValueError("grid_size must be at least 8")
     thetas = np.linspace(0.0, math.pi, grid_size + 2)[1:-1]
     phis = np.linspace(0.0, 2.0 * math.pi, grid_size, endpoint=False)
-    angles = [(0.0, 0.0), (math.pi, 0.0)]
-    angles += [(th, ph) for th in thetas for ph in phis]
-    best = 0.0
-    for theta, phi in angles:
-        amp0 = math.cos(0.5 * theta)
-        amp1 = math.sin(0.5 * theta) * cmath.exp(1j * phi)
-        vec = np.array([amp0, amp1])
-        rho0 = np.outer(vec, vec.conj())
-        sigma = deviation(
-            evolve_single(rho0, params, g_value, t),
-            evolve_single(rho0, params, 0.0, t),
-        )
-        best = max(best, lambda_norm(sigma))
-    return best
+    # both poles first, then theta-major over the grid
+    theta = np.concatenate(([0.0, math.pi], np.repeat(thetas, grid_size)))
+    phi = np.concatenate(([0.0, 0.0], np.tile(phis, grid_size)))
+    vec = np.stack([np.cos(0.5 * theta), np.sin(0.5 * theta) * np.exp(1j * phi)], -1)
+    rho0 = vec[:, :, None] * vec.conj()[:, None, :]
+    dephased = evolve_single(rho0, params, g_value, t)
+    sigma = deviation(dephased, evolve_single(rho0, params, 0.0, t))
+    return max(0.0, float(lambda_norm(sigma).max()))
 
 
 def cptp_check(p: QubitParams, g_value: float, t: float) -> bool:
@@ -225,22 +231,16 @@ def cptp_check(p: QubitParams, g_value: float, t: float) -> bool:
     fails. The exponent is deliberately unconstrained here so nonphysical
     variants (for example a sign-flipped exponent) can be probed.
     """
-    choi = np.zeros((4, 4), dtype=complex)
-    for i in range(2):
-        for j in range(2):
-            unit = np.zeros((2, 2), dtype=complex)
-            unit[i, j] = 1.0
-            image = _apply_single(unit, p.e_j, g_value, t)
-            gap = abs(image.trace() - unit.trace())
-            if gap > 1e-10:
-                log.warning(
-                    "trace not preserved on basis unit (%d,%d): defect %.3e",
-                    i,
-                    j,
-                    gap,
-                )
-                return False
-            choi[2 * i : 2 * i + 2, 2 * j : 2 * j + 2] = image
+    units = np.eye(4, dtype=complex).reshape(2, 2, 2, 2)  # units[i, j] = |i><j|
+    images = _apply_single(units, p.e_j, g_value, t)
+    gaps = np.abs(np.trace(images, axis1=-2, axis2=-1) - np.eye(2))
+    i, j = np.unravel_index(gaps.argmax(), gaps.shape)
+    if gaps[i, j] > 1e-10:
+        log.warning(
+            "trace not preserved on basis unit (%d,%d): defect %.3e", i, j, gaps[i, j]
+        )
+        return False
+    choi = images.transpose(0, 2, 1, 3).reshape(4, 4)
     defect = float(np.abs(choi - choi.conj().T).max())
     if defect > 1e-10:
         log.warning("choi matrix not Hermitian, defect %.3e", defect)

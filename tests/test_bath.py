@@ -140,6 +140,11 @@ def test_suppression_factor_rejects_negative():
         suppression_factor(-1e-3)
 
 
+def test_suppression_factor_rejects_nan():
+    with pytest.raises(ValueError):
+        suppression_factor(math.nan)
+
+
 def test_temperature_validation():
     with pytest.raises(ValueError):
         Temperature("finite")

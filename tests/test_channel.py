@@ -1,7 +1,10 @@
+import cmath
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qubit_dephasing.channel import (
     QubitParams,
@@ -248,3 +251,190 @@ def test_negative_arguments_rejected():
         evolve_single(half, params, 0.1, -1e-12)
     with pytest.raises(ValueError):
         max_decoherence_analytic(-1.0)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda p, half: evolve_single(half, p, math.nan, 1e-12),
+        lambda p, half: evolve_single(half, p, 0.1, math.nan),
+        lambda p, half: evolve_single(half, p, 0.1, math.inf),
+        lambda p, half: evolve_pair(np.kron(half, half), p, p, math.nan, 0.1, 1e-12),
+        lambda p, half: evolve_pair(np.kron(half, half), p, p, 0.1, math.nan, 1e-12),
+        lambda p, half: evolve_pair(np.kron(half, half), p, p, 0.1, 0.1, math.nan),
+        lambda p, half: evolve_pair(np.kron(half, half), p, p, 0.1, 0.1, math.inf),
+        lambda p, half: max_decoherence_analytic(math.nan),
+        lambda p, half: max_decoherence_numeric(p, math.nan, 1e-12, 8),
+        lambda p, half: max_decoherence_numeric(p, 0.1, math.nan, 8),
+    ],
+)
+def test_nan_and_infinite_arguments_rejected(call):
+    with pytest.raises(ValueError):
+        call(QubitParams(1e10), 0.5 * np.eye(2))
+
+
+def test_infinite_exponent_is_accepted():
+    # delta = 0: the populations mix completely
+    rho = np.array([[0.9, 0.3j], [-0.3j, 0.1]])
+    out = check_qubit_state(evolve_single(rho, QubitParams(1e10), math.inf, 1e-12))
+    np.testing.assert_allclose(out.diagonal(), [0.5, 0.5], atol=1e-15)
+    assert max_decoherence_analytic(math.inf) == 0.5
+
+
+# -- stacks of states ----------------------------------------------------------
+
+
+def random_qubit_stack(rng, shape):
+    return np.array([random_qubit_state(rng) for _ in range(math.prod(shape))]).reshape(
+        *shape, 2, 2
+    )
+
+
+def test_stacked_states_pass_unchanged():
+    rng = np.random.default_rng(10)
+    qubits = random_qubit_stack(rng, (3, 4))
+    np.testing.assert_array_equal(check_qubit_state(qubits), qubits)
+    pairs = np.array([random_pair_state(rng) for _ in range(5)])
+    np.testing.assert_array_equal(check_pair_state(pairs), pairs)
+
+
+@pytest.mark.parametrize(
+    ("bad", "message"),
+    [
+        (np.array([[0.5, 0.6], [0.0, 0.5]]), "not Hermitian"),
+        (np.diag([0.9, 0.9]), "trace differs"),
+        (np.diag([1.5, -0.5]), "negative eigenvalue"),
+        (np.array([[0.5, math.nan], [math.nan, 0.5]]), "finite"),
+    ],
+)
+def test_stack_with_one_bad_state_rejected(bad, message):
+    rng = np.random.default_rng(11)
+    stack = random_qubit_stack(rng, (2, 3))
+    stack[1, 2] = bad
+    with pytest.raises(InvalidState, match=message):
+        check_qubit_state(stack)
+    with pytest.raises(InvalidState, match=message):
+        evolve_single(stack, QubitParams(1e10), 0.1, 1e-12)
+
+
+def test_stack_reports_the_worst_defect():
+    stack = np.array([np.diag([0.5, 0.5 + d]) for d in (0.0, 1e-9, 3e-6, 2e-8)])
+    with pytest.raises(InvalidState, match="by 3.000e-06"):
+        check_qubit_state(stack)
+
+
+@pytest.mark.parametrize("shape", [(3, 2), (2, 3, 3), (4,), (0, 2, 2)])
+def test_wrong_qubit_shapes_rejected(shape):
+    with pytest.raises(InvalidState, match="expected a 2x2 matrix"):
+        check_qubit_state(np.zeros(shape, dtype=complex))
+
+
+def test_lambda_norm_of_a_stack_equals_per_matrix_values():
+    rng = np.random.default_rng(12)
+    a = rng.normal(size=(4, 5))
+    c = rng.normal(size=(4, 5)) + 1j * rng.normal(size=(4, 5))
+    sigma = np.stack([np.stack([a, np.conj(c)], -1), np.stack([c, -a], -1)], -2)
+    norms = lambda_norm(sigma)
+    assert norms.shape == (4, 5)
+    expect = [[lambda_norm(sigma[i, j]) for j in range(5)] for i in range(4)]
+    np.testing.assert_array_equal(norms, expect)
+    with pytest.raises(InvalidState, match="traceless"):
+        lambda_norm(sigma + 1e-9 * np.eye(2))
+    with pytest.raises(InvalidState, match="expected a 2x2 matrix"):
+        lambda_norm(np.zeros((0, 2, 2)))
+
+
+def test_single_state_evolves_as_scalar_complex_arithmetic():
+    # oracle-check writes channel-vs-propagator gaps with 16 digits, so one
+    # state must evolve to the bits of the entrywise formula, whatever the
+    # array loops fuse.
+    rng = np.random.default_rng(13)
+    params = QubitParams(1.3e10)
+    for _ in range(200):
+        rho = random_qubit_state(rng)
+        g, t = float(rng.uniform(0.0, 3.0)), float(rng.uniform(0.0, 5e-12))
+        delta = math.exp(-4.0 * g)
+        up, dn = 0.5 * (1.0 + delta), 0.5 * (1.0 - delta)
+        ph = cmath.exp(-1j * params.e_j * t)
+        (r00, r01), (r10, r11) = [[complex(x) for x in row] for row in rho]
+        out = np.array(
+            [
+                [up * r00 + dn * r11, up * ph * r01 + dn * r10],
+                [up * ph.conjugate() * r10 + dn * r01, up * r11 + dn * r00],
+            ]
+        )
+        expect = 0.5 * (out + out.conj().T)
+        np.testing.assert_array_equal(evolve_single(rho, params, g, t), expect)
+
+
+def reference_max_decoherence(params, g_value, t, grid_size):
+    # The Bloch scan written one state at a time, as the library did it
+    # before the scan became one array pass.
+    thetas = np.linspace(0.0, math.pi, grid_size + 2)[1:-1]
+    phis = np.linspace(0.0, 2.0 * math.pi, grid_size, endpoint=False)
+    angles = [(0.0, 0.0), (math.pi, 0.0)]
+    angles += [(th, ph) for th in thetas for ph in phis]
+    best = 0.0
+    for theta, phi in angles:
+        amp0 = math.cos(0.5 * theta)
+        amp1 = math.sin(0.5 * theta) * cmath.exp(1j * phi)
+        vec = np.array([amp0, amp1])
+        rho0 = np.outer(vec, vec.conj())
+        sigma = deviation(
+            evolve_single(rho0, params, g_value, t),
+            evolve_single(rho0, params, 0.0, t),
+        )
+        best = max(best, lambda_norm(sigma))
+    return best
+
+
+@pytest.mark.parametrize(
+    ("g", "t", "grid"),
+    [(g, t, 8) for g in (0.0, 1e-5, 0.25, 2.0) for t in (0.0, 1e-11)]
+    + [(0.0, 0.0, 33), (1e-5, 1e-11, 33), (0.25, 0.0, 33), (2.0, 1e-11, 33)],
+)
+def test_max_decoherence_numeric_matches_per_state_scan(g, t, grid):
+    params = QubitParams(1e10)
+    got = max_decoherence_numeric(params, g, t, grid)
+    assert isinstance(got, float)
+    assert got == pytest.approx(reference_max_decoherence(params, g, t, grid), abs=1e-15)
+
+
+# -- properties ----------------------------------------------------------------
+
+bloch_states = st.builds(
+    lambda r, theta, phi: 0.5
+    * np.array(
+        [
+            [1.0 + r * math.cos(theta), r * math.sin(theta) * cmath.exp(-1j * phi)],
+            [r * math.sin(theta) * cmath.exp(1j * phi), 1.0 - r * math.cos(theta)],
+        ]
+    ),
+    st.floats(0.0, 1.0),
+    st.floats(0.0, math.pi),
+    st.floats(0.0, 2.0 * math.pi),
+)
+properties = settings(derandomize=True, max_examples=40, deadline=None)
+
+
+@properties
+@given(
+    st.lists(bloch_states, min_size=1, max_size=6),
+    st.floats(0.0, 3.0),
+    st.floats(0.0, 1e-11),
+)
+def test_stacked_evolution_equals_per_state_calls(states, g, t):
+    params = QubitParams(1.3e10)
+    stacked = evolve_single(np.array(states), params, g, t)
+    single = [evolve_single(rho, params, g, t) for rho in states]
+    np.testing.assert_array_equal(stacked, single)
+    check_qubit_state(stacked)
+    for out in single:
+        check_qubit_state(out)
+
+
+@properties
+@given(st.floats(0.0, 2.0), st.floats(0.0, 1e-10), st.integers(8, 24))
+def test_numeric_maximum_stays_within_the_analytic_bound(g, t, grid):
+    got = max_decoherence_numeric(QubitParams(1e10), g, t, grid)
+    assert 0.0 <= got <= max_decoherence_analytic(g) + 1e-12

@@ -24,7 +24,13 @@ from .bath import OhmicBath, Temperature, default_quadrature, g_ohmic, suppressi
 from .channel import QubitParams, evolve_pair, max_decoherence_analytic
 from .entanglement import concurrence, initial_state
 from .errors import ConfigError, DephasingError, IoError, ToleranceNotMet
-from .oracle import FockMode, OracleSystem, channel_discrepancy, split_deviation
+from .oracle import (
+    FockMode,
+    OracleSystem,
+    channel_discrepancy,
+    check_thermal_tail,
+    split_deviation,
+)
 
 __all__ = [
     "CSV_HEADER",
@@ -139,6 +145,19 @@ class OracleCheckConfig:
             raise ConfigError("oracle_t must be positive")
         if self.samples < 1:
             raise ConfigError("oracle_samples must be at least 1")
+        for key, value in (
+            ("oracle_e_j", self.e_j),
+            ("oracle_omega", self.omega),
+            ("oracle_g", self.g),
+            ("oracle_t", self.t_base),
+        ):
+            if not cmath.isfinite(value):
+                raise ConfigError(f"{key} must be finite")
+        if self.beta is not None:
+            try:
+                check_thermal_tail(self.beta, self.omega, self.n_max)
+            except ValueError as exc:
+                raise ConfigError(str(exc)) from None
 
     def temperature(self) -> Temperature:
         if self.beta is None:

@@ -27,6 +27,7 @@ __all__ = [
     "bath_free_hamiltonian",
     "build_hamiltonian",
     "channel_discrepancy",
+    "check_thermal_tail",
     "dual_model_hamiltonian",
     "exact_evolve",
     "from_eigenbasis",
@@ -166,13 +167,29 @@ def dual_model_hamiltonian(sys: OracleSystem) -> np.ndarray:
     )
 
 
+def check_thermal_tail(beta: float, omega: float, n_max: int) -> None:
+    """Raise ``ValueError`` unless one mode's truncated Gibbs weights are usable.
+
+    ``beta * omega`` must be finite, or the weights come out NaN. The
+    untruncated weight beyond the cutoff, ``exp(-beta omega (n_max + 1))``,
+    must stay below :data:`THERMAL_TAIL_LIMIT`; the cutoff is otherwise too
+    small for the temperature.
+    """
+    if not math.isfinite(beta * omega):
+        raise ValueError(f"beta * omega = {beta * omega:.3e} is not finite")
+    tail = math.exp(-beta * omega * (n_max + 1))
+    if tail > THERMAL_TAIL_LIMIT:
+        raise ValueError(
+            f"thermal weight {tail:.3e} beyond n_max={n_max} exceeds "
+            f"{THERMAL_TAIL_LIMIT:.0e}; raise the cutoff"
+        )
+
+
 def thermal_bath_state(sys: OracleSystem, temp: Temperature) -> np.ndarray:
     """Product of per-mode truncated Gibbs states, renormalized to trace one.
 
     At zero temperature this is the vacuum projector. At finite
-    temperature the untruncated weight beyond each cutoff,
-    ``exp(-beta omega (n_max + 1))``, must stay below 1e-6; the cutoff is
-    otherwise too small for the requested temperature.
+    temperature every mode must pass :func:`check_thermal_tail`.
     """
     theta = np.eye(1, dtype=complex)
     for mode in sys.modes:
@@ -180,12 +197,7 @@ def thermal_bath_state(sys: OracleSystem, temp: Temperature) -> np.ndarray:
             gibbs = np.zeros((mode.levels, mode.levels), dtype=complex)
             gibbs[0, 0] = 1.0
         else:
-            tail = math.exp(-temp.beta * mode.omega * (mode.n_max + 1))
-            if tail > THERMAL_TAIL_LIMIT:
-                raise ValueError(
-                    f"thermal weight {tail:.3e} beyond n_max={mode.n_max} exceeds "
-                    f"{THERMAL_TAIL_LIMIT:.0e}; raise the cutoff"
-                )
+            check_thermal_tail(temp.beta, mode.omega, mode.n_max)
             weights = np.exp(-temp.beta * mode.omega * np.arange(mode.levels))
             gibbs = np.diag(weights / weights.sum()).astype(complex)
         theta = np.kron(theta, gibbs)
@@ -193,16 +205,23 @@ def thermal_bath_state(sys: OracleSystem, temp: Temperature) -> np.ndarray:
 
 
 def trace_out_bath(joint: np.ndarray, bath_dim: int) -> np.ndarray:
-    """Partial trace over the bath factor of a qubit-times-bath operator."""
+    """Partial trace over the bath factor of a qubit-times-bath operator.
+
+    Takes one operator or a stack ``(..., 2B, 2B)`` with ``B = bath_dim``.
+    """
     a = np.asarray(joint, dtype=complex)
     dim = 2 * bath_dim
-    if a.shape != (dim, dim):
-        raise ValueError(f"expected shape {(dim, dim)}, got {a.shape}")
-    return np.einsum("ikjk->ij", a.reshape(2, bath_dim, 2, bath_dim))
+    if a.ndim < 2 or a.shape[-2:] != (dim, dim):
+        raise ValueError(f"expected shape (..., {dim}, {dim}), got {a.shape}")
+    stack = a.reshape(*a.shape[:-2], 2, bath_dim, 2, bath_dim)
+    return np.einsum("...ikjk->...ij", stack)
 
 
 def to_eigenbasis(rho: np.ndarray) -> np.ndarray:
-    """Rewrite a qubit operator from the computational to the energy eigenbasis."""
+    """Rewrite a qubit operator from the computational to the energy eigenbasis.
+
+    Takes one operator or a stack ``(..., 2, 2)``.
+    """
     return _EIGENBASIS.conj().T @ np.asarray(rho, dtype=complex) @ _EIGENBASIS
 
 
@@ -212,16 +231,25 @@ def from_eigenbasis(rho: np.ndarray) -> np.ndarray:
 
 
 def _propagate(sys: OracleSystem, rho_qubit0, temp: Temperature, u: np.ndarray):
+    # One joint state at a time: a (k, N, N) stack of them would cost k times
+    # the memory of the largest matrix for no gain in time.
     rho = check_qubit_state(rho_qubit0)
     theta = thermal_bath_state(sys, temp)
-    joint = u @ np.kron(rho, theta) @ u.conj().T
-    return trace_out_bath(joint, sys.bath_dim)
+    u_dag = u.conj().T
+    out = np.empty(rho.shape, dtype=complex)
+    for idx in np.ndindex(rho.shape[:-2]):
+        out[idx] = trace_out_bath(u @ np.kron(rho[idx], theta) @ u_dag, sys.bath_dim)
+    return out
 
 
 def exact_evolve(
     sys: OracleSystem, rho_qubit0, temp: Temperature, t: float
 ) -> np.ndarray:
-    """Reduced qubit state after exact evolution of qubit plus bath."""
+    """Reduced qubit state after exact evolution of qubit plus bath.
+
+    Takes one qubit state or a stack ``(..., 2, 2)``; the propagator and the
+    thermal bath state are built once per call.
+    """
     if t < 0.0:
         raise ValueError("t must be nonnegative")
     u = matrix_exponential(build_hamiltonian(sys), t)
@@ -235,7 +263,8 @@ def split_evolve(
 
     The qubit half-steps sandwich one full step of the bath plus coupling,
     which carries a third-order local error in ``t`` relative to
-    :func:`exact_evolve`.
+    :func:`exact_evolve`. Takes one qubit state or a stack ``(..., 2, 2)``,
+    like :func:`exact_evolve`.
     """
     if t < 0.0:
         raise ValueError("t must be nonnegative")
@@ -248,13 +277,13 @@ def split_evolve(
     return _propagate(sys, rho_qubit0, temp, u)
 
 
-def _sample_pure_states(samples: int, seed: int) -> list[np.ndarray]:
+def _sample_pure_states(samples: int, seed: int) -> np.ndarray:
     rng = np.random.default_rng(seed)
-    states = []
-    for _ in range(samples):
+    states = np.empty((samples, 2, 2), dtype=complex)
+    for k in range(samples):
         vec = rng.normal(size=2) + 1j * rng.normal(size=2)
         vec /= np.linalg.norm(vec)
-        states.append(np.outer(vec, vec.conj()))
+        states[k] = np.outer(vec, vec.conj())
     return states
 
 
@@ -269,13 +298,9 @@ def split_deviation(
     """
     if samples < 1:
         raise ValueError("need at least one sample")
-    worst = 0.0
-    for rho0 in _sample_pure_states(samples, seed):
-        gap = np.abs(
-            split_evolve(sys, rho0, temp, t) - exact_evolve(sys, rho0, temp, t)
-        ).max()
-        worst = max(worst, float(gap))
-    return worst
+    rho0 = _sample_pure_states(samples, seed)
+    gaps = np.abs(split_evolve(sys, rho0, temp, t) - exact_evolve(sys, rho0, temp, t))
+    return float(gaps.max())
 
 
 def channel_discrepancy(
@@ -297,9 +322,7 @@ def channel_discrepancy(
     else:
         g_value = 0.0
     params = QubitParams(e_j=sys.e_j)
-    worst = 0.0
-    for rho0 in _sample_pure_states(samples, seed):
-        via_split = to_eigenbasis(split_evolve(sys, rho0, temp, t))
-        via_channel = evolve_single(to_eigenbasis(rho0), params, g_value, t)
-        worst = max(worst, float(np.abs(via_split - via_channel).max()))
-    return worst
+    rho0 = _sample_pure_states(samples, seed)
+    via_split = to_eigenbasis(split_evolve(sys, rho0, temp, t))
+    via_channel = evolve_single(to_eigenbasis(rho0), params, g_value, t)
+    return float(np.abs(via_split - via_channel).max())

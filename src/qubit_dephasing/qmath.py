@@ -13,8 +13,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-import scipy.integrate
-import scipy.linalg
 
 from .errors import DimensionTooLarge, NoConvergence, NonHermitian, ToleranceNotMet
 
@@ -121,6 +119,8 @@ def matrix_exponential(m, t: float) -> np.ndarray:
         except np.linalg.LinAlgError as exc:
             raise NoConvergence(str(exc)) from exc
         return (v * np.exp(-1j * w * t)) @ v.conj().T
+    import scipy.linalg  # deferred: scipy would dominate the package import
+
     return scipy.linalg.expm(-1j * t * a)
 
 
@@ -195,6 +195,8 @@ def adaptive_quadrature(
         if envelope_scale is None:
             raise ValueError("an infinite upper bound requires envelope_scale")
         upper = semi_infinite_cutoff(envelope_scale, spec.abs_tol)
+    import scipy.integrate  # deferred: scipy would dominate the package import
+
     out = scipy.integrate.quad(
         f,
         spec.lower,

@@ -1,9 +1,13 @@
 import math
+import os
 import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import qubit_dephasing
 from qubit_dephasing.bath import (
     OhmicBath,
     Temperature,
@@ -454,8 +458,42 @@ def exit_code(argv):
         ["fig1", "--alpha", "1e200"],
         ["evolve", "--alpha", "1e200"],
         ["gfactor", "--alpha", "1e200"],
+        ["oracle-check", "--beta", "1e-11"],
     ],
     ids=" ".join,
 )
 def test_main_exit_two_on_rejected_flags_and_values(tmp_path, argv):
     assert exit_code(argv + ["--out", str(tmp_path / "x")]) == 2
+
+
+@pytest.mark.parametrize(
+    "line",
+    [
+        "oracle_omega = inf",
+        "oracle_e_j = nan",
+        "oracle_e_j = inf",
+        "oracle_g = nan+0j",
+        "oracle_t = inf",
+        "oracle_beta = inf",
+        "oracle_beta = 1e-11",  # thermal tail beyond n_max = 8 is 1.2e-4
+    ],
+)
+def test_oracle_check_exit_two_on_unusable_config_values(tmp_path, capsys, line):
+    conf = tmp_path / "oracle.conf"
+    conf.write_text(line + "\n", encoding="utf-8")
+    assert main(["oracle-check", "--config", str(conf), "--out", str(tmp_path / "x")]) == 2
+    assert capsys.readouterr().err.startswith("config error: ")
+
+
+def test_importing_the_cli_loads_no_scipy():
+    # scipy dominates the import time, so the package loads it on first use only
+    src = os.path.dirname(os.path.dirname(os.path.abspath(qubit_dephasing.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    probe = (
+        "import sys, qubit_dephasing.cli; "
+        "print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "[]"

@@ -4,9 +4,10 @@ import math
 import numpy as np
 import pytest
 
+from qubit_dephasing import oracle
 from qubit_dephasing.bath import DiscreteBath, Temperature, g_discrete
-from qubit_dephasing.channel import check_qubit_state
-from qubit_dephasing.errors import DimensionTooLarge
+from qubit_dephasing.channel import QubitParams, check_qubit_state, evolve_single
+from qubit_dephasing.errors import DimensionTooLarge, InvalidState
 from qubit_dephasing.oracle import (
     FockMode,
     OracleSystem,
@@ -96,6 +97,13 @@ def test_thermal_state_rejects_overflowing_tail():
     system = OracleSystem(E_J, (FockMode(1.0, 0.1, 3),))
     with pytest.raises(ValueError):
         thermal_bath_state(system, Temperature.finite(0.1))
+
+
+@pytest.mark.parametrize("beta", [math.inf, 1e300], ids=["inf", "overflow"])
+def test_thermal_state_rejects_non_finite_beta_omega(beta):
+    # beta * omega = inf would make the vacuum weight exp(-inf * 0) = NaN
+    with pytest.raises(ValueError, match="not finite"):
+        thermal_bath_state(reference_system(), Temperature.finite(beta))
 
 
 def test_trace_out_bath_undoes_product():
@@ -233,3 +241,131 @@ def test_fock_mode_validation():
 def test_bath_operators_without_modes_are_scalars():
     assert bath_free_hamiltonian(()).shape == (1, 1)
     assert bath_coupling_operator(()).shape == (1, 1)
+
+
+# -- stacked propagation -------------------------------------------------------
+
+TWO_MODES = (FockMode(OMEGA, COUPLING, 7), FockMode(1.3 * OMEGA, 0.5 * COUPLING, 5))
+SYSTEMS = pytest.mark.parametrize(
+    "modes", [(FockMode(OMEGA, COUPLING, 8),), TWO_MODES], ids=["one_mode", "two_modes"]
+)
+TEMPERATURES = pytest.mark.parametrize(
+    "temp", [Temperature.zero(), Temperature.finite(2e-11)], ids=["zero", "finite"]
+)
+
+
+def random_pure_states(shape, seed):
+    rng = np.random.default_rng(seed)
+    vecs = rng.normal(size=(*shape, 2)) + 1j * rng.normal(size=(*shape, 2))
+    vecs /= np.linalg.norm(vecs, axis=-1, keepdims=True)
+    return vecs[..., :, None] * vecs[..., None, :].conj()
+
+
+@SYSTEMS
+@TEMPERATURES
+@pytest.mark.parametrize("evolve", [split_evolve, exact_evolve])
+def test_stacked_evolution_equals_per_state_calls(modes, temp, evolve):
+    system = OracleSystem(E_J, modes)
+    stack = random_pure_states((2, 3), 31)
+    got = evolve(system, stack, temp, 3e-13)
+    assert got.shape == (2, 3, 2, 2)
+    for idx in np.ndindex(2, 3):
+        assert np.array_equal(got[idx], evolve(system, stack[idx], temp, 3e-13))
+
+
+def test_trace_out_bath_of_a_stack_equals_per_matrix_results():
+    rng = np.random.default_rng(32)
+    stack = rng.normal(size=(4, 3, 12, 12)) + 1j * rng.normal(size=(4, 3, 12, 12))
+    got = trace_out_bath(stack, 6)
+    assert got.shape == (4, 3, 2, 2)
+    for idx in np.ndindex(4, 3):
+        assert np.array_equal(got[idx], trace_out_bath(stack[idx], 6))
+
+
+@pytest.mark.parametrize("evolve", [split_evolve, exact_evolve])
+@pytest.mark.parametrize(
+    "shape", [(3, 2), (2, 3, 3), (0, 2, 2)], ids=["3x2", "stack_of_3x3", "empty"]
+)
+def test_evolution_rejects_bad_state_shapes(evolve, shape):
+    with pytest.raises(InvalidState):
+        evolve(reference_system(2), np.zeros(shape, dtype=complex), Temperature.zero(), 1e-13)
+
+
+@pytest.mark.parametrize("shape", [(10, 10), (3, 12, 10), (12,)])
+def test_trace_out_bath_rejects_wrong_size_operators(shape):
+    with pytest.raises(ValueError):
+        trace_out_bath(np.zeros(shape, dtype=complex), 6)
+
+
+def sampled_pure_states(samples, seed):
+    # per-sample reference for the stacked sampling and measurements below
+    rng = np.random.default_rng(seed)
+    for _ in range(samples):
+        vec = rng.normal(size=2) + 1j * rng.normal(size=2)
+        vec /= np.linalg.norm(vec)
+        yield np.outer(vec, vec.conj())
+
+
+def reference_split_deviation(system, temp, t, samples, seed=7):
+    worst = 0.0
+    for rho0 in sampled_pure_states(samples, seed):
+        gap = np.abs(
+            split_evolve(system, rho0, temp, t) - exact_evolve(system, rho0, temp, t)
+        ).max()
+        worst = max(worst, float(gap))
+    return worst
+
+
+def reference_channel_discrepancy(system, temp, t, samples, seed=7):
+    bath = DiscreteBath(tuple((m.omega, m.g) for m in system.modes))
+    g_value = g_discrete(bath, temp, t)
+    params = QubitParams(e_j=system.e_j)
+    worst = 0.0
+    for rho0 in sampled_pure_states(samples, seed):
+        via_split = to_eigenbasis(split_evolve(system, rho0, temp, t))
+        via_channel = evolve_single(to_eigenbasis(rho0), params, g_value, t)
+        worst = max(worst, float(np.abs(via_split - via_channel).max()))
+    return worst
+
+
+@SYSTEMS
+@TEMPERATURES
+def test_stacked_measurements_equal_the_per_sample_loops(modes, temp):
+    system = OracleSystem(E_J, modes)
+    for t, samples, seed in ((4e-13, 6, 7), (1e-13, 4, 11), (2e-12, 8, 3)):
+        assert split_deviation(system, temp, t, samples, seed) == (
+            reference_split_deviation(system, temp, t, samples, seed)
+        )
+        assert channel_discrepancy(system, temp, t, samples, seed) == (
+            reference_channel_discrepancy(system, temp, t, samples, seed)
+        )
+
+
+@pytest.fixture
+def oracle_counts(monkeypatch):
+    counts = {"matrix_exponential": 0, "thermal_bath_state": 0}
+    for name in counts:
+        original = getattr(oracle, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            counts[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(oracle, name, counted)
+    return counts
+
+
+@pytest.mark.parametrize(
+    "measure,exponentials,thermal_states",
+    [(split_deviation, 3, 2), (channel_discrepancy, 2, 1)],
+    ids=["split_deviation", "channel_discrepancy"],
+)
+@pytest.mark.parametrize("samples", [4, 8])
+def test_each_measurement_builds_its_propagators_once(
+    oracle_counts, measure, exponentials, thermal_states, samples
+):
+    measure(reference_system(4), Temperature.finite(5e-11), 2e-13, samples)
+    assert oracle_counts == {
+        "matrix_exponential": exponentials,
+        "thermal_bath_state": thermal_states,
+    }

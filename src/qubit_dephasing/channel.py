@@ -115,12 +115,11 @@ def _apply_single(rho: np.ndarray, e_j: float, g_value: float, t: float) -> np.n
     return out
 
 
-def _kraus_ops(e_j: float, g_value: float, t: float) -> list[np.ndarray]:
-    delta = math.exp(-4.0 * g_value)
-    half = cmath.exp(-0.5j * e_j * t)
-    rot = np.array([[half, 0.0], [0.0, half.conjugate()]])
-    swap = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-    return [math.sqrt(0.5 * (1.0 + delta)) * rot, math.sqrt(0.5 * (1.0 - delta)) * swap]
+def _evolve_checked(a: np.ndarray, e_j: float, g_value: float, t: float) -> np.ndarray:
+    # The channel on a state or stack already validated, Hermitized to
+    # suppress rounding drift.
+    out = _apply_single(a, e_j, g_value, t)
+    return 0.5 * (out + out.conj().swapaxes(-1, -2))
 
 
 def evolve_single(rho0, params: QubitParams, g_value: float, t: float) -> np.ndarray:
@@ -136,31 +135,66 @@ def evolve_single(rho0, params: QubitParams, g_value: float, t: float) -> np.nda
         raise ValueError("g_value must be nonnegative")
     if not 0.0 <= t < math.inf:
         raise ValueError("t must be nonnegative")
-    out = _apply_single(a, params.e_j, g_value, t)
-    return 0.5 * (out + out.conj().swapaxes(-1, -2))
+    return _evolve_checked(a, params.e_j, g_value, t)
 
 
-def evolve_pair(
-    rho0, p1: QubitParams, p2: QubitParams, g1: float, g2: float, t: float
-) -> np.ndarray:
+def _pair_points(g1, g2, t) -> tuple[list[float], list[float], list[float]]:
+    # The grid of (g1, g2, t) points: three scalars, or three 1-D arrays of
+    # one nonzero length.
+    arrays = [np.asarray(x, dtype=float) for x in (g1, g2, t)]
+    if len({x.shape for x in arrays}) != 1 or arrays[0].ndim > 1 or not arrays[0].size:
+        raise ValueError(
+            "g1, g2 and t must be scalars or 1-D arrays of one nonzero length"
+        )
+    gs1, gs2, ts = (np.atleast_1d(x) for x in arrays)
+    if not ((gs1 >= 0.0).all() and (gs2 >= 0.0).all()):
+        raise ValueError("exponents must be nonnegative")
+    if not ((ts >= 0.0) & (ts < math.inf)).all():
+        raise ValueError("t must be nonnegative")
+    return gs1.tolist(), gs2.tolist(), ts.tolist()
+
+
+def _kraus_stack(e_j: float, gs: list[float], ts: list[float]) -> np.ndarray:
+    # (n, 2, 2, 2): the two Kraus operators ``sqrt((1 +- delta)/2) * (R, X)``
+    # at each point. The scalars come from math/cmath, whose last bits the
+    # array np.exp does not always reproduce.
+    ops = np.zeros((len(ts), 2, 2, 2), dtype=complex)
+    ops[:, 0, 0, 0] = [cmath.exp(-0.5j * e_j * t) for t in ts]
+    ops[:, 0, 1, 1] = ops[:, 0, 0, 0].conj()
+    ops[:, 1, 0, 1] = ops[:, 1, 1, 0] = 1.0
+    deltas = [math.exp(-4.0 * g) for g in gs]
+    scale = [[math.sqrt(0.5 * (1.0 + d)), math.sqrt(0.5 * (1.0 - d))] for d in deltas]
+    return np.array(scale)[:, :, None, None] * ops
+
+
+def evolve_pair(rho0, p1: QubitParams, p2: QubitParams, g1, g2, t) -> np.ndarray:
     """Evolve a joint two-qubit state under independent dephasing channels.
 
     The two single-qubit channels act as a tensor product of superoperators
     on the joint state, so entangled inputs stay entangled exactly as far
     as the factorized dynamics allows; on product inputs the result is the
     tensor product of the single-qubit outputs.
+
+    ``g1``, ``g2`` and ``t`` are scalars, giving one ``(4, 4)`` state, or
+    1-D arrays of one length ``n`` (a time grid), giving an ``(n, 4, 4)``
+    stack with each point's state equal, bit for bit, to the scalar call.
+    ``rho0`` is one state and is validated once per call.
     """
     a = check_pair_state(rho0)
-    if not (g1 >= 0.0 and g2 >= 0.0):
-        raise ValueError("exponents must be nonnegative")
-    if not 0.0 <= t < math.inf:
-        raise ValueError("t must be nonnegative")
-    out = np.zeros((4, 4), dtype=complex)
-    for ka in _kraus_ops(p1.e_j, g1, t):
-        for kb in _kraus_ops(p2.e_j, g2, t):
-            k = np.kron(ka, kb)
-            out += k @ a @ k.conj().T
-    return 0.5 * (out + out.conj().T)
+    if a.ndim != 2:
+        raise InvalidState(f"expected a 4x4 matrix, got shape {a.shape}")
+    gs1, gs2, ts = _pair_points(g1, g2, t)
+    kraus1 = _kraus_stack(p1.e_j, gs1, ts)
+    kraus2 = _kraus_stack(p2.e_j, gs2, ts)
+    out = np.zeros((len(ts), 4, 4), dtype=complex)
+    for i in range(2):
+        for j in range(2):
+            # kron(ka, kb) of each point, as one broadcast product
+            k = kraus1[:, i, :, None, :, None] * kraus2[:, j, None, :, None, :]
+            k = k.reshape(-1, 4, 4)
+            out += k @ a @ k.conj().swapaxes(-1, -2)
+    out = 0.5 * (out + out.conj().swapaxes(-1, -2))
+    return out if np.ndim(t) else out[0]
 
 
 def deviation(rho_real, rho_ideal) -> np.ndarray:
@@ -218,7 +252,8 @@ def max_decoherence_numeric(
     vec = np.stack([np.cos(0.5 * theta), np.sin(0.5 * theta) * np.exp(1j * phi)], -1)
     rho0 = vec[:, :, None] * vec.conj()[:, None, :]
     dephased = evolve_single(rho0, params, g_value, t)
-    sigma = deviation(dephased, evolve_single(rho0, params, 0.0, t))
+    # rho0 passed the check in evolve_single; deviation checks both outputs
+    sigma = deviation(dephased, _evolve_checked(rho0, params.e_j, 0.0, t))
     return max(0.0, float(lambda_norm(sigma).max()))
 
 

@@ -16,7 +16,8 @@ import cmath
 import math
 import os
 import sys
-from dataclasses import astuple, dataclass, replace
+from dataclasses import dataclass, replace
+from operator import attrgetter
 
 import numpy as np
 
@@ -175,6 +176,11 @@ class OracleRow:
     ratio_at_half_t: float
 
 
+# A row's CSV cells in header order; the headers name the fields.
+_RECORD_ROW = attrgetter(*CSV_HEADER.split(","))
+_ORACLE_ROW = attrgetter(*ORACLE_CSV_HEADER.split(","))
+
+
 # -- configuration files ----------------------------------------------------
 
 _EXPERIMENT_CASTS = {
@@ -299,20 +305,38 @@ def _g_sweep(cfg: ExperimentConfig) -> tuple[list[float], list[float]]:
     return times, [_at(t, g_ohmic, ohmic, temp, t, quad) for t in times]
 
 
-def _evolved_states(cfg: ExperimentConfig, times, gs) -> list[np.ndarray]:
-    """The pair state evolved from ``initial_state(cfg.alpha)`` to each time."""
+def _on_grid(times, stacked, at_point):
+    """``stacked()`` over the whole grid.
+
+    If it raises a library error, the error of the first grid point whose
+    ``at_point(i)`` fails is raised instead, naming its ``t``.
+    """
+    try:
+        return stacked()
+    except DephasingError:
+        for i, t in enumerate(times):
+            _at(t, at_point, i)
+        raise
+
+
+def _evolved_states(cfg: ExperimentConfig, times, gs) -> np.ndarray:
+    """``(n, 4, 4)``: the pair state evolved from ``initial_state(cfg.alpha)``."""
     params1, params2 = QubitParams(cfg.e_j1), QubitParams(cfg.e_j2)
     rho0 = initial_state(cfg.alpha)
-    return [
-        _at(t, evolve_pair, rho0, params1, params2, g, g, t) for t, g in zip(times, gs)
-    ]
+    return _on_grid(
+        times,
+        lambda: evolve_pair(rho0, params1, params2, gs, gs, times),
+        lambda i: evolve_pair(rho0, params1, params2, gs[i], gs[i], times[i]),
+    )
 
 
 def _records(cfg: ExperimentConfig, times, gs) -> list[TimeSeriesRecord]:
     """One record per grid point; the reference is ``C(0) * delta1 * delta2``."""
     c0 = 2.0 * abs(cfg.alpha) / (1.0 + abs(cfg.alpha) ** 2)
+    states = _evolved_states(cfg, times, gs)
+    cs = _on_grid(times, lambda: concurrence(states), lambda i: concurrence(states[i]))
     records = []
-    for t, g, rho_t in zip(times, gs, _evolved_states(cfg, times, gs)):
+    for t, g, c_t in zip(times, gs, cs.tolist()):
         delta = suppression_factor(g)
         d_max = max_decoherence_analytic(g)
         records.append(
@@ -323,7 +347,7 @@ def _records(cfg: ExperimentConfig, times, gs) -> list[TimeSeriesRecord]:
                 g2=g,
                 delta1=delta,
                 delta2=delta,
-                concurrence=_at(t, concurrence, rho_t),
+                concurrence=c_t,
                 s_reference=c0 * delta * delta,
                 d1=d_max,
                 d2=d_max,
@@ -351,7 +375,7 @@ def emit_csv(rows: list[TimeSeriesRecord], path: str) -> None:
     """Write records as CSV under ``CSV_HEADER``."""
     if not rows:
         raise ValueError("rows must be non-empty")
-    _write_table(path, CSV_HEADER, [astuple(r) for r in rows])
+    _write_table(path, CSV_HEADER, map(_RECORD_ROW, rows))
 
 
 # -- oracle check -----------------------------------------------------------
@@ -436,10 +460,9 @@ _EVOLVE_CSV_HEADER = "t_seconds,t_ks," + ",".join(
 def _cmd_evolve(args) -> int:
     cfg = _experiment_config(args)
     times, gs = _g_sweep(cfg)
-    rows = [
-        [t, t / KS_IN_SECONDS, *(p for v in rho_t.reshape(-1) for p in (v.real, v.imag))]
-        for t, rho_t in zip(times, _evolved_states(cfg, times, gs))
-    ]
+    # each state's 16 entries as (re, im) pairs, row-major
+    entries = _evolved_states(cfg, times, gs).view(float).reshape(len(times), -1)
+    rows = [[t, t / KS_IN_SECONDS, *row] for t, row in zip(times, entries.tolist())]
     path = args.out or cfg.output_path or "evolve.csv"
     _write_table(path, _EVOLVE_CSV_HEADER, rows)
     print(f"wrote {path} ({cfg.n_points} rows)")
@@ -471,7 +494,7 @@ def _cmd_oracle_check(args) -> int:
     cfg = _configure(args, oracle_config_from_mapping, beta=args.beta, seed=args.seed)
     rows, violations = run_oracle_check(cfg)
     path = args.out or cfg.output_path or "oracle_check.csv"
-    _write_table(path, ORACLE_CSV_HEADER, [astuple(row) for row in rows])
+    _write_table(path, ORACLE_CSV_HEADER, map(_ORACLE_ROW, rows))
     kind = "zero" if cfg.beta is None else f"beta = {cfg.beta:g} s"
     print(
         f"system: e_j = {cfg.e_j:.3e} rad/s, mode omega = {cfg.omega:.3e} rad/s, "

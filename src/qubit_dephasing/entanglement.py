@@ -28,11 +28,15 @@ PSD_SQRT_FLOOR = 1e-14
 
 
 def _psd_sqrt(a: np.ndarray) -> np.ndarray:
-    # Square root of a PSD matrix; eigenvalues inside the rounding band
-    # around zero are treated as exact zeros so the root stays clean.
+    # Square root of a PSD matrix or of each matrix of a stack; eigenvalues
+    # inside the rounding band around zero (relative to that matrix's own
+    # top eigenvalue, at least 1) are treated as exact zeros so the root
+    # stays clean.
     w, v = np.linalg.eigh(a)
-    w = np.where(w < PSD_SQRT_FLOOR * max(1.0, float(w.max())), 0.0, w)
-    return (v * np.sqrt(w)) @ v.conj().T
+    top = w.max(axis=-1, keepdims=True)
+    floor = PSD_SQRT_FLOOR * np.where(top > 1.0, top, 1.0)
+    w = np.where(w < floor, 0.0, w)
+    return (v * np.sqrt(w)[..., None, :]) @ v.conj().swapaxes(-1, -2)
 
 
 def initial_state(alpha: complex) -> np.ndarray:
@@ -66,7 +70,7 @@ def spin_flip(rho) -> np.ndarray:
     return _FLIP @ a.conj() @ _FLIP
 
 
-def concurrence(rho) -> float:
+def concurrence(rho) -> float | np.ndarray:
     """Wootters concurrence of a two-qubit state, in ``[0, 1]``.
 
     The eigenvalues ``mu_i`` of ``rho * spin_flip(rho)`` are the squares
@@ -78,6 +82,10 @@ def concurrence(rho) -> float:
     accurate near zero: square-rooting a vanishing ``mu_i`` would inflate
     its rounding noise from 1e-16 to 1e-8, swamping the small
     coherence-suppression gaps this library is about.
+
+    A stack ``(..., 4, 4)`` gives an array of concurrences, each equal to
+    that of its matrix alone; the checks cover the whole stack and report
+    the worst matrix.
     """
     a = check_pair_state(rho)
     rho_tilde = _FLIP @ a.conj() @ _FLIP
@@ -92,8 +100,10 @@ def concurrence(rho) -> float:
             f"eigenvalue of rho * rho_tilde too negative: {float(mus.real.min()):.3e}"
         )
     lams = np.linalg.svd(_psd_sqrt(a) @ _psd_sqrt(rho_tilde), compute_uv=False)
-    value = float(lams[0] - lams[1] - lams[2] - lams[3])
-    return min(1.0, max(0.0, value))
+    value = lams[..., 0] - lams[..., 1] - lams[..., 2] - lams[..., 3]
+    value = np.where(value > 0.0, value, 0.0)
+    value = np.where(value < 1.0, value, 1.0)
+    return float(value) if a.ndim == 2 else value
 
 
 def analytic_bell_state(g1: float, g2: float, e_j_sum: float, t: float) -> np.ndarray:

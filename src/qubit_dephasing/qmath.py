@@ -34,9 +34,10 @@ MAX_EXPONENTIAL_DIM = 1024
 MAX_GENERAL_EIG_DIM = 8
 
 
-def _as_square(m) -> np.ndarray:
+def _as_square(m, stack: bool = False) -> np.ndarray:
     a = np.asarray(m, dtype=complex)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+    square = a.ndim >= 2 and a.shape[-1] == a.shape[-2]
+    if not square or (a.ndim > 2 and not stack):
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
     if a.size and not np.isfinite(a).all():
         raise ValueError("matrix entries must be finite")
@@ -86,12 +87,13 @@ def general_eigenvalues(m) -> np.ndarray:
 
     Intended for products of density matrices, which are not Hermitian in
     general; the size cap keeps this on the analytic (at most two-qubit)
-    path.
+    path. A stack ``(..., n, n)`` gives the eigenvalues of each matrix,
+    shape ``(..., n)``.
     """
-    a = _as_square(m)
-    if a.shape[0] > MAX_GENERAL_EIG_DIM:
+    a = _as_square(m, stack=True)
+    if a.shape[-1] > MAX_GENERAL_EIG_DIM:
         raise DimensionTooLarge(
-            f"dimension {a.shape[0]} exceeds cap {MAX_GENERAL_EIG_DIM}"
+            f"dimension {a.shape[-1]} exceeds cap {MAX_GENERAL_EIG_DIM}"
         )
     try:
         return np.linalg.eigvals(a)

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qubit_dephasing import channel
 from qubit_dephasing.channel import (
     QubitParams,
     check_pair_state,
@@ -400,6 +401,26 @@ def test_max_decoherence_numeric_matches_per_state_scan(g, t, grid):
     assert got == pytest.approx(reference_max_decoherence(params, g, t, grid), abs=1e-15)
 
 
+def recorded_shapes(monkeypatch, name):
+    # the shape of the state passed to each later call of channel.<name>
+    seen = []
+    original = getattr(channel, name)
+
+    def recording(rho):
+        seen.append(np.shape(rho))
+        return original(rho)
+
+    monkeypatch.setattr(channel, name, recording)
+    return seen
+
+
+def test_bloch_scan_checks_its_initial_states_once(monkeypatch):
+    seen = recorded_shapes(monkeypatch, "check_qubit_state")
+    max_decoherence_numeric(QubitParams(1e10), 0.2, 1e-12, 8)
+    # the initial states once, then both outputs inside deviation
+    assert seen == [(66, 2, 2)] * 3
+
+
 # -- properties ----------------------------------------------------------------
 
 bloch_states = st.builds(
@@ -438,3 +459,104 @@ def test_stacked_evolution_equals_per_state_calls(states, g, t):
 def test_numeric_maximum_stays_within_the_analytic_bound(g, t, grid):
     got = max_decoherence_numeric(QubitParams(1e10), g, t, grid)
     assert 0.0 <= got <= max_decoherence_analytic(g) + 1e-12
+
+
+# -- the pair channel over a time grid -------------------------------------------
+
+
+def reference_evolve_pair(rho0, p1, p2, g1, g2, t):
+    # evolve_pair one point at a time, with np.kron Kraus products, as the
+    # library did it before it took whole time grids.
+    def kraus_ops(e_j, g_value):
+        delta = math.exp(-4.0 * g_value)
+        half = cmath.exp(-0.5j * e_j * t)
+        rot = np.array([[half, 0.0], [0.0, half.conjugate()]])
+        swap = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
+        return [math.sqrt(0.5 * (1.0 + delta)) * rot, math.sqrt(0.5 * (1.0 - delta)) * swap]
+
+    a = check_pair_state(rho0)
+    out = np.zeros((4, 4), dtype=complex)
+    for ka in kraus_ops(p1.e_j, g1):
+        for kb in kraus_ops(p2.e_j, g2):
+            k = np.kron(ka, kb)
+            out += k @ a @ k.conj().T
+    return 0.5 * (out + out.conj().T)
+
+
+def same_bits(a, b):
+    # stricter than array_equal: signed zeros must match too
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def pair_grid(rng, n, finite_g):
+    ts = np.linspace(0.0, float(rng.uniform(1e-12, 5e-10)), n)
+    if not finite_g:
+        return np.zeros(n), np.zeros(n), ts
+    return rng.uniform(0.0, 0.6, n), rng.uniform(0.0, 1.5, n), ts
+
+
+@pytest.mark.parametrize("finite_g", [False, True], ids=["zero_g", "finite_g"])
+@pytest.mark.parametrize("alpha", [1.0, 2.0, 0.6 - 1.3j, 1j])
+def test_stacked_pair_evolution_equals_per_point_reference(finite_g, alpha):
+    rng = np.random.default_rng(21)
+    p1, p2 = QubitParams(1e10), QubitParams(1.7e10)
+    rho0 = initial_state(alpha)
+    g1, g2, ts = pair_grid(rng, 37, finite_g)
+    stack = evolve_pair(rho0, p1, p2, g1, g2, ts)
+    assert stack.shape == (37, 4, 4)
+    for i in range(37):
+        args = (rho0, p1, p2, float(g1[i]), float(g2[i]), float(ts[i]))
+        expect = reference_evolve_pair(*args)
+        assert same_bits(stack[i], expect)
+        assert same_bits(evolve_pair(*args), expect)
+
+
+def test_stacked_pair_evolution_of_mixed_states_equals_reference():
+    rng = np.random.default_rng(22)
+    p1, p2 = QubitParams(0.8e10), QubitParams(1.3e10)
+    for _ in range(20):
+        rho0 = random_pair_state(rng)
+        g1, g2, ts = pair_grid(rng, 9, True)
+        stack = evolve_pair(rho0, p1, p2, list(g1), list(g2), list(ts))
+        for i in range(9):
+            expect = reference_evolve_pair(rho0, p1, p2, g1[i], g2[i], ts[i])
+            assert same_bits(stack[i], expect)
+
+
+@pytest.mark.parametrize(
+    ("g1", "g2", "t", "message"),
+    [
+        ([0.1, 0.2], [0.1, 0.2], [0.0, 1e-12, 2e-12], "one nonzero length"),
+        ([0.1, 0.2], 0.1, [0.0, 1e-12], "one nonzero length"),
+        ([], [], [], "one nonzero length"),
+        ([[0.1]], [[0.1]], [[0.0]], "one nonzero length"),
+        ([0.1, math.nan], [0.1, 0.2], [0.0, 1e-12], "exponents"),
+        ([0.1, 0.2], [0.1, -0.2], [0.0, 1e-12], "exponents"),
+        ([0.1, 0.2], [0.1, 0.2], [0.0, math.nan], "t must be"),
+        ([0.1, 0.2], [0.1, 0.2], [-1e-12, 0.0], "t must be"),
+        ([0.1, 0.2], [0.1, 0.2], [0.0, math.inf], "t must be"),
+    ],
+)
+def test_pair_grid_argument_rules(g1, g2, t, message):
+    p = QubitParams(1e10)
+    with pytest.raises(ValueError, match=message):
+        evolve_pair(initial_state(1.0), p, p, g1, g2, t)
+
+
+def test_pair_evolution_takes_one_initial_state():
+    p = QubitParams(1e10)
+    two = np.array([initial_state(1.0), initial_state(2.0)])
+    with pytest.raises(InvalidState, match="expected a 4x4 matrix"):
+        evolve_pair(two, p, p, 0.1, 0.1, 1e-12)
+    with pytest.raises(InvalidState):
+        evolve_pair(np.zeros((0, 4, 4)), p, p, 0.1, 0.1, 1e-12)
+
+
+def test_pair_evolution_checks_the_initial_state_once_per_call(monkeypatch):
+    seen = recorded_shapes(monkeypatch, "check_pair_state")
+    p = QubitParams(1e10)
+    ts = np.linspace(0.0, 1e-11, 50)
+    evolve_pair(initial_state(2.0), p, p, 0.1 * ts / ts[-1], 0.2 * ts / ts[-1], ts)
+    evolve_pair(initial_state(2.0), p, p, 0.1, 0.2, 1e-12)
+    assert seen == [(4, 4), (4, 4)]

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import qubit_dephasing
+import qubit_dephasing.cli as cli_module
 from qubit_dephasing.bath import (
     OhmicBath,
     Temperature,
@@ -32,7 +33,7 @@ from qubit_dephasing.cli import (
     serialize_config,
 )
 from qubit_dephasing.entanglement import concurrence, initial_state
-from qubit_dephasing.errors import ConfigError
+from qubit_dephasing.errors import ConfigError, InvalidState
 
 FLOAT_CELL = re.compile(r"^-?\d\.\d{16}e[+-]\d{2,3}$")
 
@@ -497,3 +498,84 @@ def test_importing_the_cli_loads_no_scipy():
         [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
     )
     assert out.stdout.strip() == "[]"
+
+
+# -- one stacked pair call per table -------------------------------------------------
+
+
+def counting(monkeypatch, name):
+    calls = []
+    original = getattr(cli_module, name)
+
+    def wrapper(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(cli_module, name, wrapper)
+    return calls
+
+
+def test_fig1_bundle_makes_one_pair_call_and_one_concurrence_call_per_table(
+    tmp_path, monkeypatch
+):
+    evolves = counting(monkeypatch, "evolve_pair")
+    concurrences = counting(monkeypatch, "concurrence")
+    assert main(sweep_argv("fig1", tmp_path / "bundle", None)) == 0
+    assert len(evolves) == 3
+    assert len(concurrences) == 3
+    assert all(np.shape(args[0]) == (REF_POINTS, 4, 4) for args in concurrences)
+
+
+def test_evolve_makes_one_pair_call(tmp_path, monkeypatch):
+    evolves = counting(monkeypatch, "evolve_pair")
+    concurrences = counting(monkeypatch, "concurrence")
+    assert main(sweep_argv("evolve", tmp_path / "e.csv", 2e-12)) == 0
+    assert len(evolves) == 1
+    assert np.shape(evolves[0][-1]) == (REF_POINTS,)
+    assert concurrences == []
+
+
+def grid_times():
+    return [float(t) for t in np.linspace(0.0, REF_T_END_PS * 1e-12, REF_POINTS)]
+
+
+@pytest.mark.parametrize("command", ["evolve", "fig1"])
+def test_failing_pair_evolution_names_the_first_failing_point(
+    tmp_path, capsys, monkeypatch, command
+):
+    original = cli_module.evolve_pair
+    late = grid_times()[3]
+
+    def fussy(rho0, p1, p2, g1, g2, t):
+        if np.max(t) >= late:
+            raise InvalidState("late point")
+        return original(rho0, p1, p2, g1, g2, t)
+
+    monkeypatch.setattr(cli_module, "evolve_pair", fussy)
+    assert main(sweep_argv(command, tmp_path / "x.csv", None, "--alpha", "2")) == 3
+    assert capsys.readouterr().err == f"numerical failure: at t = {late:.6e} s: late point\n"
+
+
+def test_failing_concurrence_names_the_first_failing_point(tmp_path, capsys, monkeypatch):
+    # The corner population of the alpha = 2 state grows with G; the fake
+    # validator rejects it above a level that the grid crosses midway.
+    original = cli_module.concurrence
+    times = grid_times()
+    gs = [g for _, g in reference_points(None)]
+    p = QubitParams(REF_E_J)
+    corners = [
+        evolve_pair(initial_state(2.0), p, p, g, g, t)[0, 0].real for t, g in zip(times, gs)
+    ]
+    level = 0.5 * (corners[2] + corners[3])
+    assert corners[2] < level < corners[3]
+
+    def fussy(rho):
+        worst = float(np.max(np.asarray(rho)[..., 0, 0].real))
+        if worst > level:
+            raise InvalidState(f"corner {worst:.3e}")
+        return original(rho)
+
+    monkeypatch.setattr(cli_module, "concurrence", fussy)
+    assert main(sweep_argv("fig1", tmp_path / "x.csv", None, "--alpha", "2")) == 3
+    expect = f"numerical failure: at t = {times[3]:.6e} s: corner {corners[3]:.3e}\n"
+    assert capsys.readouterr().err == expect

@@ -3,10 +3,15 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from qubit_dephasing import entanglement
 from qubit_dephasing.bath import suppression_factor
-from qubit_dephasing.channel import QubitParams, evolve_pair
+from qubit_dephasing.channel import QubitParams, check_pair_state, evolve_pair
 from qubit_dephasing.entanglement import (
+    PSD_SQRT_FLOOR,
+    _psd_sqrt,
     analytic_bell_concurrence,
     analytic_bell_state,
     concurrence,
@@ -236,3 +241,123 @@ def test_analytic_bell_state_rejects_negative_exponents():
 def test_initial_state_rejects_non_finite_and_overflowing_alpha(alpha):
     with pytest.raises(ValueError):
         initial_state(alpha)
+
+
+# -- concurrence of a stack ------------------------------------------------------
+
+
+def reference_concurrence(rho):
+    # concurrence of one matrix, written as the library did it before it
+    # took stacks
+    a = check_pair_state(rho)
+    rho_tilde = FLIP @ a.conj() @ FLIP
+    mus = np.linalg.eigvals(a @ rho_tilde)
+    if float(np.abs(mus.imag).max()) > 1e-8 or float(mus.real.min()) < -1e-10:
+        raise InvalidState("rho * rho_tilde eigenvalues outside the rounding band")
+
+    def psd_sqrt(m):
+        w, v = np.linalg.eigh(m)
+        w = np.where(w < PSD_SQRT_FLOOR * max(1.0, float(w.max())), 0.0, w)
+        return (v * np.sqrt(w)) @ v.conj().T
+
+    lams = np.linalg.svd(psd_sqrt(a) @ psd_sqrt(rho_tilde), compute_uv=False)
+    value = float(lams[0] - lams[1] - lams[2] - lams[3])
+    return min(1.0, max(0.0, value))
+
+
+@pytest.mark.parametrize("alpha", [1.0, 3.0, 0.6 - 1.3j, 1j])
+@pytest.mark.parametrize("g_scale", [0.0, 0.7], ids=["zero_g", "finite_g"])
+def test_stacked_concurrence_equals_per_matrix_reference(alpha, g_scale):
+    rng = np.random.default_rng(31)
+    p1, p2 = QubitParams(1e10), QubitParams(1.6e10)
+    ts = np.linspace(0.0, 3e-10, 41)
+    g1, g2 = g_scale * rng.uniform(size=41), g_scale * rng.uniform(size=41)
+    states = evolve_pair(initial_state(alpha), p1, p2, g1, g2, ts)
+    got = concurrence(states)
+    assert got.shape == (41,)
+    expect = [reference_concurrence(rho) for rho in states]
+    assert got.tolist() == expect
+    assert [concurrence(rho) for rho in states] == expect
+    assert isinstance(concurrence(states[3]), float)
+
+
+def test_stacked_concurrence_of_random_states_and_nested_stacks():
+    rng = np.random.default_rng(32)
+    states = np.array(
+        [random_pair_state(rng, rank=int(rng.integers(1, 5))) for _ in range(60)]
+        + [np.outer(v, v.conj()) for v in BELL_VECTORS]
+    )
+    expect = [reference_concurrence(rho) for rho in states]
+    assert concurrence(states).tolist() == expect
+    assert concurrence(states.reshape(8, 8, 4, 4)).reshape(-1).tolist() == expect
+
+
+def test_psd_sqrt_floor_is_per_matrix():
+    # a tiny eigenvalue of a low-weight matrix survives next to a matrix with
+    # a larger top eigenvalue: each root sees only its own spectrum
+    big = np.diag([3.0, 1e-15, 0.0, 0.0]).astype(complex)
+    small = np.diag([0.5, 0.5, 2e-14, 0.0]).astype(complex)
+    roots = _psd_sqrt(np.array([big, small]))
+    np.testing.assert_array_equal(roots[0].diagonal().real, [math.sqrt(3.0), 0.0, 0.0, 0.0])
+    assert roots[1][2, 2].real == math.sqrt(2e-14)
+
+
+def test_stacked_concurrence_rejects_a_stack_with_one_bad_state():
+    states = np.array([initial_state(1.0), np.diag([0.5, 0.5, 0.5, -0.5]).astype(complex)])
+    with pytest.raises(InvalidState, match="negative eigenvalue"):
+        concurrence(states)
+    with pytest.raises(InvalidState, match="expected a 4x4 matrix"):
+        concurrence(np.zeros((0, 4, 4), dtype=complex))
+
+
+def test_stacked_concurrence_screen_reports_the_worst_matrix(monkeypatch):
+    def skewed(m):
+        mus = np.linalg.eigvals(m)
+        mus[1, 0] += 3e-8j  # the second matrix of the stack only
+        return mus
+
+    monkeypatch.setattr(entanglement, "general_eigenvalues", skewed)
+    states = np.array([initial_state(1.0)] * 3)
+    with pytest.raises(InvalidState, match="max \\|imag\\| 3.000e-08"):
+        concurrence(states)
+
+
+# -- pair-channel properties -------------------------------------------------------
+
+pair_properties = settings(derandomize=True, max_examples=60, deadline=None)
+complex_alphas = st.builds(
+    complex, st.floats(-4.0, 4.0), st.floats(-4.0, 4.0)
+).filter(lambda a: abs(a) > 1e-3)
+exponents = st.floats(0.0, 1.5)
+tunneling = st.floats(1e9, 5e10)
+times = st.floats(0.0, 2e-10)
+
+
+def x_state_formula(rho):
+    # concurrence of an X state from its entries
+    inner = abs(rho[1, 2]) - math.sqrt(rho[0, 0].real * rho[3, 3].real)
+    outer = abs(rho[0, 3]) - math.sqrt(rho[1, 1].real * rho[2, 2].real)
+    return 2.0 * max(0.0, inner, outer)
+
+
+@pair_properties
+@given(complex_alphas, exponents, exponents, tunneling, tunneling, times)
+def test_pair_outputs_are_states_below_the_product_bound(alpha, g1, g2, e1, e2, t):
+    rho = evolve_pair(initial_state(alpha), QubitParams(e1), QubitParams(e2), g1, g2, t)
+    assert abs(np.trace(rho) - 1.0) <= 1e-12
+    assert np.abs(rho - rho.conj().T).max() == 0.0
+    assert np.linalg.eigvalsh(rho).min() >= -1e-12
+    c0 = 2.0 * abs(alpha) / (1.0 + abs(alpha) ** 2)
+    bound = c0 * suppression_factor(g1) * suppression_factor(g2)
+    c_t = concurrence(rho)
+    assert c_t <= bound + 1e-12
+    assert abs(c_t - x_state_formula(rho)) <= 1e-12
+
+
+@pair_properties
+@given(st.sampled_from([1.0, -1.0]), exponents, exponents, tunneling, times)
+def test_real_maximally_entangled_pair_meets_the_product(alpha, g1, g2, e_j, t):
+    # equality needs one tunneling energy on both qubits once t > 0
+    p = QubitParams(e_j)
+    c_t = concurrence(evolve_pair(initial_state(alpha), p, p, g1, g2, t))
+    assert abs(c_t - suppression_factor(g1) * suppression_factor(g2)) <= 1e-10

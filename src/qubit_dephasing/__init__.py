@@ -65,8 +65,10 @@ from .qmath import (
     adaptive_quadrature,
     general_eigenvalues,
     hermitian_eigenvalues,
+    hermitian_spectrum,
     matrix_exponential,
     semi_infinite_cutoff,
+    spectral_propagator,
 )
 
 __version__ = "0.1.0"
@@ -107,12 +109,14 @@ __all__ = [
     "g_ohmic",
     "general_eigenvalues",
     "hermitian_eigenvalues",
+    "hermitian_spectrum",
     "initial_state",
     "lambda_norm",
     "matrix_exponential",
     "max_decoherence_analytic",
     "max_decoherence_numeric",
     "semi_infinite_cutoff",
+    "spectral_propagator",
     "spin_flip",
     "split_deviation",
     "split_evolve",

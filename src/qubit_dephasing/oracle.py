@@ -12,13 +12,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .bath import DiscreteBath, Temperature, g_discrete
 from .channel import QubitParams, check_qubit_state, evolve_single
-from .errors import DimensionTooLarge
-from .qmath import MAX_EXPONENTIAL_DIM, matrix_exponential
+from .errors import DimensionTooLarge, NonHermitian
+from .qmath import MAX_EXPONENTIAL_DIM, hermitian_spectrum, spectral_propagator
 
 __all__ = [
     "FockMode",
@@ -95,6 +96,34 @@ class OracleSystem:
     @property
     def total_dim(self) -> int:
         return 2 * self.bath_dim
+
+    # Spectra of the time-independent generators, diagonalized on first use
+    # and kept as long as the system: an evolve call only rebuilds exp(-i w t).
+    # A build that raises is not cached.
+
+    @cached_property
+    def _full_spectrum(self):
+        return _frozen_spectrum(build_hamiltonian(self))
+
+    @cached_property
+    def _qubit_spectrum(self):
+        return _frozen_spectrum(system_hamiltonian(self))
+
+    @cached_property
+    def _interaction_spectrum(self):
+        return _frozen_spectrum(
+            np.kron(_ID2, bath_free_hamiltonian(self.modes))
+            + np.kron(_SIGMA_Z, bath_coupling_operator(self.modes))
+        )
+
+
+def _frozen_spectrum(h: np.ndarray):
+    spectrum = hermitian_spectrum(h)
+    if spectrum is None:
+        raise NonHermitian("oracle generator is not Hermitian")
+    for part in spectrum:
+        part.flags.writeable = False
+    return spectrum
 
 
 def lowering_operator(n_levels: int) -> np.ndarray:
@@ -236,9 +265,13 @@ def _propagate(sys: OracleSystem, rho_qubit0, temp: Temperature, u: np.ndarray):
     rho = check_qubit_state(rho_qubit0)
     theta = thermal_bath_state(sys, temp)
     u_dag = u.conj().T
+    dim = sys.total_dim
     out = np.empty(rho.shape, dtype=complex)
     for idx in np.ndindex(rho.shape[:-2]):
-        out[idx] = trace_out_bath(u @ np.kron(rho[idx], theta) @ u_dag, sys.bath_dim)
+        # kron(rho, theta) as one broadcast multiply, without np.kron's overhead
+        r = rho[idx]
+        joint = (r[:, None, :, None] * theta[None, :, None, :]).reshape(dim, dim)
+        out[idx] = trace_out_bath(u @ joint @ u_dag, sys.bath_dim)
     return out
 
 
@@ -248,11 +281,12 @@ def exact_evolve(
     """Reduced qubit state after exact evolution of qubit plus bath.
 
     Takes one qubit state or a stack ``(..., 2, 2)``; the propagator and the
-    thermal bath state are built once per call.
+    thermal bath state are built once per call, the propagator from the
+    Hamiltonian's spectrum that ``sys`` diagonalizes once.
     """
     if t < 0.0:
         raise ValueError("t must be nonnegative")
-    u = matrix_exponential(build_hamiltonian(sys), t)
+    u = spectral_propagator(sys._full_spectrum, t)
     return _propagate(sys, rho_qubit0, temp, u)
 
 
@@ -269,11 +303,8 @@ def split_evolve(
     if t < 0.0:
         raise ValueError("t must be nonnegative")
     id_bath = np.eye(sys.bath_dim, dtype=complex)
-    outer = np.kron(matrix_exponential(system_hamiltonian(sys), 0.5 * t), id_bath)
-    interaction = np.kron(_ID2, bath_free_hamiltonian(sys.modes)) + np.kron(
-        _SIGMA_Z, bath_coupling_operator(sys.modes)
-    )
-    u = outer @ matrix_exponential(interaction, t) @ outer
+    outer = np.kron(spectral_propagator(sys._qubit_spectrum, 0.5 * t), id_bath)
+    u = outer @ spectral_propagator(sys._interaction_spectrum, t) @ outer
     return _propagate(sys, rho_qubit0, temp, u)
 
 

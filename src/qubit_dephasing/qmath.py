@@ -23,11 +23,14 @@ __all__ = [
     "adaptive_quadrature",
     "general_eigenvalues",
     "hermitian_eigenvalues",
+    "hermitian_spectrum",
     "matrix_exponential",
     "semi_infinite_cutoff",
+    "spectral_propagator",
 ]
 
-# Dimension cap for matrix_exponential; guards brute-force memory use.
+# Dimension cap for hermitian_spectrum and matrix_exponential; guards
+# brute-force memory use.
 MAX_EXPONENTIAL_DIM = 1024
 
 # Size cap for general (non-normal) eigenvalue extraction.
@@ -101,29 +104,51 @@ def general_eigenvalues(m) -> np.ndarray:
         raise NoConvergence(str(exc)) from exc
 
 
-def matrix_exponential(m, t: float) -> np.ndarray:
-    """Propagator ``exp(-i * m * t)``.
+def hermitian_spectrum(m):
+    """Eigenvalues and eigenvectors ``(w, v)`` of a Hermitian generator.
 
-    Hermitian generators take the spectral route, which keeps the result
-    unitary to machine precision; anything else falls back to the general
-    dense exponential.
+    Checks ``m`` as :func:`matrix_exponential` does and returns ``None``
+    when its Hermiticity defect exceeds ``1e-12 * max(1, max|m|)``; such a
+    generator has no spectral propagator. Pass the result to
+    :func:`spectral_propagator` to build ``exp(-i m t)`` at any ``t``.
     """
     a = _as_square(m)
     n = a.shape[0]
     if n > MAX_EXPONENTIAL_DIM:
         raise DimensionTooLarge(f"dimension {n} exceeds cap {MAX_EXPONENTIAL_DIM}")
+    scale = float(np.abs(a).max()) if a.size else 0.0
+    if _hermiticity_defect(a) > 1e-12 * max(1.0, scale):
+        return None
+    try:
+        return np.linalg.eigh(a)
+    except np.linalg.LinAlgError as exc:
+        raise NoConvergence(str(exc)) from exc
+
+
+def spectral_propagator(spectrum, t: float) -> np.ndarray:
+    """Propagator ``exp(-i m t)`` from ``spectrum = hermitian_spectrum(m)``."""
     if not math.isfinite(t):
         raise ValueError("t must be finite")
-    scale = float(np.abs(a).max()) if a.size else 0.0
-    if _hermiticity_defect(a) <= 1e-12 * max(1.0, scale):
-        try:
-            w, v = np.linalg.eigh(a)
-        except np.linalg.LinAlgError as exc:
-            raise NoConvergence(str(exc)) from exc
-        return (v * np.exp(-1j * w * t)) @ v.conj().T
+    w, v = spectrum
+    return (v * np.exp(-1j * w * t)) @ v.conj().T
+
+
+def matrix_exponential(m, t: float) -> np.ndarray:
+    """Propagator ``exp(-i * m * t)``.
+
+    Hermitian generators take the spectral route (:func:`hermitian_spectrum`
+    then :func:`spectral_propagator`), which keeps the result unitary to
+    machine precision; anything else falls back to the general dense
+    exponential.
+    """
+    spectrum = hermitian_spectrum(m)
+    if spectrum is not None:
+        return spectral_propagator(spectrum, t)
+    if not math.isfinite(t):
+        raise ValueError("t must be finite")
     import scipy.linalg  # deferred: scipy would dominate the package import
 
-    return scipy.linalg.expm(-1j * t * a)
+    return scipy.linalg.expm(-1j * t * np.asarray(m, dtype=complex))
 
 
 @dataclass(frozen=True)

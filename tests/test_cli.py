@@ -486,18 +486,27 @@ def test_oracle_check_exit_two_on_unusable_config_values(tmp_path, capsys, line)
     assert capsys.readouterr().err.startswith("config error: ")
 
 
-def test_importing_the_cli_loads_no_scipy():
-    # scipy dominates the import time, so the package loads it on first use only
+def test_importing_the_cli_loads_no_scipy(tmp_path):
+    # scipy dominates the import time, so the package loads it on first use
+    # only; the oracle's Hermitian generators never need it
     src = os.path.dirname(os.path.dirname(os.path.abspath(qubit_dephasing.__file__)))
     env = dict(os.environ, PYTHONPATH=src)
     probe = (
-        "import sys, qubit_dephasing.cli; "
-        "print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+        "import contextlib, io, sys, qubit_dephasing.cli as cli\n"
+        "loaded = lambda: sorted(m for m in sys.modules if m.startswith('scipy'))\n"
+        "print(loaded())\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    code = cli.main(['oracle-check', '--out', sys.argv[1]])\n"
+        "print(code, loaded())\n"
     )
     out = subprocess.run(
-        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+        [sys.executable, "-c", probe, str(tmp_path / "oracle.csv")],
+        env=env,
+        capture_output=True,
+        text=True,
+        check=True,
     )
-    assert out.stdout.strip() == "[]"
+    assert out.stdout.splitlines() == ["[]", "0 []"]
 
 
 # -- one stacked pair call per table -------------------------------------------------

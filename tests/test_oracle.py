@@ -341,9 +341,48 @@ def test_stacked_measurements_equal_the_per_sample_loops(modes, temp):
         )
 
 
+# -- propagator and spectrum builds -------------------------------------------
+
+
+def reference_evolve(system, rho0, temp, t, split):
+    # independent dense construction: every propagator from a fresh
+    # matrix_exponential, every joint state from np.kron
+    if split:
+        outer = np.kron(
+            matrix_exponential(system_hamiltonian(system), 0.5 * t),
+            np.eye(system.bath_dim, dtype=complex),
+        )
+        interaction = np.kron(
+            np.eye(2, dtype=complex), bath_free_hamiltonian(system.modes)
+        ) + np.kron(SIGMA_Z, bath_coupling_operator(system.modes))
+        u = outer @ matrix_exponential(interaction, t) @ outer
+    else:
+        u = matrix_exponential(build_hamiltonian(system), t)
+    theta = thermal_bath_state(system, temp)
+    out = np.empty(rho0.shape, dtype=complex)
+    for idx in np.ndindex(rho0.shape[:-2]):
+        joint = u @ np.kron(rho0[idx], theta) @ u.conj().T
+        out[idx] = trace_out_bath(joint, system.bath_dim)
+    return out
+
+
+@SYSTEMS
+@TEMPERATURES
+@pytest.mark.parametrize("split", [True, False], ids=["split", "exact"])
+def test_evolution_equals_the_dense_reference_bit_for_bit(modes, temp, split):
+    system = OracleSystem(E_J, modes)
+    evolve = split_evolve if split else exact_evolve
+    stack = random_pure_states((3,), 33)
+    for _ in range(2):  # the second pass runs on the warm system
+        for t in (0.0, 1e-13, 3e-13, 2e-12):
+            expect = reference_evolve(system, stack, temp, t, split)
+            assert np.array_equal(evolve(system, stack, temp, t), expect)
+            assert np.array_equal(evolve(system, stack[1], temp, t), expect[1])
+
+
 @pytest.fixture
 def oracle_counts(monkeypatch):
-    counts = {"matrix_exponential": 0, "thermal_bath_state": 0}
+    counts = {"hermitian_spectrum": 0, "spectral_propagator": 0, "thermal_bath_state": 0}
     for name in counts:
         original = getattr(oracle, name)
 
@@ -364,8 +403,95 @@ def oracle_counts(monkeypatch):
 def test_each_measurement_builds_its_propagators_once(
     oracle_counts, measure, exponentials, thermal_states, samples
 ):
+    # on a fresh system every propagator needs its own spectrum as well
     measure(reference_system(4), Temperature.finite(5e-11), 2e-13, samples)
     assert oracle_counts == {
-        "matrix_exponential": exponentials,
+        "hermitian_spectrum": exponentials,
+        "spectral_propagator": exponentials,
         "thermal_bath_state": thermal_states,
     }
+
+
+def halving_grid_pattern(system, samples):
+    # what one oracle-check run (and one benchmark op) asks of one system
+    temp = Temperature.finite(5e-11)
+    times = [4e-13 / 2.0**k for k in range(4)]
+    for t in times:
+        split_deviation(system, temp, t, samples)
+    for t in times[:3]:
+        channel_discrepancy(system, temp, t, samples)
+
+
+@pytest.mark.parametrize("samples", [4, 8])
+def test_each_system_diagonalizes_its_hamiltonians_once(oracle_counts, samples):
+    system = reference_system(4)
+    halving_grid_pattern(system, samples)
+    # spectra: full, qubit and interaction Hamiltonian; propagators: two for
+    # each of the 7 split steps and one for each of the 4 exact steps
+    assert oracle_counts == {
+        "hermitian_spectrum": 3,
+        "spectral_propagator": 18,
+        "thermal_bath_state": 11,
+    }
+    halving_grid_pattern(system, samples)
+    assert oracle_counts["hermitian_spectrum"] == 3
+    # an equal but new system keeps no spectra from the first: no global cache
+    twin = reference_system(4)
+    assert twin == system
+    halving_grid_pattern(twin, samples)
+    assert oracle_counts["hermitian_spectrum"] == 6
+
+
+def test_kept_spectra_are_read_only():
+    system = reference_system(4)
+    exact_evolve(system, PLUS, Temperature.zero(), 1e-13)
+    split_evolve(system, PLUS, Temperature.zero(), 1e-13)
+    for spectrum in (
+        system._full_spectrum,
+        system._qubit_spectrum,
+        system._interaction_spectrum,
+    ):
+        for part in spectrum:
+            with pytest.raises(ValueError):
+                part[0] = 0.0
+
+
+EVOLVES = pytest.mark.parametrize("evolve", [split_evolve, exact_evolve])
+
+
+@EVOLVES
+@pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
+@pytest.mark.parametrize(
+    "t,message",
+    [
+        (math.nan, "t must be finite"),
+        (math.inf, "t must be finite"),
+        (-1e-13, "t must be nonnegative"),
+        (-math.inf, "t must be nonnegative"),
+    ],
+    ids=["nan", "inf", "negative", "minus_inf"],
+)
+def test_evolution_rejects_bad_times(evolve, warm, t, message):
+    system = reference_system(4)
+    if warm:
+        evolve(system, PLUS, Temperature.zero(), 1e-13)
+    with pytest.raises(ValueError, match=message):
+        evolve(system, PLUS, Temperature.zero(), t)
+
+
+@EVOLVES
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+@pytest.mark.parametrize(
+    "system",
+    [
+        OracleSystem(math.nan, (FockMode(OMEGA, COUPLING, 4),)),
+        OracleSystem(math.inf, (FockMode(OMEGA, COUPLING, 4),)),
+        OracleSystem(E_J, (FockMode(OMEGA, complex(math.nan, 0.0), 4),)),
+        OracleSystem(E_J, (FockMode(OMEGA, math.inf, 4),)),
+    ],
+    ids=["nan_e_j", "inf_e_j", "nan_g", "inf_g"],
+)
+def test_non_finite_systems_fail_on_every_call(evolve, system):
+    for _ in range(2):  # a failed spectrum is not kept
+        with pytest.raises(ValueError, match="matrix entries must be finite"):
+            evolve(system, PLUS, Temperature.zero(), 1e-13)

@@ -13,8 +13,10 @@ from qubit_dephasing.qmath import (
     adaptive_quadrature,
     general_eigenvalues,
     hermitian_eigenvalues,
+    hermitian_spectrum,
     matrix_exponential,
     semi_infinite_cutoff,
+    spectral_propagator,
 )
 
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -96,6 +98,57 @@ def test_matrix_exponential_nonhermitian_generator():
 def test_matrix_exponential_dimension_cap():
     with pytest.raises(DimensionTooLarge):
         matrix_exponential(np.eye(1025), 1.0)
+
+
+def test_matrix_exponential_is_the_spectral_propagator_bit_for_bit():
+    rng = np.random.default_rng(5)
+    a = rng.normal(size=(7, 7)) + 1j * rng.normal(size=(7, 7))
+    h = a + a.conj().T
+    spectrum = hermitian_spectrum(h)
+    for t in (0.0, 0.3, -1.7, 25.0):
+        assert np.array_equal(matrix_exponential(h, t), spectral_propagator(spectrum, t))
+
+
+def test_non_hermitian_generator_has_no_spectrum_and_goes_through_expm(monkeypatch):
+    import scipy.linalg
+
+    calls = []
+    expm = scipy.linalg.expm
+
+    def counted(a):
+        calls.append(a)
+        return expm(a)
+
+    monkeypatch.setattr(scipy.linalg, "expm", counted)
+    n = np.array([[0.0, 1.0], [0.0, 0.0]])
+    assert hermitian_spectrum(n) is None
+    u = matrix_exponential(n, 0.8)
+    assert len(calls) == 1
+    assert np.array_equal(u, expm(-0.8j * n.astype(complex)))
+
+
+@pytest.mark.parametrize(
+    "m,error",
+    [
+        (np.ones((2, 3)), ValueError),
+        (np.array([[0.0, np.nan], [np.nan, 0.0]]), ValueError),
+        (np.eye(1025), DimensionTooLarge),
+    ],
+    ids=["not_square", "not_finite", "too_large"],
+)
+def test_hermitian_spectrum_checks_its_generator(m, error):
+    with pytest.raises(error):
+        hermitian_spectrum(m)
+    with pytest.raises(error):
+        matrix_exponential(m, 1.0)
+
+
+@pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
+def test_spectral_propagator_rejects_non_finite_times(t):
+    with pytest.raises(ValueError, match="t must be finite"):
+        spectral_propagator(hermitian_spectrum(SIGMA_X), t)
+    with pytest.raises(ValueError, match="t must be finite"):
+        matrix_exponential(SIGMA_X, t)
 
 
 def test_quadrature_spec_validation():

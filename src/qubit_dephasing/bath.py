@@ -17,7 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .qmath import QuadratureSpec, adaptive_quadrature
+from .errors import ToleranceNotMet
+from .qmath import QuadratureSpec, adaptive_quadrature, semi_infinite_cutoff
 
 __all__ = [
     "DiscreteBath",
@@ -124,6 +125,10 @@ def g_ohmic(
     removing the 0/0 at the origin. ``quad`` bounds are in rad/s and are
     rescaled by the cutoff; an infinite upper bound is truncated where
     the ``exp(-x)`` envelope falls below ``quad.abs_tol``.
+
+    Raises ``ToleranceNotMet``, its message starting ``at t = ... s:``,
+    when the quadrature misses its tolerance or when the integrand's
+    phase ``omega_c t x / 2`` is not finite on the interval.
     """
     if t < 0.0:
         raise ValueError("t must be nonnegative")
@@ -161,7 +166,15 @@ def g_ohmic(
         abs_tol=quad.abs_tol,
         max_subdivisions=quad.max_subdivisions,
     )
-    value = adaptive_quadrature(integrand, spec_x, envelope_scale=1.0)
+    x_max = upper if math.isfinite(upper) else semi_infinite_cutoff(1.0, quad.abs_tol)
+    if not math.isfinite(half_wct * x_max):
+        raise ToleranceNotMet(
+            f"at t = {t:.6e} s: integrand phase omega_c t x / 2 is not finite"
+        )
+    try:
+        value = adaptive_quadrature(integrand, spec_x, envelope_scale=1.0)
+    except ToleranceNotMet as exc:
+        raise ToleranceNotMet(f"at t = {t:.6e} s: {exc}") from exc
     return max(0.0, 2.0 * bath.eta * value)
 
 

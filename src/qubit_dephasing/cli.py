@@ -88,6 +88,9 @@ class ExperimentConfig:
         for name in ("eta", "omega_c", "e_j1", "e_j2", "t_start", "t_end"):
             if not math.isfinite(getattr(self, name)):
                 raise ConfigError(f"{name} must be finite")
+        for name in ("e_j1", "e_j2"):  # the qubit phase e_j t on the grid
+            if not math.isfinite(getattr(self, name) * self.t_end):
+                raise ConfigError(f"{name} * t_end must be finite")
         try:
             initial_state(self.alpha)
         except ValueError as exc:
@@ -284,14 +287,6 @@ def serialize_config(cfg: ExperimentConfig) -> str:
 
 # -- experiment -------------------------------------------------------------
 
-def _at(t: float, fn, *args):
-    """``fn(*args)`` for grid point ``t``; a library error names ``t``."""
-    try:
-        return fn(*args)
-    except DephasingError as exc:
-        raise type(exc)(f"at t = {t:.6e} s: {exc}") from exc
-
-
 def _g_sweep(cfg: ExperimentConfig) -> tuple[list[float], list[float]]:
     """The time grid and the Ohmic exponent ``G`` at each of its points.
 
@@ -302,39 +297,19 @@ def _g_sweep(cfg: ExperimentConfig) -> tuple[list[float], list[float]]:
     temp = cfg.temperature()
     quad = default_quadrature()
     times = [float(t) for t in np.linspace(cfg.t_start, cfg.t_end, cfg.n_points)]
-    return times, [_at(t, g_ohmic, ohmic, temp, t, quad) for t in times]
-
-
-def _on_grid(times, stacked, at_point):
-    """``stacked()`` over the whole grid.
-
-    If it raises a library error, the error of the first grid point whose
-    ``at_point(i)`` fails is raised instead, naming its ``t``.
-    """
-    try:
-        return stacked()
-    except DephasingError:
-        for i, t in enumerate(times):
-            _at(t, at_point, i)
-        raise
+    return times, [g_ohmic(ohmic, temp, t, quad) for t in times]
 
 
 def _evolved_states(cfg: ExperimentConfig, times, gs) -> np.ndarray:
     """``(n, 4, 4)``: the pair state evolved from ``initial_state(cfg.alpha)``."""
     params1, params2 = QubitParams(cfg.e_j1), QubitParams(cfg.e_j2)
-    rho0 = initial_state(cfg.alpha)
-    return _on_grid(
-        times,
-        lambda: evolve_pair(rho0, params1, params2, gs, gs, times),
-        lambda i: evolve_pair(rho0, params1, params2, gs[i], gs[i], times[i]),
-    )
+    return evolve_pair(initial_state(cfg.alpha), params1, params2, gs, gs, times)
 
 
 def _records(cfg: ExperimentConfig, times, gs) -> list[TimeSeriesRecord]:
     """One record per grid point; the reference is ``C(0) * delta1 * delta2``."""
     c0 = 2.0 * abs(cfg.alpha) / (1.0 + abs(cfg.alpha) ** 2)
-    states = _evolved_states(cfg, times, gs)
-    cs = _on_grid(times, lambda: concurrence(states), lambda i: concurrence(states[i]))
+    cs = concurrence(_evolved_states(cfg, times, gs))
     records = []
     for t, g, c_t in zip(times, gs, cs.tolist()):
         delta = suppression_factor(g)

@@ -12,6 +12,7 @@ from qubit_dephasing.bath import (
     g_ohmic,
     suppression_factor,
 )
+from qubit_dephasing.errors import ToleranceNotMet
 
 # (eta/2) * ln(1 + (omega_c t)^2) for eta=1e-5, omega_c=1e12
 CLOSED_FORM_T1PS = 3.4657359027997266e-06  # t = 1e-12, ln 2
@@ -177,3 +178,25 @@ def test_negative_time_rejected():
         g_discrete(DiscreteBath(((1.0, 1.0),)), Temperature.zero(), -1.0)
     with pytest.raises(ValueError):
         g_ohmic(OhmicBath(1e-5, 1e12), Temperature.zero(), -1e-12, default_quadrature())
+
+
+TEMPERATURES = pytest.mark.parametrize(
+    "temp", [Temperature.zero(), Temperature.finite(2e-12)], ids=["zero", "finite"]
+)
+
+
+@TEMPERATURES
+def test_ohmic_quadrature_failure_names_its_time_point(temp):
+    # omega_c t = 500: too many oscillations for the subdivision budget
+    with pytest.raises(ToleranceNotMet, match=r"^at t = 5\.000000e-10 s: ") as info:
+        g_ohmic(OhmicBath(1e-5, 1e12), temp, 5e-10, default_quadrature())
+    assert isinstance(info.value.__cause__, ToleranceNotMet)
+
+
+@TEMPERATURES
+def test_ohmic_phase_overflow_names_its_time_point(temp):
+    # omega_c t x / 2 exceeds float range near the quadrature's upper bound
+    with pytest.raises(
+        ToleranceNotMet, match=r"^at t = 1\.000000e\+296 s: integrand phase .* not finite$"
+    ):
+        g_ohmic(OhmicBath(1e-5, 1e12), temp, 1e296, default_quadrature())

@@ -103,6 +103,7 @@ def test_config_rejects_bad_value():
         ("omega_c", "inf"),
         ("t_start", "nan"),
         ("t_end", "inf"),
+        ("t_end", "1e300"),  # e_j t_end overflows at the default e_j = 1e10
         ("alpha", "nan+0j"),
         ("alpha", "1e200"),
     ],
@@ -426,13 +427,25 @@ def test_fig1_bundle_matches_reference_and_single_alpha_runs(tmp_path, beta):
         assert raw == reference_fig1(complex(k), beta)
 
 
-@pytest.mark.parametrize("command", ["gfactor", "evolve"])
-def test_sweep_past_quadrature_edge_exits_three_naming_t(tmp_path, capsys, command):
-    # omega_c t = 500 at the last point: the Ohmic quadrature cannot
-    # resolve sin^2(omega_c t x) and raises ToleranceNotMet
-    argv = [command, "--t-end-ps", "500", "--points", "3", "--out", str(tmp_path / "x")]
-    assert main(argv) == 3
-    assert "at t = 5.000000e-10 s" in capsys.readouterr().err
+@pytest.mark.parametrize(
+    "argv,t_label",
+    [
+        # omega_c t = 500 at the last point: the Ohmic quadrature cannot
+        # resolve sin^2(omega_c t x) and raises ToleranceNotMet
+        (["gfactor", "--t-end-ps", "500", "--points", "3"], "5.000000e-10"),
+        (["evolve", "--t-end-ps", "500", "--points", "3"], "5.000000e-10"),
+        # omega_c t x / 2 overflows float range before the quadrature starts
+        (["gfactor", "--t-end-ps", "1e308", "--points", "2"], "1.000000e+296"),
+        (
+            ["gfactor", "--t-end-ps", "1e308", "--points", "2", "--beta", "2e-12"],
+            "1.000000e+296",
+        ),
+    ],
+    ids=["gfactor", "evolve", "gfactor-phase-overflow", "gfactor-phase-overflow-finite"],
+)
+def test_sweep_past_quadrature_edge_exits_three_naming_t(tmp_path, capsys, argv, t_label):
+    assert main(argv + ["--out", str(tmp_path / "x")]) == 3
+    assert capsys.readouterr().err.startswith(f"numerical failure: at t = {t_label} s: ")
 
 
 def exit_code(argv):
@@ -484,6 +497,15 @@ def test_oracle_check_exit_two_on_unusable_config_values(tmp_path, capsys, line)
     conf.write_text(line + "\n", encoding="utf-8")
     assert main(["oracle-check", "--config", str(conf), "--out", str(tmp_path / "x")]) == 2
     assert capsys.readouterr().err.startswith("config error: ")
+
+
+@pytest.mark.parametrize("argv", [["gfactor"], ["evolve"], ["fig1", "--alpha", "2"]], ids=" ".join)
+def test_sweep_exit_two_when_the_qubit_phase_overflows(tmp_path, capsys, argv):
+    # e_j1 t_end = 1e310 is beyond float range; the small cutoff keeps G finite
+    conf = tmp_path / "sweep.conf"
+    conf.write_text("e_j1 = 1e300\nomega_c = 1e-300\nt_end = 1e10\nn_points = 2\n")
+    assert main(argv + ["--config", str(conf), "--out", str(tmp_path / "x")]) == 2
+    assert capsys.readouterr().err == "config error: e_j1 * t_end must be finite\n"
 
 
 def test_importing_the_cli_loads_no_scipy(tmp_path):
@@ -549,9 +571,10 @@ def grid_times():
 
 
 @pytest.mark.parametrize("command", ["evolve", "fig1"])
-def test_failing_pair_evolution_names_the_first_failing_point(
+def test_failing_pair_evolution_exits_three_with_the_library_message(
     tmp_path, capsys, monkeypatch, command
 ):
+    # The stacked call fails as a whole; nothing re-runs it point by point.
     original = cli_module.evolve_pair
     late = grid_times()[3]
 
@@ -562,12 +585,15 @@ def test_failing_pair_evolution_names_the_first_failing_point(
 
     monkeypatch.setattr(cli_module, "evolve_pair", fussy)
     assert main(sweep_argv(command, tmp_path / "x.csv", None, "--alpha", "2")) == 3
-    assert capsys.readouterr().err == f"numerical failure: at t = {late:.6e} s: late point\n"
+    assert capsys.readouterr().err == "numerical failure: late point\n"
 
 
-def test_failing_concurrence_names_the_first_failing_point(tmp_path, capsys, monkeypatch):
+def test_failing_concurrence_exits_three_with_the_library_message(
+    tmp_path, capsys, monkeypatch
+):
     # The corner population of the alpha = 2 state grows with G; the fake
-    # validator rejects it above a level that the grid crosses midway.
+    # validator rejects the stack by its largest corner, as check_pair_state
+    # names the worst defect of a stack.
     original = cli_module.concurrence
     times = grid_times()
     gs = [g for _, g in reference_points(None)]
@@ -586,5 +612,4 @@ def test_failing_concurrence_names_the_first_failing_point(tmp_path, capsys, mon
 
     monkeypatch.setattr(cli_module, "concurrence", fussy)
     assert main(sweep_argv("fig1", tmp_path / "x.csv", None, "--alpha", "2")) == 3
-    expect = f"numerical failure: at t = {times[3]:.6e} s: corner {corners[3]:.3e}\n"
-    assert capsys.readouterr().err == expect
+    assert capsys.readouterr().err == f"numerical failure: corner {max(corners):.3e}\n"

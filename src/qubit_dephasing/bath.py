@@ -37,27 +37,21 @@ SMALL_FREQUENCY_FRACTION = 1e-8
 
 @dataclass(frozen=True)
 class Temperature:
-    """Bath temperature, either exactly zero or finite with ``beta = 1/T``."""
+    """Bath temperature ``1/beta``; ``beta = None`` is exactly zero."""
 
-    kind: str
     beta: float | None = None
 
     def __post_init__(self):
-        if self.kind not in ("zero", "finite"):
-            raise ValueError(f"kind must be 'zero' or 'finite', got {self.kind!r}")
-        if self.kind == "finite":
-            if self.beta is None or not self.beta > 0.0:
-                raise ValueError("finite temperature requires beta > 0")
-        elif self.beta is not None:
-            raise ValueError("zero temperature takes no beta")
+        if self.beta is not None and not self.beta > 0.0:
+            raise ValueError("finite temperature requires beta > 0")
 
     @classmethod
     def zero(cls) -> "Temperature":
-        return cls("zero")
+        return cls()
 
     @classmethod
     def finite(cls, beta: float) -> "Temperature":
-        return cls("finite", float(beta))
+        return cls(float(beta))
 
 
 @dataclass(frozen=True)
@@ -93,6 +87,13 @@ class OhmicBath:
             raise ValueError("omega_c must be positive")
 
 
+def _check_time(t: float) -> None:
+    if not math.isfinite(t):
+        raise ValueError("t must be finite")
+    if t < 0.0:
+        raise ValueError("t must be nonnegative")
+
+
 def g_discrete(bath: DiscreteBath, temp: Temperature, t: float) -> float:
     """Decoherence exponent of a discrete bath at time ``t``.
 
@@ -100,12 +101,11 @@ def g_discrete(bath: DiscreteBath, temp: Temperature, t: float) -> float:
     with the coth factor equal to one at zero temperature. Nonnegative for
     all inputs because every summand is.
     """
-    if t < 0.0:
-        raise ValueError("t must be nonnegative")
+    _check_time(t)
     w = np.array([m[0] for m in bath.modes])
     g2 = np.array([abs(m[1]) ** 2 for m in bath.modes])
     terms = g2 / w**2 * np.sin(0.5 * w * t) ** 2
-    if temp.kind == "finite":
+    if temp.beta is not None:
         terms = terms / np.tanh(0.5 * temp.beta * w)
     return float(2.0 * terms.sum())
 
@@ -128,16 +128,16 @@ def g_ohmic(
 
     Raises ``ToleranceNotMet``, its message starting ``at t = ... s:``,
     when the quadrature misses its tolerance or when the integrand's
-    phase ``omega_c t x / 2`` is not finite on the interval.
+    phase ``omega_c t x / 2`` is not finite on the interval. A negative
+    or non-finite ``t`` is an input error and raises ``ValueError``.
     """
-    if t < 0.0:
-        raise ValueError("t must be nonnegative")
+    _check_time(t)
     if t == 0.0:
         return 0.0
     wc = bath.omega_c
     half_wct = 0.5 * wc * t
 
-    if temp.kind == "finite":
+    if temp.beta is not None:
         beta = temp.beta
         half_bwc = 0.5 * beta * wc
         flat = wc * t * t / (2.0 * beta)  # small-x limit of the integrand

@@ -16,8 +16,8 @@ import cmath
 import math
 import os
 import sys
-from dataclasses import dataclass, replace
-from operator import attrgetter
+from dataclasses import dataclass, fields, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -51,12 +51,8 @@ __all__ = [
     "serialize_config",
 ]
 
-CSV_HEADER = "t_seconds,t_ks,g1,g2,delta1,delta2,concurrence,s_reference,d1,d2"
-
 # Display unit used alongside seconds in the output tables.
 KS_IN_SECONDS = 1.51929e-9  # 1 ks = 1519.29 ps
-
-ORACLE_CSV_HEADER = "t_seconds,split_vs_exact,channel_vs_split,ratio_at_half_t"
 
 CHANNEL_GAP_LIMIT = 1e-6
 RATIO_WINDOW = (6.0, 10.0)
@@ -102,15 +98,9 @@ class ExperimentConfig:
         if self.n_points < 2:
             raise ConfigError("n_points must be at least 2")
 
-    def temperature(self) -> Temperature:
-        if self.beta is None:
-            return Temperature.zero()
-        return Temperature.finite(self.beta)
 
-
-@dataclass(frozen=True)
-class TimeSeriesRecord:
-    """One row of the experiment output."""
+class TimeSeriesRecord(NamedTuple):
+    """One row of the experiment output; the fields are the CSV columns."""
 
     t_seconds: float
     t_ks: float
@@ -122,6 +112,9 @@ class TimeSeriesRecord:
     s_reference: float
     d1: float
     d2: float
+
+
+CSV_HEADER = ",".join(TimeSeriesRecord._fields)
 
 
 @dataclass(frozen=True)
@@ -149,6 +142,8 @@ class OracleCheckConfig:
             raise ConfigError("oracle_t must be positive")
         if self.samples < 1:
             raise ConfigError("oracle_samples must be at least 1")
+        if self.seed < 0:
+            raise ConfigError("oracle_seed must be nonnegative")
         for key, value in (
             ("oracle_e_j", self.e_j),
             ("oracle_omega", self.omega),
@@ -163,15 +158,9 @@ class OracleCheckConfig:
             except ValueError as exc:
                 raise ConfigError(str(exc)) from None
 
-    def temperature(self) -> Temperature:
-        if self.beta is None:
-            return Temperature.zero()
-        return Temperature.finite(self.beta)
 
-
-@dataclass(frozen=True)
-class OracleRow:
-    """One row of the oracle-check output."""
+class OracleRow(NamedTuple):
+    """One row of the oracle-check output; the fields are the CSV columns."""
 
     t_seconds: float
     split_vs_exact: float
@@ -179,9 +168,7 @@ class OracleRow:
     ratio_at_half_t: float
 
 
-# A row's CSV cells in header order; the headers name the fields.
-_RECORD_ROW = attrgetter(*CSV_HEADER.split(","))
-_ORACLE_ROW = attrgetter(*ORACLE_CSV_HEADER.split(","))
+ORACLE_CSV_HEADER = ",".join(OracleRow._fields)
 
 
 # -- configuration files ----------------------------------------------------
@@ -242,7 +229,8 @@ def load_config(path: str) -> dict[str, str]:
     return parse_config_text(text)
 
 
-def _build_from_casts(mapping, casts, factory):
+def _cast(mapping, casts) -> dict:
+    """The values of the keys in ``casts``, cast and named by field."""
     kwargs = {}
     for key, raw in mapping.items():
         if key not in casts:
@@ -252,36 +240,25 @@ def _build_from_casts(mapping, casts, factory):
             kwargs[attr] = cast(raw)
         except ValueError as exc:
             raise ConfigError(f"bad value for {key!r}: {raw!r} ({exc})") from exc
-    return factory(**kwargs)
+    return kwargs
 
 
 def config_from_mapping(mapping: dict[str, str]) -> ExperimentConfig:
-    return _build_from_casts(mapping, _EXPERIMENT_CASTS, ExperimentConfig)
+    return ExperimentConfig(**_cast(mapping, _EXPERIMENT_CASTS))
 
 
 def oracle_config_from_mapping(mapping: dict[str, str]) -> OracleCheckConfig:
-    return _build_from_casts(mapping, _ORACLE_CASTS, OracleCheckConfig)
+    return OracleCheckConfig(**_cast(mapping, _ORACLE_CASTS))
 
 
 def serialize_config(cfg: ExperimentConfig) -> str:
     """Render a config so that parsing it back reproduces ``cfg`` exactly."""
-    lines = [
-        "# angular frequencies in rad/s, time in seconds",
-        f"eta = {cfg.eta!r}",
-        f"omega_c = {cfg.omega_c!r}",
-    ]
-    if cfg.beta is not None:
-        lines.append(f"beta = {cfg.beta!r}")
-    lines += [
-        f"e_j1 = {cfg.e_j1!r}",
-        f"e_j2 = {cfg.e_j2!r}",
-        f"alpha = {cfg.alpha!r}",
-        f"t_start = {cfg.t_start!r}",
-        f"t_end = {cfg.t_end!r}",
-        f"n_points = {cfg.n_points!r}",
-    ]
-    if cfg.output_path is not None:
-        lines.append(f"output_path = {cfg.output_path}")
+    lines = ["# angular frequencies in rad/s, time in seconds"]
+    for field in fields(cfg):
+        value = getattr(cfg, field.name)
+        if value is not None:  # an omitted key parses back to None
+            text = value if field.name == "output_path" else repr(value)
+            lines.append(f"{field.name} = {text}")
     return "\n".join(lines) + "\n"
 
 
@@ -294,7 +271,7 @@ def _g_sweep(cfg: ExperimentConfig) -> tuple[list[float], list[float]]:
     time serves both; ``G`` does not depend on ``alpha``.
     """
     ohmic = OhmicBath(cfg.eta, cfg.omega_c)
-    temp = cfg.temperature()
+    temp = Temperature(cfg.beta)
     quad = default_quadrature()
     times = [float(t) for t in np.linspace(cfg.t_start, cfg.t_end, cfg.n_points)]
     return times, [g_ohmic(ohmic, temp, t, quad) for t in times]
@@ -350,7 +327,7 @@ def emit_csv(rows: list[TimeSeriesRecord], path: str) -> None:
     """Write records as CSV under ``CSV_HEADER``."""
     if not rows:
         raise ValueError("rows must be non-empty")
-    _write_table(path, CSV_HEADER, map(_RECORD_ROW, rows))
+    _write_table(path, CSV_HEADER, rows)
 
 
 # -- oracle check -----------------------------------------------------------
@@ -364,7 +341,7 @@ def run_oracle_check(cfg: OracleCheckConfig) -> tuple[list[OracleRow], list[str]
     deviation must shrink 6x to 10x under each halving.
     """
     system = OracleSystem(cfg.e_j, (FockMode(cfg.omega, cfg.g, cfg.n_max),))
-    temp = cfg.temperature()
+    temp = Temperature(cfg.beta)
     times = [cfg.t_base / 2.0**k for k in range(3)]
     deviations = {}
     for t in times + [times[-1] / 2.0]:
@@ -394,16 +371,22 @@ def run_oracle_check(cfg: OracleCheckConfig) -> tuple[list[OracleRow], list[str]
 
 # -- subcommands ------------------------------------------------------------
 
-def _configure(args, from_mapping, **flags):
-    """Config from the ``--config`` file, overridden by the flags given."""
-    cfg = from_mapping(load_config(args.config) if args.config else {})
-    return replace(cfg, **{k: v for k, v in flags.items() if v is not None})
+def _configure(args, factory, casts, **flags):
+    """The ``--config`` file's values with the flags given laid over them.
+
+    The config is built once, from the merged values, so only the values
+    that take effect are validated and a flag can replace a bad file value.
+    """
+    values = _cast(load_config(args.config), casts) if args.config else {}
+    values.update((k, v) for k, v in flags.items() if v is not None)
+    return factory(**values)
 
 
 def _experiment_config(args) -> ExperimentConfig:
     return _configure(
         args,
-        config_from_mapping,
+        ExperimentConfig,
+        _EXPERIMENT_CASTS,
         alpha=args.alpha,
         eta=args.eta,
         omega_c=args.omega_c,
@@ -466,14 +449,16 @@ def _cmd_fig1(args) -> int:
 
 
 def _cmd_oracle_check(args) -> int:
-    cfg = _configure(args, oracle_config_from_mapping, beta=args.beta, seed=args.seed)
+    cfg = _configure(
+        args, OracleCheckConfig, _ORACLE_CASTS, beta=args.beta, seed=args.seed
+    )
     rows, violations = run_oracle_check(cfg)
     path = args.out or cfg.output_path or "oracle_check.csv"
-    _write_table(path, ORACLE_CSV_HEADER, map(_ORACLE_ROW, rows))
-    kind = "zero" if cfg.beta is None else f"beta = {cfg.beta:g} s"
+    _write_table(path, ORACLE_CSV_HEADER, rows)
+    label = "zero" if cfg.beta is None else f"beta = {cfg.beta:g} s"
     print(
         f"system: e_j = {cfg.e_j:.3e} rad/s, mode omega = {cfg.omega:.3e} rad/s, "
-        f"|g| = {abs(cfg.g):.3e} rad/s, n_max = {cfg.n_max}, temperature {kind}"
+        f"|g| = {abs(cfg.g):.3e} rad/s, n_max = {cfg.n_max}, temperature {label}"
     )
     for row in rows:
         print(

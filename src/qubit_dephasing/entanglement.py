@@ -116,7 +116,7 @@ def analytic_bell_state(g1: float, g2: float, e_j_sum: float, t: float) -> np.nd
     ``evolve_pair`` on the ``alpha = 1`` input when both qubits share one
     tunneling energy.
     """
-    if g1 < 0.0 or g2 < 0.0:
+    if not g1 >= 0.0 or not g2 >= 0.0:
         raise ValueError("exponents must be nonnegative")
     x = math.exp(-4.0 * (g1 + g2))
     corner = 1.0 - x
@@ -136,6 +136,6 @@ def analytic_bell_concurrence(g1: float, g2: float) -> float:
     Equals the product of the two single-qubit suppression factors, which
     is the headline factorization this library reproduces.
     """
-    if g1 < 0.0 or g2 < 0.0:
+    if not g1 >= 0.0 or not g2 >= 0.0:
         raise ValueError("exponents must be nonnegative")
     return math.exp(-4.0 * (g1 + g2))

@@ -222,7 +222,7 @@ def thermal_bath_state(sys: OracleSystem, temp: Temperature) -> np.ndarray:
     """
     theta = np.eye(1, dtype=complex)
     for mode in sys.modes:
-        if temp.kind == "zero":
+        if temp.beta is None:
             gibbs = np.zeros((mode.levels, mode.levels), dtype=complex)
             gibbs[0, 0] = 1.0
         else:

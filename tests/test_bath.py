@@ -148,13 +148,14 @@ def test_suppression_factor_rejects_nan():
 
 def test_temperature_validation():
     with pytest.raises(ValueError):
-        Temperature("finite")
-    with pytest.raises(ValueError):
         Temperature.finite(0.0)
-    with pytest.raises(ValueError):
-        Temperature("zero", beta=1.0)
-    with pytest.raises(ValueError):
-        Temperature("warm")
+    for beta in (0.0, -1.0, math.nan):
+        with pytest.raises(ValueError):
+            Temperature(beta)
+    assert Temperature() == Temperature.zero()
+    assert Temperature(2e-12) == Temperature.finite(2e-12)
+    assert hash(Temperature(2e-12)) == hash(Temperature.finite(2e-12))
+    assert hash(Temperature()) == hash(Temperature.zero())
 
 
 def test_discrete_bath_validation():
@@ -183,6 +184,15 @@ def test_negative_time_rejected():
 TEMPERATURES = pytest.mark.parametrize(
     "temp", [Temperature.zero(), Temperature.finite(2e-12)], ids=["zero", "finite"]
 )
+
+
+@TEMPERATURES
+@pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
+def test_non_finite_time_rejected(temp, t):
+    with pytest.raises(ValueError, match="^t must be finite$"):
+        g_discrete(DiscreteBath(((1.0, 1.0),)), temp, t)
+    with pytest.raises(ValueError, match="^t must be finite$"):
+        g_ohmic(OhmicBath(1e-5, 1e12), temp, t, default_quadrature())
 
 
 @TEMPERATURES

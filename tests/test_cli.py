@@ -203,6 +203,14 @@ def test_emit_csv_layout_and_determinism(tmp_path):
     np.testing.assert_allclose(data[-1, 0], 3e-12, rtol=1e-15)
 
 
+def test_csv_headers_are_the_pinned_schemas():
+    assert CSV_HEADER == "t_seconds,t_ks,g1,g2,delta1,delta2,concurrence,s_reference,d1,d2"
+    assert (
+        cli_module.ORACLE_CSV_HEADER
+        == "t_seconds,split_vs_exact,channel_vs_split,ratio_at_half_t"
+    )
+
+
 def test_emit_csv_rejects_empty():
     with pytest.raises(ValueError):
         emit_csv([], "unused.csv")
@@ -290,6 +298,35 @@ def test_main_exit_two_on_config_errors(tmp_path):
     assert main(["gfactor", "--config", str(conf)]) == 2
     assert main(["gfactor", "--points", "1"]) == 2
     assert main(["gfactor", "--beta", "-1"]) == 2
+
+
+@pytest.mark.parametrize(
+    "text,flags,rows,message",
+    [
+        ("n_points = 1\n", ["--points", "5"], 5, "n_points must be at least 2"),
+        (
+            "e_j1 = 1e300\nt_end = 1e10\n",
+            ["--t-end-ps", "5", "--points", "3"],
+            3,
+            "e_j1 * t_end must be finite",
+        ),
+    ],
+    ids=["n_points", "e_j1-t_end"],
+)
+def test_flags_override_an_invalid_config_file_value(
+    tmp_path, capsys, text, flags, rows, message
+):
+    # the file and the flags are merged first; only the merged config is validated
+    conf = tmp_path / "run.conf"
+    conf.write_text(text, encoding="utf-8")
+    out = tmp_path / "g.csv"
+    argv = ["gfactor", "--config", str(conf), "--out", str(out)]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert not out.exists()
+    assert main(argv + flags) == 0
+    _, data = read_rows(str(out))
+    assert data.shape == (rows, 4)
 
 
 def test_main_exit_three_on_tolerance_failure(tmp_path):
@@ -473,6 +510,7 @@ def exit_code(argv):
         ["evolve", "--alpha", "1e200"],
         ["gfactor", "--alpha", "1e200"],
         ["oracle-check", "--beta", "1e-11"],
+        ["oracle-check", "--seed", "-1"],
     ],
     ids=" ".join,
 )
@@ -490,6 +528,7 @@ def test_main_exit_two_on_rejected_flags_and_values(tmp_path, argv):
         "oracle_t = inf",
         "oracle_beta = inf",
         "oracle_beta = 1e-11",  # thermal tail beyond n_max = 8 is 1.2e-4
+        "oracle_seed = -1",
     ],
 )
 def test_oracle_check_exit_two_on_unusable_config_values(tmp_path, capsys, line):

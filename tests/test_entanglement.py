@@ -237,6 +237,14 @@ def test_analytic_bell_state_rejects_negative_exponents():
         analytic_bell_concurrence(0.0, -0.1)
 
 
+@pytest.mark.parametrize("g1,g2", [(math.nan, 0.0), (0.0, math.nan), (math.nan, math.nan)])
+def test_analytic_bell_references_reject_nan_exponents(g1, g2):
+    with pytest.raises(ValueError, match="^exponents must be nonnegative$"):
+        analytic_bell_state(g1, g2, 2e10, 1e-12)
+    with pytest.raises(ValueError, match="^exponents must be nonnegative$"):
+        analytic_bell_concurrence(g1, g2)
+
+
 @pytest.mark.parametrize("alpha", [complex("nan"), complex("inf"), 1e200, 1e308 + 1e308j])
 def test_initial_state_rejects_non_finite_and_overflowing_alpha(alpha):
     with pytest.raises(ValueError):

@@ -61,6 +61,29 @@ class QubitParams:
             raise ValueError("e_j must be finite")
 
 
+def _qubit_margins(a: np.ndarray):
+    # Hermiticity defect, trace gap and lowest eigenvalue of the Hermitized
+    # matrix for a 2x2 stack, in closed form from its four entries, each
+    # computed only when the check before it has passed. The defect and the
+    # trace gap have the bits of _matrix_margins; the eigenvalue
+    # (p + q)/2 - hypot((p - q)/2, |b|) of [[p, b], [conj(b), q]], with
+    # b = (a01 + conj(a10))/2, agrees with its eigvalsh to rounding.
+    diag = a.diagonal(axis1=-2, axis2=-1)
+    a01, c10 = a[..., 0, 1], a[..., 1, 0].conj()
+    yield max(2.0 * float(np.abs(diag.imag).max()), float(np.abs(a01 - c10).max()))
+    trace = diag[..., 0] + diag[..., 1]
+    yield float(np.abs(trace - 1.0).max())
+    p, q = diag.real[..., 0], diag.real[..., 1]
+    yield 0.5 * float((trace.real - np.hypot(p - q, np.abs(a01 + c10))).min())
+
+
+def _matrix_margins(a: np.ndarray):
+    # The same three margins for square matrices of any size, by eigvalsh.
+    yield float(np.abs(a - a.conj().swapaxes(-1, -2)).max())
+    yield float(np.abs(np.trace(a, axis1=-2, axis2=-1) - 1.0).max())
+    yield float(np.linalg.eigvalsh(0.5 * (a + a.conj().swapaxes(-1, -2))).min())
+
+
 def _check_state(rho, dim: int, psd_floor: float) -> np.ndarray:
     # Each check covers the whole stack; a failure reports the worst state.
     a = np.asarray(rho, dtype=complex)
@@ -68,13 +91,14 @@ def _check_state(rho, dim: int, psd_floor: float) -> np.ndarray:
         raise InvalidState(f"expected a {dim}x{dim} matrix, got shape {a.shape}")
     if not np.isfinite(a).all():
         raise InvalidState("state entries must be finite")
-    defect = float(np.abs(a - a.conj().swapaxes(-1, -2)).max())
+    margins = _qubit_margins(a) if dim == 2 else _matrix_margins(a)
+    defect = next(margins)
     if defect > HERMITICITY_TOL:
         raise InvalidState(f"not Hermitian, defect {defect:.3e}")
-    trace_gap = float(np.abs(np.trace(a, axis1=-2, axis2=-1) - 1.0).max())
+    trace_gap = next(margins)
     if trace_gap > TRACE_TOL:
         raise InvalidState(f"trace differs from one by {trace_gap:.3e}")
-    lowest = float(np.linalg.eigvalsh(0.5 * (a + a.conj().swapaxes(-1, -2))).min())
+    lowest = next(margins)
     if lowest < psd_floor:
         raise InvalidState(f"negative eigenvalue {lowest:.3e}")
     return a
@@ -122,6 +146,16 @@ def _evolve_checked(a: np.ndarray, e_j: float, g_value: float, t: float) -> np.n
     return 0.5 * (out + out.conj().swapaxes(-1, -2))
 
 
+def _check_times(t) -> None:
+    # The rule of the bath and oracle modules: a negative time, -inf
+    # included, is out of range; NaN and +inf are not finite.
+    ts = np.asarray(t, dtype=float)
+    if (ts < 0.0).any():
+        raise ValueError("t must be nonnegative")
+    if not np.isfinite(ts).all():
+        raise ValueError("t must be finite")
+
+
 def evolve_single(rho0, params: QubitParams, g_value: float, t: float) -> np.ndarray:
     """Evolve one qubit, or a stack ``(..., 2, 2)`` of states, for time ``t``.
 
@@ -133,8 +167,7 @@ def evolve_single(rho0, params: QubitParams, g_value: float, t: float) -> np.nda
     a = check_qubit_state(rho0)
     if not g_value >= 0.0:
         raise ValueError("g_value must be nonnegative")
-    if not 0.0 <= t < math.inf:
-        raise ValueError("t must be nonnegative")
+    _check_times(t)
     return _evolve_checked(a, params.e_j, g_value, t)
 
 
@@ -149,8 +182,7 @@ def _pair_points(g1, g2, t) -> tuple[list[float], list[float], list[float]]:
     gs1, gs2, ts = (np.atleast_1d(x) for x in arrays)
     if not ((gs1 >= 0.0).all() and (gs2 >= 0.0).all()):
         raise ValueError("exponents must be nonnegative")
-    if not ((ts >= 0.0) & (ts < math.inf)).all():
-        raise ValueError("t must be nonnegative")
+    _check_times(ts)
     return gs1.tolist(), gs2.tolist(), ts.tolist()
 
 

@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from qubit_dephasing import channel
@@ -254,23 +254,53 @@ def test_negative_arguments_rejected():
         max_decoherence_analytic(-1.0)
 
 
-@pytest.mark.parametrize(
-    "call",
-    [
+# (call, exact message); times follow the rule of the bath and oracle modules
+BAD_ARGUMENTS = [
+    (
         lambda p, half: evolve_single(half, p, math.nan, 1e-12),
-        lambda p, half: evolve_single(half, p, 0.1, math.nan),
-        lambda p, half: evolve_single(half, p, 0.1, math.inf),
+        "g_value must be nonnegative",
+    ),
+    (lambda p, half: evolve_single(half, p, 0.1, math.nan), "t must be finite"),
+    (lambda p, half: evolve_single(half, p, 0.1, math.inf), "t must be finite"),
+    (
         lambda p, half: evolve_pair(np.kron(half, half), p, p, math.nan, 0.1, 1e-12),
+        "exponents must be nonnegative",
+    ),
+    (
         lambda p, half: evolve_pair(np.kron(half, half), p, p, 0.1, math.nan, 1e-12),
+        "exponents must be nonnegative",
+    ),
+    (
         lambda p, half: evolve_pair(np.kron(half, half), p, p, 0.1, 0.1, math.nan),
+        "t must be finite",
+    ),
+    (
         lambda p, half: evolve_pair(np.kron(half, half), p, p, 0.1, 0.1, math.inf),
-        lambda p, half: max_decoherence_analytic(math.nan),
+        "t must be finite",
+    ),
+    (lambda p, half: max_decoherence_analytic(math.nan), "g_value must be nonnegative"),
+    (
         lambda p, half: max_decoherence_numeric(p, math.nan, 1e-12, 8),
-        lambda p, half: max_decoherence_numeric(p, 0.1, math.nan, 8),
-    ],
+        "g_value must be nonnegative",
+    ),
+    (lambda p, half: max_decoherence_numeric(p, 0.1, math.nan, 8), "t must be finite"),
+    (lambda p, half: evolve_single(half, p, 0.1, -math.inf), "t must be nonnegative"),
+    (
+        lambda p, half: evolve_pair(np.kron(half, half), p, p, 0.1, 0.1, -math.inf),
+        "t must be nonnegative",
+    ),
+    (lambda p, half: max_decoherence_numeric(p, 0.1, math.inf, 8), "t must be finite"),
+]
+
+
+@pytest.mark.parametrize(
+    ("call", "message"),
+    BAD_ARGUMENTS,
+    # the ids pytest gives bare lambdas
+    ids=[f"<lambda>{i}" for i in range(len(BAD_ARGUMENTS))],
 )
-def test_nan_and_infinite_arguments_rejected(call):
-    with pytest.raises(ValueError):
+def test_nan_and_infinite_arguments_rejected(call, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
         call(QubitParams(1e10), 0.5 * np.eye(2))
 
 
@@ -423,17 +453,19 @@ def test_bloch_scan_checks_its_initial_states_once(monkeypatch):
 
 # -- properties ----------------------------------------------------------------
 
-bloch_states = st.builds(
-    lambda r, theta, phi: 0.5
-    * np.array(
+def bloch_matrix(r, theta, phi):
+    # (1 + r n.sigma)/2: Hermitian, unit trace, eigenvalues (1 -+ r)/2
+    return 0.5 * np.array(
         [
             [1.0 + r * math.cos(theta), r * math.sin(theta) * cmath.exp(-1j * phi)],
             [r * math.sin(theta) * cmath.exp(1j * phi), 1.0 - r * math.cos(theta)],
         ]
-    ),
-    st.floats(0.0, 1.0),
-    st.floats(0.0, math.pi),
-    st.floats(0.0, 2.0 * math.pi),
+    )
+
+
+azimuths = st.floats(0.0, 2.0 * math.pi)
+bloch_states = st.builds(
+    bloch_matrix, st.floats(0.0, 1.0), st.floats(0.0, math.pi), azimuths
 )
 properties = settings(derandomize=True, max_examples=40, deadline=None)
 
@@ -459,6 +491,75 @@ def test_stacked_evolution_equals_per_state_calls(states, g, t):
 def test_numeric_maximum_stays_within_the_analytic_bound(g, t, grid):
     got = max_decoherence_numeric(QubitParams(1e10), g, t, grid)
     assert 0.0 <= got <= max_decoherence_analytic(g) + 1e-12
+
+
+# Unit-trace Hermitian matrices: the maximally mixed state, near-degenerate,
+# mixed and pure states, ones whose lowest eigenvalue is near the floor and
+# ones far outside the Bloch ball; theta at a pole gives a diagonal matrix.
+hermitian_qubits = st.builds(
+    bloch_matrix,
+    st.one_of(
+        st.just(0.0),
+        st.floats(0.0, 1e-9),
+        st.floats(0.0, 1.0),
+        st.just(1.0),
+        st.floats(1.0 - 1e-11, 1.0 + 1e-11),
+        st.floats(1.0, 3.0),
+    ),
+    st.one_of(st.sampled_from([0.0, math.pi]), st.floats(0.0, math.pi)),
+    azimuths,
+)
+any_qubit_matrices = st.lists(
+    st.complex_numbers(max_magnitude=2.0, allow_nan=False, allow_infinity=False),
+    min_size=4,
+    max_size=4,
+).map(lambda entries: np.array(entries).reshape(2, 2))
+
+
+@properties
+@given(st.lists(hermitian_qubits, min_size=1, max_size=6))
+def test_closed_form_lowest_eigenvalue_matches_eigvalsh(mats):
+    for a in [np.array(mats)] + [m[None] for m in mats]:
+        *_, lowest = channel._qubit_margins(a)
+        expect = float(np.linalg.eigvalsh(a).min())
+        assert abs(lowest - expect) <= 1e-15 * max(1.0, np.abs(a).max())
+
+
+@properties
+@given(st.lists(any_qubit_matrices, min_size=1, max_size=6))
+def test_closed_form_defect_and_trace_gap_have_the_matrix_bits(mats):
+    a = np.array(mats)
+    defect, trace_gap, _ = channel._qubit_margins(a)
+    expect_defect, expect_gap, _ = channel._matrix_margins(a)
+    assert (defect, trace_gap) == (expect_defect, expect_gap)
+
+
+@properties
+@given(st.lists(hermitian_qubits, min_size=1, max_size=6))
+def test_qubit_check_accepts_what_eigvalsh_accepts(mats):
+    a = np.array(mats)
+    expect = float(np.linalg.eigvalsh(a).min())
+    assume(abs(expect - channel.QUBIT_PSD_FLOOR) > 1e-15)
+    if expect < channel.QUBIT_PSD_FLOOR:
+        with pytest.raises(InvalidState, match="^negative eigenvalue "):
+            check_qubit_state(a)
+    else:
+        assert check_qubit_state(a) is a
+
+
+@pytest.mark.parametrize("inside_a_stack", [False, True])
+def test_qubit_eigenvalue_floor(inside_a_stack):
+    def state(e):
+        rho = np.diag([1.0 + e, -e]).astype(complex)
+        if not inside_a_stack:
+            return rho
+        stack = random_qubit_stack(np.random.default_rng(12), (3,))
+        stack[1] = rho
+        return stack
+
+    check_qubit_state(state(0.9e-12))
+    with pytest.raises(InvalidState, match="^negative eigenvalue -1.100e-12$"):
+        check_qubit_state(state(1.1e-12))
 
 
 # -- the pair channel over a time grid -------------------------------------------

@@ -259,20 +259,35 @@ def from_eigenbasis(rho: np.ndarray) -> np.ndarray:
     return _EIGENBASIS @ np.asarray(rho, dtype=complex) @ _EIGENBASIS.conj().T
 
 
-def _propagate(sys: OracleSystem, rho_qubit0, temp: Temperature, u: np.ndarray):
-    # One joint state at a time: a (k, N, N) stack of them would cost k times
-    # the memory of the largest matrix for no gain in time.
+def _reduced_map(
+    sys: OracleSystem, temp: Temperature, u: np.ndarray, half: np.ndarray
+) -> np.ndarray:
+    """The qubit map ``rho -> tr_B[U (rho x theta) U^dag]`` as ``L[i, j, k, l]``.
+
+    ``U = (half x 1) u (half x 1)``, and ``out[i, j] = sum L[i, j, k, l] rho[k, l]``.
+    ``theta`` is diagonal with weights ``p_c``, so
+    ``L[i,j,k,l] = sum_{b,c} p_c U[ib,kc] conj(U[jb,lc])`` needs only the
+    occupied bath columns ``c``: one at zero temperature, all ``B`` above.
+    """
+    weights = np.diag(thermal_bath_state(sys, temp)).real
+    occupied = np.flatnonzero(weights)
+    b = sys.bath_dim
+    cols = u.reshape(2, b, 2, b)[..., occupied] * np.sqrt(weights[occupied])
+    # rows (i, k), columns (b, c); U[ib,kc] = sum half[i,p] u[pb,rc] half[r,k]
+    # acts on the row pair alone
+    a = np.kron(half, half.T) @ cols.transpose(0, 2, 1, 3).reshape(4, -1)
+    return (a @ a.conj().T).reshape(2, 2, 2, 2).transpose(0, 2, 1, 3)
+
+
+def _propagate(
+    sys: OracleSystem,
+    rho_qubit0,
+    temp: Temperature,
+    u: np.ndarray,
+    half: np.ndarray = _ID2,
+) -> np.ndarray:
     rho = check_qubit_state(rho_qubit0)
-    theta = thermal_bath_state(sys, temp)
-    u_dag = u.conj().T
-    dim = sys.total_dim
-    out = np.empty(rho.shape, dtype=complex)
-    for idx in np.ndindex(rho.shape[:-2]):
-        # kron(rho, theta) as one broadcast multiply, without np.kron's overhead
-        r = rho[idx]
-        joint = (r[:, None, :, None] * theta[None, :, None, :]).reshape(dim, dim)
-        out[idx] = trace_out_bath(u @ joint @ u_dag, sys.bath_dim)
-    return out
+    return np.einsum("ijkl,...kl->...ij", _reduced_map(sys, temp, u, half), rho)
 
 
 def exact_evolve(
@@ -280,9 +295,10 @@ def exact_evolve(
 ) -> np.ndarray:
     """Reduced qubit state after exact evolution of qubit plus bath.
 
-    Takes one qubit state or a stack ``(..., 2, 2)``; the propagator and the
-    thermal bath state are built once per call, the propagator from the
-    Hamiltonian's spectrum that ``sys`` diagonalizes once.
+    Takes one qubit state or a stack ``(..., 2, 2)``; the propagator, the
+    thermal bath state and the reduced qubit map they give are built once
+    per call, the propagator from the Hamiltonian's spectrum that ``sys``
+    diagonalizes once.
     """
     if t < 0.0:
         raise ValueError("t must be nonnegative")
@@ -302,10 +318,9 @@ def split_evolve(
     """
     if t < 0.0:
         raise ValueError("t must be nonnegative")
-    id_bath = np.eye(sys.bath_dim, dtype=complex)
-    outer = np.kron(spectral_propagator(sys._qubit_spectrum, 0.5 * t), id_bath)
-    u = outer @ spectral_propagator(sys._interaction_spectrum, t) @ outer
-    return _propagate(sys, rho_qubit0, temp, u)
+    half = spectral_propagator(sys._qubit_spectrum, 0.5 * t)
+    u = spectral_propagator(sys._interaction_spectrum, t)
+    return _propagate(sys, rho_qubit0, temp, u, half)
 
 
 def _sample_pure_states(samples: int, seed: int) -> np.ndarray:

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qubit_dephasing import oracle
 from qubit_dephasing.bath import DiscreteBath, Temperature, g_discrete
@@ -369,15 +371,63 @@ def reference_evolve(system, rho0, temp, t, split):
 @SYSTEMS
 @TEMPERATURES
 @pytest.mark.parametrize("split", [True, False], ids=["split", "exact"])
-def test_evolution_equals_the_dense_reference_bit_for_bit(modes, temp, split):
+def test_evolution_matches_the_dense_reference(modes, temp, split):
+    # the reduced map sums in another order than the dense construction, so
+    # the two agree to rounding (every entry is at most 1); a state alone and
+    # in a stack, and a warm system and a cold one, still agree bit for bit
     system = OracleSystem(E_J, modes)
     evolve = split_evolve if split else exact_evolve
     stack = random_pure_states((3,), 33)
-    for _ in range(2):  # the second pass runs on the warm system
+    cold = {}
+    for warm in (False, True):  # the second pass runs on the warm system
         for t in (0.0, 1e-13, 3e-13, 2e-12):
+            got = evolve(system, stack, temp, t)
             expect = reference_evolve(system, stack, temp, t, split)
-            assert np.array_equal(evolve(system, stack, temp, t), expect)
-            assert np.array_equal(evolve(system, stack[1], temp, t), expect[1])
+            np.testing.assert_allclose(got, expect, rtol=0.0, atol=1e-14)
+            assert np.array_equal(evolve(system, stack[1], temp, t), got[1])
+            if warm:
+                assert np.array_equal(got, cold[t])
+            else:
+                cold[t] = got
+
+
+def bloch_matrix(r, theta, phi):
+    # (1 + r n.sigma)/2: pure on the sphere, mixed inside it
+    return 0.5 * np.array(
+        [
+            [1.0 + r * math.cos(theta), r * math.sin(theta) * cmath.exp(-1j * phi)],
+            [r * math.sin(theta) * cmath.exp(1j * phi), 1.0 - r * math.cos(theta)],
+        ]
+    )
+
+
+qubit_states = st.builds(
+    bloch_matrix,
+    st.one_of(st.just(1.0), st.floats(0.0, 1.0)),
+    st.floats(0.0, math.pi),
+    st.floats(0.0, 2.0 * math.pi),
+)
+# built once, so that most examples run on warm systems
+PROPERTY_SYSTEMS = (
+    OracleSystem(E_J, (FockMode(OMEGA, COUPLING, 8),)),
+    OracleSystem(E_J, TWO_MODES),
+)
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(
+    st.lists(qubit_states, min_size=1, max_size=5),
+    st.floats(0.0, 2e-12),
+    st.sampled_from(PROPERTY_SYSTEMS),
+    st.sampled_from([Temperature.zero(), Temperature.finite(2e-11)]),
+)
+def test_reduced_map_matches_the_dense_reference(states, t, system, temp):
+    stack = np.array(states)
+    for split, evolve in ((True, split_evolve), (False, exact_evolve)):
+        got = evolve(system, stack, temp, t)
+        expect = reference_evolve(system, stack, temp, t, split)
+        np.testing.assert_allclose(got, expect, rtol=0.0, atol=1e-14)
+        check_qubit_state(got)
 
 
 @pytest.fixture

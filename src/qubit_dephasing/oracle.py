@@ -102,19 +102,23 @@ class OracleSystem:
     # A build that raises is not cached.
 
     @cached_property
+    def _bath_operators(self):
+        return bath_free_hamiltonian(self.modes), bath_coupling_operator(self.modes)
+
+    @cached_property
     def _full_spectrum(self):
-        return _frozen_spectrum(build_hamiltonian(self))
+        return _frozen_spectrum(_hamiltonian(self, *self._bath_operators))
 
     @cached_property
     def _qubit_spectrum(self):
         return _frozen_spectrum(system_hamiltonian(self))
 
     @cached_property
-    def _interaction_spectrum(self):
-        return _frozen_spectrum(
-            np.kron(_ID2, bath_free_hamiltonian(self.modes))
-            + np.kron(_SIGMA_Z, bath_coupling_operator(self.modes))
-        )
+    def _block_spectra(self):
+        # the split step's bath-plus-coupling generator commutes with sigma_z:
+        # its two diagonal blocks H_B + V and H_B - V are diagonalized apart
+        h_b, v = self._bath_operators
+        return _frozen_spectrum(h_b + v), _frozen_spectrum(h_b - v)
 
 
 def _frozen_spectrum(h: np.ndarray):
@@ -173,11 +177,17 @@ def build_hamiltonian(sys: OracleSystem) -> np.ndarray:
     Hermitian by construction; the coupling pairs ``conj(g) b`` with
     ``g b^dag`` entry for entry.
     """
+    return _hamiltonian(
+        sys, bath_free_hamiltonian(sys.modes), bath_coupling_operator(sys.modes)
+    )
+
+
+def _hamiltonian(sys: OracleSystem, h_b: np.ndarray, v: np.ndarray) -> np.ndarray:
     id_bath = np.eye(sys.bath_dim, dtype=complex)
     return (
         np.kron(system_hamiltonian(sys), id_bath)
-        + np.kron(_ID2, bath_free_hamiltonian(sys.modes))
-        + np.kron(_SIGMA_Z, bath_coupling_operator(sys.modes))
+        + np.kron(_ID2, h_b)
+        + np.kron(_SIGMA_Z, v)
     )
 
 
@@ -220,17 +230,22 @@ def thermal_bath_state(sys: OracleSystem, temp: Temperature) -> np.ndarray:
     At zero temperature this is the vacuum projector. At finite
     temperature every mode must pass :func:`check_thermal_tail`.
     """
-    theta = np.eye(1, dtype=complex)
+    return np.diag(_bath_weights(sys, temp)).astype(complex)
+
+
+def _bath_weights(sys: OracleSystem, temp: Temperature) -> np.ndarray:
+    # diagonal of thermal_bath_state: products of the per-mode Gibbs weights
+    weights = np.ones(1)
     for mode in sys.modes:
         if temp.beta is None:
-            gibbs = np.zeros((mode.levels, mode.levels), dtype=complex)
-            gibbs[0, 0] = 1.0
+            gibbs = np.zeros(mode.levels)
+            gibbs[0] = 1.0
         else:
             check_thermal_tail(temp.beta, mode.omega, mode.n_max)
-            weights = np.exp(-temp.beta * mode.omega * np.arange(mode.levels))
-            gibbs = np.diag(weights / weights.sum()).astype(complex)
-        theta = np.kron(theta, gibbs)
-    return theta
+            gibbs = np.exp(-temp.beta * mode.omega * np.arange(mode.levels))
+            gibbs = gibbs / gibbs.sum()
+        weights = np.outer(weights, gibbs).ravel()
+    return weights
 
 
 def trace_out_bath(joint: np.ndarray, bath_dim: int) -> np.ndarray:
@@ -259,35 +274,17 @@ def from_eigenbasis(rho: np.ndarray) -> np.ndarray:
     return _EIGENBASIS @ np.asarray(rho, dtype=complex) @ _EIGENBASIS.conj().T
 
 
-def _reduced_map(
-    sys: OracleSystem, temp: Temperature, u: np.ndarray, half: np.ndarray
-) -> np.ndarray:
-    """The qubit map ``rho -> tr_B[U (rho x theta) U^dag]`` as ``L[i, j, k, l]``.
+def _propagate(rho_qubit0, a: np.ndarray) -> np.ndarray:
+    """Apply the qubit map ``rho -> tr_B[U (rho x theta) U^dag]`` to a stack.
 
-    ``U = (half x 1) u (half x 1)``, and ``out[i, j] = sum L[i, j, k, l] rho[k, l]``.
-    ``theta`` is diagonal with weights ``p_c``, so
-    ``L[i,j,k,l] = sum_{b,c} p_c U[ib,kc] conj(U[jb,lc])`` needs only the
-    occupied bath columns ``c``: one at zero temperature, all ``B`` above.
+    ``a[(i, k), (b, c)] = sqrt(p_c) U[ib, kc]`` over the occupied bath
+    columns ``c`` (weights ``p_c`` of the diagonal ``theta``), so that
+    ``L[i,j,k,l] = sum_{b,c} p_c U[ib,kc] conj(U[jb,lc])`` is one product
+    and ``out[i, j] = sum L[i, j, k, l] rho[k, l]``.
     """
-    weights = np.diag(thermal_bath_state(sys, temp)).real
-    occupied = np.flatnonzero(weights)
-    b = sys.bath_dim
-    cols = u.reshape(2, b, 2, b)[..., occupied] * np.sqrt(weights[occupied])
-    # rows (i, k), columns (b, c); U[ib,kc] = sum half[i,p] u[pb,rc] half[r,k]
-    # acts on the row pair alone
-    a = np.kron(half, half.T) @ cols.transpose(0, 2, 1, 3).reshape(4, -1)
-    return (a @ a.conj().T).reshape(2, 2, 2, 2).transpose(0, 2, 1, 3)
-
-
-def _propagate(
-    sys: OracleSystem,
-    rho_qubit0,
-    temp: Temperature,
-    u: np.ndarray,
-    half: np.ndarray = _ID2,
-) -> np.ndarray:
     rho = check_qubit_state(rho_qubit0)
-    return np.einsum("ijkl,...kl->...ij", _reduced_map(sys, temp, u, half), rho)
+    reduced = (a @ a.conj().T).reshape(2, 2, 2, 2).transpose(0, 2, 1, 3)
+    return np.einsum("ijkl,...kl->...ij", reduced, rho)
 
 
 def exact_evolve(
@@ -295,15 +292,22 @@ def exact_evolve(
 ) -> np.ndarray:
     """Reduced qubit state after exact evolution of qubit plus bath.
 
-    Takes one qubit state or a stack ``(..., 2, 2)``; the propagator, the
-    thermal bath state and the reduced qubit map they give are built once
-    per call, the propagator from the Hamiltonian's spectrum that ``sys``
-    diagonalizes once.
+    Takes one qubit state or a stack ``(..., 2, 2)``. The bath weights,
+    the propagator columns of the occupied bath levels (one at zero
+    temperature, all ``B`` above, in both qubit halves) and the reduced
+    qubit map they give are built once per call, from the Hamiltonian's
+    spectrum that ``sys`` diagonalizes once.
     """
     if t < 0.0:
         raise ValueError("t must be nonnegative")
-    u = spectral_propagator(sys._full_spectrum, t)
-    return _propagate(sys, rho_qubit0, temp, u)
+    weights = _bath_weights(sys, temp)
+    occupied = np.flatnonzero(weights)
+    b, r = sys.bath_dim, occupied.size
+    u = spectral_propagator(
+        sys._full_spectrum, t, np.concatenate([occupied, b + occupied])
+    )
+    cols = u.reshape(2, b, 2, r) * np.sqrt(weights[occupied])
+    return _propagate(rho_qubit0, cols.transpose(0, 2, 1, 3).reshape(4, b * r))
 
 
 def split_evolve(
@@ -313,24 +317,34 @@ def split_evolve(
 
     The qubit half-steps sandwich one full step of the bath plus coupling,
     which carries a third-order local error in ``t`` relative to
-    :func:`exact_evolve`. Takes one qubit state or a stack ``(..., 2, 2)``,
+    :func:`exact_evolve`. That step is block diagonal in ``sigma_z``, so
+    ``U[ib, kc] = sum_p half[i, p] u_p[b, c] half[p, k]`` with the two
+    ``B x B`` block propagators ``u_p``, of which only the occupied bath
+    columns are built. Takes one qubit state or a stack ``(..., 2, 2)``,
     like :func:`exact_evolve`.
     """
     if t < 0.0:
         raise ValueError("t must be nonnegative")
     half = spectral_propagator(sys._qubit_spectrum, 0.5 * t)
-    u = spectral_propagator(sys._interaction_spectrum, t)
-    return _propagate(sys, rho_qubit0, temp, u, half)
+    weights = _bath_weights(sys, temp)
+    occupied = np.flatnonzero(weights)
+    scale = np.sqrt(weights[occupied])
+    blocks = np.stack(
+        [spectral_propagator(s, t, occupied) * scale for s in sys._block_spectra]
+    )
+    # coef[(i, k), p] = half[i, p] half[p, k]
+    coef = (half[:, None, :] * half.T[None, :, :]).reshape(4, 2)
+    return _propagate(rho_qubit0, coef @ blocks.reshape(2, -1))
 
 
 def _sample_pure_states(samples: int, seed: int) -> np.ndarray:
-    rng = np.random.default_rng(seed)
-    states = np.empty((samples, 2, 2), dtype=complex)
-    for k in range(samples):
-        vec = rng.normal(size=2) + 1j * rng.normal(size=2)
-        vec /= np.linalg.norm(vec)
-        states[k] = np.outer(vec, vec.conj())
-    return states
+    # one draw of the same numbers, in the same order, as a per-sample loop
+    # of normal(size=2) for the real and then the imaginary parts
+    draws = np.random.default_rng(seed).normal(size=(samples, 2, 2))
+    vecs = draws[:, 0] + 1j * draws[:, 1]
+    # np.linalg.norm per vector: its BLAS dot gives the loop's exact bits
+    vecs /= np.array([np.linalg.norm(vec) for vec in vecs])[:, None]
+    return vecs[:, :, None] * vecs[:, None, :].conj()
 
 
 def split_deviation(

@@ -125,12 +125,17 @@ def hermitian_spectrum(m):
         raise NoConvergence(str(exc)) from exc
 
 
-def spectral_propagator(spectrum, t: float) -> np.ndarray:
-    """Propagator ``exp(-i m t)`` from ``spectrum = hermitian_spectrum(m)``."""
+def spectral_propagator(spectrum, t: float, columns=None) -> np.ndarray:
+    """Propagator ``exp(-i m t)`` from ``spectrum = hermitian_spectrum(m)``.
+
+    With ``columns`` (indices), only those columns of the propagator are
+    built: ``O(n^2 r)`` work for ``r`` columns instead of ``O(n^3)``.
+    """
     if not math.isfinite(t):
         raise ValueError("t must be finite")
     w, v = spectrum
-    return (v * np.exp(-1j * w * t)) @ v.conj().T
+    rows = v if columns is None else v[columns]
+    return (v * np.exp(-1j * w * t)) @ rows.conj().T
 
 
 def matrix_exponential(m, t: float) -> np.ndarray:

@@ -28,7 +28,11 @@ from qubit_dephasing.oracle import (
     to_eigenbasis,
     trace_out_bath,
 )
-from qubit_dephasing.qmath import hermitian_eigenvalues, matrix_exponential
+from qubit_dephasing.qmath import (
+    hermitian_eigenvalues,
+    matrix_exponential,
+    spectral_propagator,
+)
 
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
@@ -168,6 +172,33 @@ def test_split_equals_exact_when_qubit_is_frozen():
             - exact_evolve(system, PLUS, Temperature.zero(), t)
         ).max()
         assert gap < 1e-12
+
+
+# At E_J = 0 the coupling commutes with the Hamiltonian: the split step is
+# exact and so is the channel, with no t^3 window. Split and exact go through
+# different eigh calls, so both gaps are rounding, not 0.0. Largest measured
+# over these cases, 10 log-spaced t in [1e-13, 1e-10] s and seeds 0-4 at 16
+# samples: split 8.9e-16, channel 1.4e-15; the bound leaves a margin of 7.
+# The cutoffs keep the Fock truncation below rounding at beta = 5e-11 s.
+SOLVABLE_LIMIT_ATOL = 1e-14
+
+
+@pytest.mark.parametrize(
+    "modes",
+    [
+        (FockMode(OMEGA, 3e10, 14),),
+        (FockMode(OMEGA, COUPLING, 9), FockMode(1.3 * OMEGA, 0.5 * COUPLING, 7)),
+    ],
+    ids=["one_mode", "two_modes"],
+)
+@pytest.mark.parametrize(
+    "temp", [Temperature.zero(), Temperature.finite(5e-11)], ids=["zero", "finite"]
+)
+def test_split_and_channel_are_exact_in_the_solvable_limit(modes, temp):
+    system = OracleSystem(0.0, modes)
+    for t in (1e-12, 1e-11, 1e-10):
+        assert split_deviation(system, temp, t, 8) < SOLVABLE_LIMIT_ATOL
+        assert channel_discrepancy(system, temp, t, 8) < SOLVABLE_LIMIT_ATOL
 
 
 def test_split_deviation_shrinks_eightfold_per_halving():
@@ -343,6 +374,12 @@ def test_stacked_measurements_equal_the_per_sample_loops(modes, temp):
         )
 
 
+@pytest.mark.parametrize("samples,seed", [(1, 0), (4, 11), (8, 7), (33, 3)])
+def test_sampled_states_equal_the_per_sample_loop(samples, seed):
+    got = oracle._sample_pure_states(samples, seed)
+    assert np.array_equal(got, np.array(list(sampled_pure_states(samples, seed))))
+
+
 # -- propagator and spectrum builds -------------------------------------------
 
 
@@ -391,6 +428,87 @@ def test_evolution_matches_the_dense_reference(modes, temp, split):
                 cold[t] = got
 
 
+def kron_thermal_state(system, temp):
+    # the per-mode construction: a dense Gibbs matrix per mode, joined by kron
+    theta = np.eye(1, dtype=complex)
+    for mode in system.modes:
+        if temp.beta is None:
+            gibbs = np.zeros((mode.levels, mode.levels), dtype=complex)
+            gibbs[0, 0] = 1.0
+        else:
+            weights = np.exp(-temp.beta * mode.omega * np.arange(mode.levels))
+            gibbs = np.diag(weights / weights.sum()).astype(complex)
+        theta = np.kron(theta, gibbs)
+    return theta
+
+
+@SYSTEMS
+@TEMPERATURES
+def test_thermal_state_equals_the_per_mode_kron_product(modes, temp):
+    system = OracleSystem(E_J, modes)
+    expect = kron_thermal_state(system, temp)
+    assert np.array_equal(thermal_bath_state(system, temp), expect)
+    assert np.array_equal(oracle._bath_weights(system, temp), np.diag(expect).real)
+
+
+def interaction_generator(modes):
+    # the split step's bath-plus-coupling generator on the full space
+    return np.kron(np.eye(2, dtype=complex), bath_free_hamiltonian(modes)) + np.kron(
+        SIGMA_Z, bath_coupling_operator(modes)
+    )
+
+
+@SYSTEMS
+def test_diagonalized_generators_are_the_hamiltonian_and_the_split_blocks(
+    monkeypatch, modes
+):
+    system = OracleSystem(E_J, modes)
+    b = system.bath_dim
+    generators = []
+    original = oracle.hermitian_spectrum
+
+    def recorded(m):
+        generators.append(m)
+        return original(m)
+
+    monkeypatch.setattr(oracle, "hermitian_spectrum", recorded)
+    exact_evolve(system, PLUS, Temperature.zero(), 1e-13)
+    split_evolve(system, PLUS, Temperature.zero(), 1e-13)
+    full, qubit, plus, minus = generators
+    assert np.array_equal(full, build_hamiltonian(system))
+    assert np.array_equal(qubit, system_hamiltonian(system))
+    interaction = interaction_generator(modes)
+    assert np.array_equal(plus, interaction[:b, :b])
+    assert np.array_equal(minus, interaction[b:, b:])
+    assert not interaction[:b, b:].any() and not interaction[b:, :b].any()
+
+
+@pytest.mark.parametrize(
+    "modes,block_atol",
+    [((FockMode(OMEGA, COUPLING, 8),), 1e-15), (TWO_MODES, 1e-14)],
+    ids=["one_mode", "two_modes"],
+)
+def test_column_and_block_propagators_match_the_dense_exponential(modes, block_atol):
+    # columns come from the same generator as the full propagator. The blocks
+    # come from other eigh calls than the 2B x 2B generator's, and each
+    # eigh-built propagator is unitary only to about 2e-15 (two modes: the
+    # largest block gap measured here is 2.6e-15, 5.6e-17 with one mode)
+    system = OracleSystem(E_J, modes)
+    b = system.bath_dim
+    for t in (0.0, 1e-13, 3e-13, 2e-12):
+        full = matrix_exponential(build_hamiltonian(system), t)
+        for columns in ([0, b], [2, 3, b + 2, b + 3], list(range(2 * b))):
+            got = spectral_propagator(system._full_spectrum, t, columns)
+            np.testing.assert_allclose(got, full[:, columns], rtol=0.0, atol=1e-15)
+        dense = matrix_exponential(interaction_generator(modes), t)
+        for k, spectrum in enumerate(system._block_spectra):
+            block = dense[k * b : (k + 1) * b, k * b : (k + 1) * b]
+            got = spectral_propagator(spectrum, t)
+            np.testing.assert_allclose(got, block, rtol=0.0, atol=block_atol)
+            columns = spectral_propagator(spectrum, t, [0, 3])
+            np.testing.assert_allclose(columns, got[:, [0, 3]], rtol=0.0, atol=1e-15)
+
+
 def bloch_matrix(r, theta, phi):
     # (1 + r n.sigma)/2: pure on the sphere, mixed inside it
     return 0.5 * np.array(
@@ -432,7 +550,12 @@ def test_reduced_map_matches_the_dense_reference(states, t, system, temp):
 
 @pytest.fixture
 def oracle_counts(monkeypatch):
-    counts = {"hermitian_spectrum": 0, "spectral_propagator": 0, "thermal_bath_state": 0}
+    counts = {
+        "hermitian_spectrum": 0,
+        "spectral_propagator": 0,
+        "_bath_weights": 0,
+        "thermal_bath_state": 0,
+    }
     for name in counts:
         original = getattr(oracle, name)
 
@@ -445,20 +568,23 @@ def oracle_counts(monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "measure,exponentials,thermal_states",
-    [(split_deviation, 3, 2), (channel_discrepancy, 2, 1)],
+    "measure,spectra,propagators,weights",
+    [(split_deviation, 4, 4, 2), (channel_discrepancy, 3, 3, 1)],
     ids=["split_deviation", "channel_discrepancy"],
 )
 @pytest.mark.parametrize("samples", [4, 8])
 def test_each_measurement_builds_its_propagators_once(
-    oracle_counts, measure, exponentials, thermal_states, samples
+    oracle_counts, measure, spectra, propagators, weights, samples
 ):
-    # on a fresh system every propagator needs its own spectrum as well
+    # a split step takes the qubit half-step and the two bath-block
+    # propagators, an exact step the full one; on a fresh system each needs
+    # its own spectrum as well. No evolve forms the dense bath state.
     measure(reference_system(4), Temperature.finite(5e-11), 2e-13, samples)
     assert oracle_counts == {
-        "hermitian_spectrum": exponentials,
-        "spectral_propagator": exponentials,
-        "thermal_bath_state": thermal_states,
+        "hermitian_spectrum": spectra,
+        "spectral_propagator": propagators,
+        "_bath_weights": weights,
+        "thermal_bath_state": 0,
     }
 
 
@@ -476,20 +602,21 @@ def halving_grid_pattern(system, samples):
 def test_each_system_diagonalizes_its_hamiltonians_once(oracle_counts, samples):
     system = reference_system(4)
     halving_grid_pattern(system, samples)
-    # spectra: full, qubit and interaction Hamiltonian; propagators: two for
-    # each of the 7 split steps and one for each of the 4 exact steps
+    # spectra: full, qubit and the two bath blocks H_B +- V; propagators:
+    # three for each of the 7 split steps and one for each of the 4 exact
     assert oracle_counts == {
-        "hermitian_spectrum": 3,
-        "spectral_propagator": 18,
-        "thermal_bath_state": 11,
+        "hermitian_spectrum": 4,
+        "spectral_propagator": 25,
+        "_bath_weights": 11,
+        "thermal_bath_state": 0,
     }
     halving_grid_pattern(system, samples)
-    assert oracle_counts["hermitian_spectrum"] == 3
+    assert oracle_counts["hermitian_spectrum"] == 4
     # an equal but new system keeps no spectra from the first: no global cache
     twin = reference_system(4)
     assert twin == system
     halving_grid_pattern(twin, samples)
-    assert oracle_counts["hermitian_spectrum"] == 6
+    assert oracle_counts["hermitian_spectrum"] == 8
 
 
 def test_kept_spectra_are_read_only():
@@ -499,11 +626,34 @@ def test_kept_spectra_are_read_only():
     for spectrum in (
         system._full_spectrum,
         system._qubit_spectrum,
-        system._interaction_spectrum,
+        *system._block_spectra,
     ):
         for part in spectrum:
             with pytest.raises(ValueError):
                 part[0] = 0.0
+
+
+@SYSTEMS
+@TEMPERATURES
+def test_evolves_build_only_the_occupied_propagator_columns(monkeypatch, modes, temp):
+    # zero temperature occupies the bath vacuum alone, finite all B levels
+    system = OracleSystem(E_J, modes)
+    b = system.bath_dim
+    r = 1 if temp.beta is None else b
+    shapes = []
+    original = oracle.spectral_propagator
+
+    def recorded(*args):
+        u = original(*args)
+        shapes.append(u.shape)
+        return u
+
+    monkeypatch.setattr(oracle, "spectral_propagator", recorded)
+    exact_evolve(system, PLUS, temp, 1e-13)
+    assert shapes == [(2 * b, 2 * r)]
+    shapes.clear()
+    split_evolve(system, PLUS, temp, 1e-13)
+    assert shapes == [(2, 2), (b, r), (b, r)]
 
 
 EVOLVES = pytest.mark.parametrize("evolve", [split_evolve, exact_evolve])

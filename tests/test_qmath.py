@@ -109,6 +109,18 @@ def test_matrix_exponential_is_the_spectral_propagator_bit_for_bit():
         assert np.array_equal(matrix_exponential(h, t), spectral_propagator(spectrum, t))
 
 
+def test_column_propagator_matches_the_full_propagator_columns():
+    rng = np.random.default_rng(6)
+    a = rng.normal(size=(9, 9)) + 1j * rng.normal(size=(9, 9))
+    spectrum = hermitian_spectrum(a + a.conj().T)
+    for t in (0.0, 0.3, -1.7, 25.0):
+        full = matrix_exponential(a + a.conj().T, t)
+        for columns in ([0], [4, 1, 8], list(range(9))):
+            got = spectral_propagator(spectrum, t, columns)
+            assert got.shape == (9, len(columns))
+            np.testing.assert_allclose(got, full[:, columns], rtol=0.0, atol=1e-15)
+
+
 def test_non_hermitian_generator_has_no_spectrum_and_goes_through_expm(monkeypatch):
     import scipy.linalg
 
@@ -147,6 +159,8 @@ def test_hermitian_spectrum_checks_its_generator(m, error):
 def test_spectral_propagator_rejects_non_finite_times(t):
     with pytest.raises(ValueError, match="t must be finite"):
         spectral_propagator(hermitian_spectrum(SIGMA_X), t)
+    with pytest.raises(ValueError, match="t must be finite"):
+        spectral_propagator(hermitian_spectrum(SIGMA_X), t, [1])
     with pytest.raises(ValueError, match="t must be finite"):
         matrix_exponential(SIGMA_X, t)
 

@@ -99,10 +99,13 @@ def g_discrete(bath: DiscreteBath, temp: Temperature, t: float) -> float:
 
     G(t) = 2 sum_k |g_k|^2 / omega_k^2 * sin^2(omega_k t / 2) * coth(beta omega_k / 2),
     with the coth factor equal to one at zero temperature. Nonnegative for
-    all inputs because every summand is.
+    all inputs because every summand is. Raises ``ToleranceNotMet`` naming
+    ``t`` when a phase ``omega_k t / 2`` is not finite.
     """
     _check_time(t)
     w = np.array([m[0] for m in bath.modes])
+    if not math.isfinite(0.5 * float(w.max()) * t):
+        raise ToleranceNotMet(f"at t = {t:.6e} s: phase omega_k t / 2 is not finite")
     g2 = np.array([abs(m[1]) ** 2 for m in bath.modes])
     terms = g2 / w**2 * np.sin(0.5 * w * t) ** 2
     if temp.beta is not None:

@@ -24,7 +24,13 @@ import numpy as np
 from .bath import OhmicBath, Temperature, default_quadrature, g_ohmic, suppression_factor
 from .channel import QubitParams, evolve_pair, max_decoherence_analytic
 from .entanglement import concurrence, initial_state
-from .errors import ConfigError, DephasingError, IoError, ToleranceNotMet
+from .errors import (
+    ConfigError,
+    DephasingError,
+    DimensionTooLarge,
+    IoError,
+    ToleranceNotMet,
+)
 from .oracle import (
     FockMode,
     OracleSystem,
@@ -136,6 +142,10 @@ class OracleCheckConfig:
             raise ConfigError("oracle_omega must be positive")
         if self.n_max < 1:
             raise ConfigError("oracle_n_max must be at least 1")
+        try:
+            OracleSystem(self.e_j, (FockMode(self.omega, self.g, self.n_max),))
+        except DimensionTooLarge as exc:
+            raise ConfigError(f"oracle_n_max = {self.n_max}: {exc}") from None
         if self.beta is not None and not self.beta > 0.0:
             raise ConfigError("oracle_beta must be positive when given")
         if not self.t_base > 0.0:

@@ -1,8 +1,8 @@
 """Brute-force reference dynamics of one qubit in a small bosonic bath.
 
-Everything here works in the full qubit-times-bath Hilbert space with
-truncated Fock ladders and stays deliberately independent of the analytic
-channel it validates. Reduced qubit states enter and leave in the
+Everything here works on truncated Fock ladders, the exact step in the full
+qubit-times-bath Hilbert space and the split step mode by mode, and stays
+deliberately independent of the analytic channel it validates. Reduced qubit states enter and leave in the
 computational (sigma_z) basis; :func:`to_eigenbasis` converts to the
 energy eigenbasis used by the channel module, with the higher-energy
 eigenstate ``(|0> - |1>)/sqrt(2)`` first.
@@ -88,10 +88,7 @@ class OracleSystem:
 
     @property
     def bath_dim(self) -> int:
-        dim = 1
-        for mode in self.modes:
-            dim *= mode.levels
-        return dim
+        return math.prod(mode.levels for mode in self.modes)
 
     @property
     def total_dim(self) -> int:
@@ -102,23 +99,22 @@ class OracleSystem:
     # A build that raises is not cached.
 
     @cached_property
-    def _bath_operators(self):
-        return bath_free_hamiltonian(self.modes), bath_coupling_operator(self.modes)
-
-    @cached_property
     def _full_spectrum(self):
-        return _frozen_spectrum(_hamiltonian(self, *self._bath_operators))
+        return _frozen_spectrum(build_hamiltonian(self))
 
     @cached_property
     def _qubit_spectrum(self):
         return _frozen_spectrum(system_hamiltonian(self))
 
     @cached_property
-    def _block_spectra(self):
-        # the split step's bath-plus-coupling generator commutes with sigma_z:
-        # its two diagonal blocks H_B + V and H_B - V are diagonalized apart
-        h_b, v = self._bath_operators
-        return _frozen_spectrum(h_b + v), _frozen_spectrum(h_b - v)
+    def _mode_spectra(self):
+        # on sigma_z = +-1 the split step's bath-plus-coupling generator is
+        # the sum over modes of h_k +- v_k; each term is diagonalized apart
+        spectra = []
+        for mode in self.modes:
+            h, v = bath_free_hamiltonian((mode,)), bath_coupling_operator((mode,))
+            spectra.append((_frozen_spectrum(h + v), _frozen_spectrum(h - v)))
+        return tuple(spectra)
 
 
 def _frozen_spectrum(h: np.ndarray):
@@ -144,9 +140,7 @@ def _lift(modes: tuple[FockMode, ...], index: int, op: np.ndarray) -> np.ndarray
 
 def bath_free_hamiltonian(modes: tuple[FockMode, ...]) -> np.ndarray:
     """Sum of ``omega_k b_k^dag b_k`` over the bath space."""
-    dim = 1
-    for mode in modes:
-        dim *= mode.levels
+    dim = math.prod(mode.levels for mode in modes)
     h = np.zeros((dim, dim), dtype=complex)
     for k, mode in enumerate(modes):
         b = lowering_operator(mode.levels)
@@ -156,9 +150,7 @@ def bath_free_hamiltonian(modes: tuple[FockMode, ...]) -> np.ndarray:
 
 def bath_coupling_operator(modes: tuple[FockMode, ...]) -> np.ndarray:
     """Sum of ``conj(g_k) b_k + g_k b_k^dag`` over the bath space."""
-    dim = 1
-    for mode in modes:
-        dim *= mode.levels
+    dim = math.prod(mode.levels for mode in modes)
     op = np.zeros((dim, dim), dtype=complex)
     for k, mode in enumerate(modes):
         b = lowering_operator(mode.levels)
@@ -177,17 +169,11 @@ def build_hamiltonian(sys: OracleSystem) -> np.ndarray:
     Hermitian by construction; the coupling pairs ``conj(g) b`` with
     ``g b^dag`` entry for entry.
     """
-    return _hamiltonian(
-        sys, bath_free_hamiltonian(sys.modes), bath_coupling_operator(sys.modes)
-    )
-
-
-def _hamiltonian(sys: OracleSystem, h_b: np.ndarray, v: np.ndarray) -> np.ndarray:
     id_bath = np.eye(sys.bath_dim, dtype=complex)
     return (
         np.kron(system_hamiltonian(sys), id_bath)
-        + np.kron(_ID2, h_b)
-        + np.kron(_SIGMA_Z, v)
+        + np.kron(_ID2, bath_free_hamiltonian(sys.modes))
+        + np.kron(_SIGMA_Z, bath_coupling_operator(sys.modes))
     )
 
 
@@ -233,18 +219,22 @@ def thermal_bath_state(sys: OracleSystem, temp: Temperature) -> np.ndarray:
     return np.diag(_bath_weights(sys, temp)).astype(complex)
 
 
+def _mode_weights(mode: FockMode, temp: Temperature) -> np.ndarray:
+    # one mode's truncated Gibbs weights; the vacuum alone at zero temperature
+    if temp.beta is None:
+        gibbs = np.zeros(mode.levels)
+        gibbs[0] = 1.0
+        return gibbs
+    check_thermal_tail(temp.beta, mode.omega, mode.n_max)
+    gibbs = np.exp(-temp.beta * mode.omega * np.arange(mode.levels))
+    return gibbs / gibbs.sum()
+
+
 def _bath_weights(sys: OracleSystem, temp: Temperature) -> np.ndarray:
     # diagonal of thermal_bath_state: products of the per-mode Gibbs weights
     weights = np.ones(1)
     for mode in sys.modes:
-        if temp.beta is None:
-            gibbs = np.zeros(mode.levels)
-            gibbs[0] = 1.0
-        else:
-            check_thermal_tail(temp.beta, mode.omega, mode.n_max)
-            gibbs = np.exp(-temp.beta * mode.omega * np.arange(mode.levels))
-            gibbs = gibbs / gibbs.sum()
-        weights = np.outer(weights, gibbs).ravel()
+        weights = np.outer(weights, _mode_weights(mode, temp)).ravel()
     return weights
 
 
@@ -274,29 +264,16 @@ def from_eigenbasis(rho: np.ndarray) -> np.ndarray:
     return _EIGENBASIS @ np.asarray(rho, dtype=complex) @ _EIGENBASIS.conj().T
 
 
-def _propagate(rho_qubit0, a: np.ndarray) -> np.ndarray:
-    """Apply the qubit map ``rho -> tr_B[U (rho x theta) U^dag]`` to a stack.
-
-    ``a[(i, k), (b, c)] = sqrt(p_c) U[ib, kc]`` over the occupied bath
-    columns ``c`` (weights ``p_c`` of the diagonal ``theta``), so that
-    ``L[i,j,k,l] = sum_{b,c} p_c U[ib,kc] conj(U[jb,lc])`` is one product
-    and ``out[i, j] = sum L[i, j, k, l] rho[k, l]``.
-    """
-    rho = check_qubit_state(rho_qubit0)
-    reduced = (a @ a.conj().T).reshape(2, 2, 2, 2).transpose(0, 2, 1, 3)
-    return np.einsum("ijkl,...kl->...ij", reduced, rho)
-
-
 def exact_evolve(
     sys: OracleSystem, rho_qubit0, temp: Temperature, t: float
 ) -> np.ndarray:
     """Reduced qubit state after exact evolution of qubit plus bath.
 
-    Takes one qubit state or a stack ``(..., 2, 2)``. The bath weights,
-    the propagator columns of the occupied bath levels (one at zero
-    temperature, all ``B`` above, in both qubit halves) and the reduced
-    qubit map they give are built once per call, from the Hamiltonian's
-    spectrum that ``sys`` diagonalizes once.
+    Takes one qubit state or a stack ``(..., 2, 2)``. The bath weights
+    ``p_c``, the propagator columns of the occupied bath levels (one at zero
+    temperature, all ``B`` above, in both qubit halves) and the reduced map
+    ``L[i,j,k,l] = sum_{b,c} p_c U[ib,kc] conj(U[jb,lc])`` are built once
+    per call, from the Hamiltonian's spectrum that ``sys`` diagonalizes once.
     """
     if t < 0.0:
         raise ValueError("t must be nonnegative")
@@ -307,7 +284,10 @@ def exact_evolve(
         sys._full_spectrum, t, np.concatenate([occupied, b + occupied])
     )
     cols = u.reshape(2, b, 2, r) * np.sqrt(weights[occupied])
-    return _propagate(rho_qubit0, cols.transpose(0, 2, 1, 3).reshape(4, b * r))
+    a = cols.transpose(0, 2, 1, 3).reshape(4, b * r)
+    rho = check_qubit_state(rho_qubit0)
+    reduced = (a @ a.conj().T).reshape(2, 2, 2, 2).transpose(0, 2, 1, 3)
+    return np.einsum("ijkl,...kl->...ij", reduced, rho)
 
 
 def split_evolve(
@@ -317,24 +297,26 @@ def split_evolve(
 
     The qubit half-steps sandwich one full step of the bath plus coupling,
     which carries a third-order local error in ``t`` relative to
-    :func:`exact_evolve`. That step is block diagonal in ``sigma_z``, so
-    ``U[ib, kc] = sum_p half[i, p] u_p[b, c] half[p, k]`` with the two
-    ``B x B`` block propagators ``u_p``, of which only the occupied bath
-    columns are built. Takes one qubit state or a stack ``(..., 2, 2)``,
-    like :func:`exact_evolve`.
+    :func:`exact_evolve`. On ``sigma_z = +-1`` that step and the bath state
+    are products over modes, so the result is ``half (half rho half^dag *
+    F) half^dag`` with the coherence factor ``F[p, q] = prod_k tr(u_{p,k}
+    theta_k u_{q,k}^dag)`` of the one-mode propagators ``u_{p,k}`` of
+    ``h_k +- v_k``, built on the occupied levels only. Takes one qubit
+    state or a stack ``(..., 2, 2)``, like :func:`exact_evolve`.
     """
     if t < 0.0:
         raise ValueError("t must be nonnegative")
+    rho = check_qubit_state(rho_qubit0)
+    coherence = np.ones((2, 2), dtype=complex)
+    for mode, spectra in zip(sys.modes, sys._mode_spectra):
+        weights = _mode_weights(mode, temp)
+        occupied = np.flatnonzero(weights)
+        u = np.stack([spectral_propagator(s, t, occupied) for s in spectra])
+        a = (u * np.sqrt(weights[occupied])).reshape(2, -1)
+        coherence *= a @ a.conj().T
     half = spectral_propagator(sys._qubit_spectrum, 0.5 * t)
-    weights = _bath_weights(sys, temp)
-    occupied = np.flatnonzero(weights)
-    scale = np.sqrt(weights[occupied])
-    blocks = np.stack(
-        [spectral_propagator(s, t, occupied) * scale for s in sys._block_spectra]
-    )
-    # coef[(i, k), p] = half[i, p] half[p, k]
-    coef = (half[:, None, :] * half.T[None, :, :]).reshape(4, 2)
-    return _propagate(rho_qubit0, coef @ blocks.reshape(2, -1))
+    half_dag = half.conj().T
+    return half @ ((half @ rho @ half_dag) * coherence) @ half_dag
 
 
 def _sample_pure_states(samples: int, seed: int) -> np.ndarray:

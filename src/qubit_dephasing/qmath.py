@@ -130,10 +130,13 @@ def spectral_propagator(spectrum, t: float, columns=None) -> np.ndarray:
 
     With ``columns`` (indices), only those columns of the propagator are
     built: ``O(n^2 r)`` work for ``r`` columns instead of ``O(n^3)``.
+    Raises ``ToleranceNotMet`` naming ``t`` when a phase ``w t`` is not finite.
     """
     if not math.isfinite(t):
         raise ValueError("t must be finite")
     w, v = spectrum
+    if w.size and not math.isfinite(float(np.abs(w).max()) * t):
+        raise ToleranceNotMet(f"at t = {t:.6e} s: phase w t is not finite")
     rows = v if columns is None else v[columns]
     return (v * np.exp(-1j * w * t)) @ rows.conj().T
 

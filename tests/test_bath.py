@@ -210,3 +210,14 @@ def test_ohmic_phase_overflow_names_its_time_point(temp):
         ToleranceNotMet, match=r"^at t = 1\.000000e\+296 s: integrand phase .* not finite$"
     ):
         g_ohmic(OhmicBath(1e-5, 1e12), temp, 1e296, default_quadrature())
+
+
+@TEMPERATURES
+def test_discrete_phase_overflow_names_its_time_point(temp):
+    # omega t / 2 = 5e310 for the faster mode is beyond float range
+    bath = DiscreteBath(((1e10, 1e9), (1e11, 1e9)))
+    with pytest.raises(
+        ToleranceNotMet, match=r"^at t = 1\.000000e\+300 s: phase omega_k t / 2 is not finite$"
+    ):
+        g_discrete(bath, temp, 1e300)
+    assert math.isfinite(g_discrete(bath, temp, 1e297))

@@ -529,6 +529,7 @@ def test_main_exit_two_on_rejected_flags_and_values(tmp_path, argv):
         "oracle_beta = inf",
         "oracle_beta = 1e-11",  # thermal tail beyond n_max = 8 is 1.2e-4
         "oracle_seed = -1",
+        "oracle_n_max = 600",  # total dimension 1202 exceeds the 1024 cap
     ],
 )
 def test_oracle_check_exit_two_on_unusable_config_values(tmp_path, capsys, line):
@@ -536,6 +537,17 @@ def test_oracle_check_exit_two_on_unusable_config_values(tmp_path, capsys, line)
     conf.write_text(line + "\n", encoding="utf-8")
     assert main(["oracle-check", "--config", str(conf), "--out", str(tmp_path / "x")]) == 2
     assert capsys.readouterr().err.startswith("config error: ")
+
+
+@pytest.mark.parametrize("beta", [None, "5e-11"], ids=["zero", "finite"])
+def test_oracle_check_exits_three_when_a_phase_overflows(tmp_path, capsys, beta):
+    # oracle_t = 1e300 is finite, but omega t is beyond float range
+    conf = tmp_path / "oracle.conf"
+    conf.write_text("oracle_t = 1e300\n" + (f"oracle_beta = {beta}\n" if beta else ""))
+    assert main(["oracle-check", "--config", str(conf), "--out", str(tmp_path / "x")]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "numerical failure: at t = 1.000000e+300 s: phase w t is not finite\n"
 
 
 @pytest.mark.parametrize("argv", [["gfactor"], ["evolve"], ["fig1", "--alpha", "2"]], ids=" ".join)

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from qubit_dephasing import oracle
 from qubit_dephasing.bath import DiscreteBath, Temperature, g_discrete
 from qubit_dephasing.channel import QubitParams, check_qubit_state, evolve_single
-from qubit_dephasing.errors import DimensionTooLarge, InvalidState
+from qubit_dephasing.errors import DimensionTooLarge, InvalidState, ToleranceNotMet
 from qubit_dephasing.oracle import (
     FockMode,
     OracleSystem,
@@ -279,8 +279,18 @@ def test_bath_operators_without_modes_are_scalars():
 # -- stacked propagation -------------------------------------------------------
 
 TWO_MODES = (FockMode(OMEGA, COUPLING, 7), FockMode(1.3 * OMEGA, 0.5 * COUPLING, 5))
+# levels 6, 5 and 6 (B = 180), fast enough for these cutoffs at beta = 2e-11 s;
+# with no mode and with three, the split step's product over modes is empty
+# and runs past two factors
+THREE_MODES = (
+    FockMode(2.0 * OMEGA, COUPLING, 5),
+    FockMode(2.6 * OMEGA, 0.5 * COUPLING, 4),
+    FockMode(1.4 * OMEGA, 0.8 * COUPLING, 5),
+)
 SYSTEMS = pytest.mark.parametrize(
-    "modes", [(FockMode(OMEGA, COUPLING, 8),), TWO_MODES], ids=["one_mode", "two_modes"]
+    "modes",
+    [(FockMode(OMEGA, COUPLING, 8),), TWO_MODES, (), THREE_MODES],
+    ids=["one_mode", "two_modes", "no_modes", "three_modes"],
 )
 TEMPERATURES = pytest.mark.parametrize(
     "temp", [Temperature.zero(), Temperature.finite(2e-11)], ids=["zero", "finite"]
@@ -350,8 +360,10 @@ def reference_split_deviation(system, temp, t, samples, seed=7):
 
 
 def reference_channel_discrepancy(system, temp, t, samples, seed=7):
-    bath = DiscreteBath(tuple((m.omega, m.g) for m in system.modes))
-    g_value = g_discrete(bath, temp, t)
+    g_value = 0.0  # a bath with no modes does not decohere
+    if system.modes:
+        bath = DiscreteBath(tuple((m.omega, m.g) for m in system.modes))
+        g_value = g_discrete(bath, temp, t)
     params = QubitParams(e_j=system.e_j)
     worst = 0.0
     for rho0 in sampled_pure_states(samples, seed):
@@ -458,10 +470,20 @@ def interaction_generator(modes):
     )
 
 
+def lift(modes, index, op):
+    # one mode's operator on the bath space, identities on the other modes
+    out = np.eye(1, dtype=complex)
+    for k, mode in enumerate(modes):
+        out = np.kron(out, op if k == index else np.eye(mode.levels, dtype=complex))
+    return out
+
+
 @SYSTEMS
 def test_diagonalized_generators_are_the_hamiltonian_and_the_split_blocks(
     monkeypatch, modes
 ):
+    # the split blocks H_B +- V are sums of one-mode terms h_k +- v_k, and
+    # only those (n_max + 1)-level terms are diagonalized for the split step
     system = OracleSystem(E_J, modes)
     b = system.bath_dim
     generators = []
@@ -474,12 +496,21 @@ def test_diagonalized_generators_are_the_hamiltonian_and_the_split_blocks(
     monkeypatch.setattr(oracle, "hermitian_spectrum", recorded)
     exact_evolve(system, PLUS, Temperature.zero(), 1e-13)
     split_evolve(system, PLUS, Temperature.zero(), 1e-13)
-    full, qubit, plus, minus = generators
+    full, *per_mode, qubit = generators
     assert np.array_equal(full, build_hamiltonian(system))
     assert np.array_equal(qubit, system_hamiltonian(system))
+    assert len(per_mode) == 2 * len(modes)
     interaction = interaction_generator(modes)
-    assert np.array_equal(plus, interaction[:b, :b])
-    assert np.array_equal(minus, interaction[b:, b:])
+    blocks = [np.zeros((b, b), dtype=complex) for _ in range(2)]
+    for k, mode in enumerate(modes):
+        h = bath_free_hamiltonian((mode,))
+        v = bath_coupling_operator((mode,))
+        plus, minus = per_mode[2 * k : 2 * k + 2]
+        assert np.array_equal(plus, h + v) and np.array_equal(minus, h - v)
+        blocks[0] += lift(modes, k, plus)
+        blocks[1] += lift(modes, k, minus)
+    assert np.array_equal(blocks[0], interaction[:b, :b])
+    assert np.array_equal(blocks[1], interaction[b:, b:])
     assert not interaction[:b, b:].any() and not interaction[b:, :b].any()
 
 
@@ -489,10 +520,11 @@ def test_diagonalized_generators_are_the_hamiltonian_and_the_split_blocks(
     ids=["one_mode", "two_modes"],
 )
 def test_column_and_block_propagators_match_the_dense_exponential(modes, block_atol):
-    # columns come from the same generator as the full propagator. The blocks
-    # come from other eigh calls than the 2B x 2B generator's, and each
-    # eigh-built propagator is unitary only to about 2e-15 (two modes: the
-    # largest block gap measured here is 2.6e-15, 5.6e-17 with one mode)
+    # columns come from the same generator as the full propagator. The kron
+    # of the one-mode propagators comes from other eigh calls than the
+    # 2B x 2B generator's, and each eigh-built propagator is unitary only to
+    # about 2e-15 (two modes: the largest block gap measured here is 2.4e-15,
+    # 4.2e-17 with one mode)
     system = OracleSystem(E_J, modes)
     b = system.bath_dim
     for t in (0.0, 1e-13, 3e-13, 2e-12):
@@ -501,12 +533,15 @@ def test_column_and_block_propagators_match_the_dense_exponential(modes, block_a
             got = spectral_propagator(system._full_spectrum, t, columns)
             np.testing.assert_allclose(got, full[:, columns], rtol=0.0, atol=1e-15)
         dense = matrix_exponential(interaction_generator(modes), t)
-        for k, spectrum in enumerate(system._block_spectra):
-            block = dense[k * b : (k + 1) * b, k * b : (k + 1) * b]
-            got = spectral_propagator(spectrum, t)
-            np.testing.assert_allclose(got, block, rtol=0.0, atol=block_atol)
-            columns = spectral_propagator(spectrum, t, [0, 3])
-            np.testing.assert_allclose(columns, got[:, [0, 3]], rtol=0.0, atol=1e-15)
+        for p in range(2):
+            block = np.eye(1, dtype=complex)
+            for spectra in system._mode_spectra:
+                u = spectral_propagator(spectra[p], t)
+                columns = spectral_propagator(spectra[p], t, [0, 3])
+                np.testing.assert_allclose(columns, u[:, [0, 3]], rtol=0.0, atol=1e-15)
+                block = np.kron(block, u)
+            expect = dense[p * b : (p + 1) * b, p * b : (p + 1) * b]
+            np.testing.assert_allclose(block, expect, rtol=0.0, atol=block_atol)
 
 
 def bloch_matrix(r, theta, phi):
@@ -554,6 +589,7 @@ def oracle_counts(monkeypatch):
         "hermitian_spectrum": 0,
         "spectral_propagator": 0,
         "_bath_weights": 0,
+        "_mode_weights": 0,
         "thermal_bath_state": 0,
     }
     for name in counts:
@@ -569,21 +605,24 @@ def oracle_counts(monkeypatch):
 
 @pytest.mark.parametrize(
     "measure,spectra,propagators,weights",
-    [(split_deviation, 4, 4, 2), (channel_discrepancy, 3, 3, 1)],
+    [(split_deviation, 4, 4, 1), (channel_discrepancy, 3, 3, 0)],
     ids=["split_deviation", "channel_discrepancy"],
 )
 @pytest.mark.parametrize("samples", [4, 8])
 def test_each_measurement_builds_its_propagators_once(
     oracle_counts, measure, spectra, propagators, weights, samples
 ):
-    # a split step takes the qubit half-step and the two bath-block
+    # a split step takes the qubit half-step and the mode's two one-mode
     # propagators, an exact step the full one; on a fresh system each needs
-    # its own spectrum as well. No evolve forms the dense bath state.
+    # its own spectrum as well. Every evolve reads each mode's Gibbs weights
+    # once; only the exact step joins them into the bath weights, and no
+    # evolve forms the dense bath state.
     measure(reference_system(4), Temperature.finite(5e-11), 2e-13, samples)
     assert oracle_counts == {
         "hermitian_spectrum": spectra,
         "spectral_propagator": propagators,
         "_bath_weights": weights,
+        "_mode_weights": weights + 1,
         "thermal_bath_state": 0,
     }
 
@@ -602,12 +641,14 @@ def halving_grid_pattern(system, samples):
 def test_each_system_diagonalizes_its_hamiltonians_once(oracle_counts, samples):
     system = reference_system(4)
     halving_grid_pattern(system, samples)
-    # spectra: full, qubit and the two bath blocks H_B +- V; propagators:
-    # three for each of the 7 split steps and one for each of the 4 exact
+    # spectra: full, qubit and the mode's two one-mode generators h +- v;
+    # propagators: three for each of the 7 split steps and one for each of
+    # the 4 exact; Gibbs weights: once per step
     assert oracle_counts == {
         "hermitian_spectrum": 4,
         "spectral_propagator": 25,
-        "_bath_weights": 11,
+        "_bath_weights": 4,
+        "_mode_weights": 11,
         "thermal_bath_state": 0,
     }
     halving_grid_pattern(system, samples)
@@ -619,15 +660,27 @@ def test_each_system_diagonalizes_its_hamiltonians_once(oracle_counts, samples):
     assert oracle_counts["hermitian_spectrum"] == 8
 
 
+@pytest.mark.parametrize(
+    "modes", [(), TWO_MODES, THREE_MODES], ids=["no_modes", "two_modes", "three_modes"]
+)
+def test_each_system_diagonalizes_full_qubit_and_two_per_mode(oracle_counts, modes):
+    system = OracleSystem(E_J, modes)
+    for _ in range(2):
+        halving_grid_pattern(system, 4)
+        assert oracle_counts["hermitian_spectrum"] == 2 + 2 * len(modes)
+    # 7 split steps of 1 + 2 per mode propagators, 4 exact steps of one
+    assert oracle_counts["spectral_propagator"] == 2 * (7 * (1 + 2 * len(modes)) + 4)
+
+
 def test_kept_spectra_are_read_only():
-    system = reference_system(4)
+    system = OracleSystem(E_J, TWO_MODES)
     exact_evolve(system, PLUS, Temperature.zero(), 1e-13)
     split_evolve(system, PLUS, Temperature.zero(), 1e-13)
-    for spectrum in (
-        system._full_spectrum,
-        system._qubit_spectrum,
-        *system._block_spectra,
-    ):
+    spectra = [system._full_spectrum, system._qubit_spectrum]
+    for pair in system._mode_spectra:
+        spectra.extend(pair)
+    assert len(spectra) == 6
+    for spectrum in spectra:
         for part in spectrum:
             with pytest.raises(ValueError):
                 part[0] = 0.0
@@ -636,7 +689,8 @@ def test_kept_spectra_are_read_only():
 @SYSTEMS
 @TEMPERATURES
 def test_evolves_build_only_the_occupied_propagator_columns(monkeypatch, modes, temp):
-    # zero temperature occupies the bath vacuum alone, finite all B levels
+    # zero temperature occupies the bath vacuum alone, finite all levels; the
+    # split step builds nothing larger than one mode's levels
     system = OracleSystem(E_J, modes)
     b = system.bath_dim
     r = 1 if temp.beta is None else b
@@ -653,10 +707,24 @@ def test_evolves_build_only_the_occupied_propagator_columns(monkeypatch, modes, 
     assert shapes == [(2 * b, 2 * r)]
     shapes.clear()
     split_evolve(system, PLUS, temp, 1e-13)
-    assert shapes == [(2, 2), (b, r), (b, r)]
+    per_mode = []
+    for mode in modes:
+        r_k = 1 if temp.beta is None else mode.levels
+        per_mode += [(mode.levels, r_k)] * 2
+    assert shapes == per_mode + [(2, 2)]
 
 
 EVOLVES = pytest.mark.parametrize("evolve", [split_evolve, exact_evolve])
+
+
+@EVOLVES
+@TEMPERATURES
+def test_evolution_names_t_when_a_phase_overflows(evolve, temp):
+    # t = 1e300 is finite, but omega t is beyond float range
+    with pytest.raises(
+        ToleranceNotMet, match=r"^at t = 1\.000000e\+300 s: phase w t is not finite$"
+    ):
+        evolve(reference_system(), PLUS, temp, 1e300)
 
 
 @EVOLVES

@@ -165,6 +165,19 @@ def test_spectral_propagator_rejects_non_finite_times(t):
         matrix_exponential(SIGMA_X, t)
 
 
+def test_spectral_propagator_names_t_when_a_phase_overflows():
+    # finite t, but w t = 2e308 is beyond float range
+    spectrum = hermitian_spectrum(2.0 * SIGMA_X)
+    message = r"^at t = 1\.000000e\+308 s: phase w t is not finite$"
+    with pytest.raises(ToleranceNotMet, match=message):
+        spectral_propagator(spectrum, 1e308)
+    with pytest.raises(ToleranceNotMet, match=message):
+        spectral_propagator(spectrum, 1e308, [1])
+    with pytest.raises(ToleranceNotMet, match=message):
+        matrix_exponential(2.0 * SIGMA_X, 1e308)
+    assert np.isfinite(spectral_propagator(spectrum, 5e307)).all()
+
+
 def test_quadrature_spec_validation():
     with pytest.raises(ValueError):
         QuadratureSpec(1.0, 0.0, 1e-8, 1e-12, 50)

@@ -99,17 +99,26 @@ def g_discrete(bath: DiscreteBath, temp: Temperature, t: float) -> float:
 
     G(t) = 2 sum_k |g_k|^2 / omega_k^2 * sin^2(omega_k t / 2) * coth(beta omega_k / 2),
     with the coth factor equal to one at zero temperature. Nonnegative for
-    all inputs because every summand is. Raises ``ToleranceNotMet`` naming
-    ``t`` when a phase ``omega_k t / 2`` is not finite.
+    all inputs because every summand is. Each summand is evaluated as
+    ``(|g_k| t/2 sin(x)/x)^2`` with ``x = omega_k t / 2``, so a mode too
+    slow for ``omega_k^2`` to stay in float range gives its limit
+    ``|g_k|^2 t^2 / 4``. Raises ``ToleranceNotMet`` naming ``t`` when a
+    phase ``omega_k t / 2`` is not finite.
     """
     _check_time(t)
     w = np.array([m[0] for m in bath.modes])
     if not math.isfinite(0.5 * float(w.max()) * t):
         raise ToleranceNotMet(f"at t = {t:.6e} s: phase omega_k t / 2 is not finite")
-    g2 = np.array([abs(m[1]) ** 2 for m in bath.modes])
-    terms = g2 / w**2 * np.sin(0.5 * w * t) ** 2
+    g_abs = np.array([abs(m[1]) for m in bath.modes])
+    x = 0.5 * w * t
+    sinc = np.divide(np.sin(x), x, out=np.ones_like(x), where=x != 0.0)
+    terms = (g_abs * (0.5 * t * sinc)) ** 2
     if temp.beta is not None:
-        terms = terms / np.tanh(0.5 * temp.beta * w)
+        # an overflowed beta * w gives tanh = 1, an underflowed one tanh = 0,
+        # which leaves a zero summand zero
+        with np.errstate(over="ignore"):
+            tanh = np.tanh(0.5 * temp.beta * w)
+        terms = np.divide(terms, tanh, out=terms, where=terms != 0.0)
     return float(2.0 * terms.sum())
 
 

@@ -1,9 +1,10 @@
 """Brute-force reference dynamics of one qubit in a small bosonic bath.
 
-Everything here works on truncated Fock ladders, the exact step in the full
-qubit-times-bath Hilbert space and the split step mode by mode, and stays
-deliberately independent of the analytic channel it validates. Reduced qubit states enter and leave in the
-computational (sigma_z) basis; :func:`to_eigenbasis` converts to the
+Everything here works on truncated Fock ladders, the exact step on the two
+parity blocks of the qubit-times-bath Hilbert space and the split step mode
+by mode, and stays deliberately independent of the analytic channel it
+validates. Reduced qubit states enter and leave in the computational
+(sigma_z) basis; :func:`to_eigenbasis` converts to the
 energy eigenbasis used by the channel module, with the higher-energy
 eigenstate ``(|0> - |1>)/sqrt(2)`` first.
 """
@@ -12,7 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -81,9 +82,10 @@ class OracleSystem:
 
     def __post_init__(self):
         object.__setattr__(self, "modes", tuple(self.modes))
-        if self.total_dim > MAX_EXPONENTIAL_DIM:
+        # no evolve builds a matrix larger than the bath space
+        if self.bath_dim > MAX_EXPONENTIAL_DIM:
             raise DimensionTooLarge(
-                f"total dimension {self.total_dim} exceeds cap {MAX_EXPONENTIAL_DIM}"
+                f"bath dimension {self.bath_dim} exceeds cap {MAX_EXPONENTIAL_DIM}"
             )
 
     @property
@@ -99,8 +101,13 @@ class OracleSystem:
     # A build that raises is not cached.
 
     @cached_property
-    def _full_spectrum(self):
-        return _frozen_spectrum(build_hamiltonian(self))
+    def _block_spectra(self):
+        # P = sigma_x (-1)^(sum_k n_k) commutes with the Hamiltonian; on its
+        # sectors |s;b> = (|0,b> + s pi_b |1,b>)/sqrt(2), s = +-1, the
+        # Hamiltonian is H_B + V - s (E_J/2) diag(pi)
+        h = bath_free_hamiltonian(self.modes) + bath_coupling_operator(self.modes)
+        tunneling = np.diag(0.5 * self.e_j * _bath_parity(self.modes))
+        return _frozen_spectrum(h - tunneling), _frozen_spectrum(h + tunneling)
 
     @cached_property
     def _qubit_spectrum(self):
@@ -238,6 +245,14 @@ def _bath_weights(sys: OracleSystem, temp: Temperature) -> np.ndarray:
     return weights
 
 
+def _bath_parity(modes: tuple[FockMode, ...]) -> np.ndarray:
+    # (-1)^(sum_k n_k) of each bath level, in the order of _bath_weights
+    parity = np.ones(1)
+    for mode in modes:
+        parity = np.outer(parity, (-1.0) ** np.arange(mode.levels)).ravel()
+    return parity
+
+
 def trace_out_bath(joint: np.ndarray, bath_dim: int) -> np.ndarray:
     """Partial trace over the bath factor of a qubit-times-bath operator.
 
@@ -269,22 +284,29 @@ def exact_evolve(
 ) -> np.ndarray:
     """Reduced qubit state after exact evolution of qubit plus bath.
 
-    Takes one qubit state or a stack ``(..., 2, 2)``. The bath weights
-    ``p_c``, the propagator columns of the occupied bath levels (one at zero
-    temperature, all ``B`` above, in both qubit halves) and the reduced map
+    Takes one qubit state or a stack ``(..., 2, 2)``. The Hamiltonian keeps
+    the parity ``P = sigma_x (-1)^(sum_k n_k)``, so its propagator is
+    ``U[ib,kc] = 1/2 pi_b^i pi_c^k (U_+ + (-1)^(i+k) U_-)[b,c]`` with the
+    bath parities ``pi`` and the ``B x B`` propagators ``U_+-`` of the two
+    parity blocks, which ``sys`` diagonalizes once. The bath weights
+    ``p_c``, the block propagators' columns of the occupied bath levels
+    (one at zero temperature, all ``B`` above) and the reduced map
     ``L[i,j,k,l] = sum_{b,c} p_c U[ib,kc] conj(U[jb,lc])`` are built once
-    per call, from the Hamiltonian's spectrum that ``sys`` diagonalizes once.
+    per call.
     """
     if t < 0.0:
         raise ValueError("t must be nonnegative")
     weights = _bath_weights(sys, temp)
     occupied = np.flatnonzero(weights)
-    b, r = sys.bath_dim, occupied.size
-    u = spectral_propagator(
-        sys._full_spectrum, t, np.concatenate([occupied, b + occupied])
+    u_plus, u_minus = (
+        spectral_propagator(spectrum, t, occupied) for spectrum in sys._block_spectra
     )
-    cols = u.reshape(2, b, 2, r) * np.sqrt(weights[occupied])
-    a = cols.transpose(0, 2, 1, 3).reshape(4, b * r)
+    even, odd = 0.5 * (u_plus + u_minus), 0.5 * (u_plus - u_minus)
+    parity = _bath_parity(sys.modes)
+    rows, cols = parity[:, None], parity[occupied]
+    # U[ib, kc] for (i, k) = (0, 0), (0, 1), (1, 0), (1, 1)
+    blocks = np.stack([even, odd * cols, odd * rows, even * rows * cols])
+    a = (blocks * np.sqrt(weights[occupied])).reshape(4, -1)
     rho = check_qubit_state(rho_qubit0)
     reduced = (a @ a.conj().T).reshape(2, 2, 2, 2).transpose(0, 2, 1, 3)
     return np.einsum("ijkl,...kl->...ij", reduced, rho)
@@ -319,14 +341,18 @@ def split_evolve(
     return half @ ((half @ rho @ half_dag) * coherence) @ half_dag
 
 
+@lru_cache(maxsize=16)
 def _sample_pure_states(samples: int, seed: int) -> np.ndarray:
     # one draw of the same numbers, in the same order, as a per-sample loop
-    # of normal(size=2) for the real and then the imaginary parts
+    # of normal(size=2) for the real and then the imaginary parts; kept,
+    # read-only, because every measurement of a halving grid asks again
     draws = np.random.default_rng(seed).normal(size=(samples, 2, 2))
     vecs = draws[:, 0] + 1j * draws[:, 1]
     # np.linalg.norm per vector: its BLAS dot gives the loop's exact bits
     vecs /= np.array([np.linalg.norm(vec) for vec in vecs])[:, None]
-    return vecs[:, :, None] * vecs[:, None, :].conj()
+    states = vecs[:, :, None] * vecs[:, None, :].conj()
+    states.flags.writeable = False
+    return states
 
 
 def split_deviation(

@@ -49,6 +49,46 @@ def test_discrete_coupling_phase_is_irrelevant():
     )
 
 
+@pytest.mark.parametrize("omega", [1e-100, 1e-150, 1e-200, 1e-300, 5e-324])
+def test_discrete_slow_mode_tends_to_the_static_limit(omega):
+    # each summand |g|^2 sin^2(omega t/2) / omega^2 tends to |g|^2 t^2 / 4, so
+    # G = 2 sum tends to |g|^2 t^2 / 2; from omega = 1e-150 down, omega^2 or
+    # |g|^2 / omega^2 leaves float range
+    g, t = 1e10, 4e-13
+    slow = DiscreteBath(((omega, g),))
+    assert g_discrete(slow, Temperature.zero(), t) == pytest.approx(
+        0.5 * g * g * t * t, rel=1e-12
+    )
+    assert g_discrete(slow, Temperature.zero(), 0.0) == 0.0
+    # the summands of a slow and a normal mode add
+    fast = DiscreteBath(((1e11, 1e10),))
+    joint = DiscreteBath((slow.modes[0], fast.modes[0]))
+    assert g_discrete(joint, Temperature.zero(), t) == (
+        g_discrete(slow, Temperature.zero(), t) + g_discrete(fast, Temperature.zero(), t)
+    )
+
+
+def test_discrete_summand_survives_an_underflowing_sine_squared():
+    # sin^2(omega t / 2) = 4e-326 underflows to zero, the summand
+    # |g|^2 t^2 / 4 = 4e-306 does not
+    bath = DiscreteBath(((1e-150, 1e-140),))
+    assert g_discrete(bath, Temperature.zero(), 4e-13) == pytest.approx(8e-306, rel=1e-12)
+
+
+def test_discrete_overflowing_beta_omega_is_the_zero_temperature_limit():
+    # beta omega / 2 = 5e310 is beyond float range, and coth is then exactly 1
+    bath = DiscreteBath(((1e11, 1e10),))
+    cold = g_discrete(bath, Temperature.zero(), 1e-12)
+    assert g_discrete(bath, Temperature.finite(1e300), 1e-12) == cold
+
+
+@pytest.mark.parametrize("g,t", [(1e10, 0.0), (0.0, 1e-12)], ids=["t_zero", "g_zero"])
+def test_discrete_zero_summand_stays_zero_when_beta_omega_underflows(g, t):
+    # tanh(beta omega / 2) = tanh(5e-401) is 0 in floats; 0 / 0 would be NaN
+    bath = DiscreteBath(((1e-200, g),))
+    assert g_discrete(bath, Temperature.finite(1e-200), t) == 0.0
+
+
 def test_discrete_finite_temperature_enhances():
     bath = DiscreteBath(((1e11, 1e10), (3e11, 2e10)))
     warm = Temperature.finite(1e-12)

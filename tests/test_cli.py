@@ -529,7 +529,7 @@ def test_main_exit_two_on_rejected_flags_and_values(tmp_path, argv):
         "oracle_beta = inf",
         "oracle_beta = 1e-11",  # thermal tail beyond n_max = 8 is 1.2e-4
         "oracle_seed = -1",
-        "oracle_n_max = 600",  # total dimension 1202 exceeds the 1024 cap
+        "oracle_n_max = 1024",  # bath dimension 1025 exceeds the 1024 cap
     ],
 )
 def test_oracle_check_exit_two_on_unusable_config_values(tmp_path, capsys, line):
@@ -537,6 +537,25 @@ def test_oracle_check_exit_two_on_unusable_config_values(tmp_path, capsys, line)
     conf.write_text(line + "\n", encoding="utf-8")
     assert main(["oracle-check", "--config", str(conf), "--out", str(tmp_path / "x")]) == 2
     assert capsys.readouterr().err.startswith("config error: ")
+
+
+def test_oracle_check_caps_the_bath_dimension_not_the_total(tmp_path, capsys):
+    # no evolve builds a matrix larger than the bath: B = 601, 2B = 1202
+    ocfg = oracle_config_from_mapping(parse_config_text("oracle_n_max = 600\n"))
+    assert ocfg.n_max == 600
+    conf = tmp_path / "oracle.conf"
+    conf.write_text("oracle_n_max = 1024\n", encoding="utf-8")
+    assert main(["oracle-check", "--config", str(conf), "--out", str(tmp_path / "x")]) == 2
+    assert capsys.readouterr().err == (
+        "config error: oracle_n_max = 1024: bath dimension 1025 exceeds cap 1024\n"
+    )
+
+
+def test_oracle_check_runs_with_a_mode_too_slow_to_square(tmp_path):
+    # omega^2 underflows; G takes its small-omega form instead of inf * 0
+    conf = tmp_path / "oracle.conf"
+    conf.write_text("oracle_omega = 1e-200\noracle_samples = 4\n", encoding="utf-8")
+    assert main(["oracle-check", "--config", str(conf), "--out", str(tmp_path / "x")]) in (0, 3)
 
 
 @pytest.mark.parametrize("beta", [None, "5e-11"], ids=["zero", "finite"])

@@ -260,8 +260,10 @@ def test_reduced_outputs_are_valid_states():
 
 
 def test_dimension_cap_enforced():
-    with pytest.raises(DimensionTooLarge):
-        OracleSystem(E_J, (FockMode(OMEGA, COUPLING, 600),))
+    # the cap is on the bath dimension B, the largest matrix an evolve builds
+    with pytest.raises(DimensionTooLarge, match="bath dimension 1025 exceeds cap 1024"):
+        OracleSystem(E_J, (FockMode(OMEGA, COUPLING, 1024),))
+    assert OracleSystem(E_J, (FockMode(OMEGA, COUPLING, 600),)).total_dim == 1202
 
 
 def test_fock_mode_validation():
@@ -478,10 +480,64 @@ def lift(modes, index, op):
     return out
 
 
+def bath_parity(modes):
+    # (-1)^(sum_k n_k) as the product of the lifted one-mode parities
+    parity = np.eye(math.prod(mode.levels for mode in modes), dtype=complex)
+    for k, mode in enumerate(modes):
+        parity = parity @ lift(modes, k, np.diag((-1.0) ** np.arange(mode.levels)))
+    return parity
+
+
+def parity_blocks(modes):
+    # H_B + V -+ (E_J/2) Pi: the Hamiltonian on the sectors P = +1 and -1
+    h = bath_free_hamiltonian(modes) + bath_coupling_operator(modes)
+    tunneling = 0.5 * E_J * bath_parity(modes)
+    return h - tunneling, h + tunneling
+
+
+def sector_basis(modes):
+    # columns |0,b> + s pi_b |1,b> for s = +1, then -1; over sqrt(2) they are
+    # unitary, and with entries +-1 every product with them is exact
+    b = math.prod(mode.levels for mode in modes)
+    identity, parity = np.eye(b, dtype=complex), bath_parity(modes)
+    return np.block([[identity, identity], [parity, -parity]])
+
+
+@SYSTEMS
+def test_the_hamiltonian_keeps_the_qubit_bath_parity(modes):
+    system = OracleSystem(E_J, modes)
+    h = build_hamiltonian(system)
+    parity = np.kron(SIGMA_X, bath_parity(modes))
+    assert np.array_equal(parity @ h @ parity, h)
+
+
+@SYSTEMS
+def test_the_sector_basis_block_diagonalizes_the_hamiltonian(modes):
+    system = OracleSystem(E_J, modes)
+    b = system.bath_dim
+    sectors = sector_basis(modes)
+    got = sectors.conj().T @ build_hamiltonian(system) @ sectors / 2.0
+    plus, minus = parity_blocks(modes)
+    assert np.array_equal(got[:b, :b], plus) and np.array_equal(got[b:, b:], minus)
+    assert not got[:b, b:].any() and not got[b:, :b].any()
+    if not modes:  # B = 1: the blocks are the qubit's levels -+E_J/2
+        assert plus[0, 0] == -0.5 * E_J and minus[0, 0] == 0.5 * E_J
+
+
+@SYSTEMS
+def test_the_block_spectra_are_the_hamiltonian_spectrum(modes):
+    system = OracleSystem(E_J, modes)
+    expect = np.linalg.eigvalsh(build_hamiltonian(system))
+    got = np.sort(np.concatenate([w for w, _ in system._block_spectra]))
+    scale = float(np.abs(expect).max())
+    np.testing.assert_allclose(got, expect, rtol=0.0, atol=1e-12 * scale)
+
+
 @SYSTEMS
 def test_diagonalized_generators_are_the_hamiltonian_and_the_split_blocks(
     monkeypatch, modes
 ):
+    # the exact step diagonalizes the Hamiltonian's two B x B parity blocks;
     # the split blocks H_B +- V are sums of one-mode terms h_k +- v_k, and
     # only those (n_max + 1)-level terms are diagonalized for the split step
     system = OracleSystem(E_J, modes)
@@ -496,8 +552,9 @@ def test_diagonalized_generators_are_the_hamiltonian_and_the_split_blocks(
     monkeypatch.setattr(oracle, "hermitian_spectrum", recorded)
     exact_evolve(system, PLUS, Temperature.zero(), 1e-13)
     split_evolve(system, PLUS, Temperature.zero(), 1e-13)
-    full, *per_mode, qubit = generators
-    assert np.array_equal(full, build_hamiltonian(system))
+    plus, minus, *per_mode, qubit = generators
+    expect_plus, expect_minus = parity_blocks(modes)
+    assert np.array_equal(plus, expect_plus) and np.array_equal(minus, expect_minus)
     assert np.array_equal(qubit, system_hamiltonian(system))
     assert len(per_mode) == 2 * len(modes)
     interaction = interaction_generator(modes)
@@ -520,18 +577,26 @@ def test_diagonalized_generators_are_the_hamiltonian_and_the_split_blocks(
     ids=["one_mode", "two_modes"],
 )
 def test_column_and_block_propagators_match_the_dense_exponential(modes, block_atol):
-    # columns come from the same generator as the full propagator. The kron
-    # of the one-mode propagators comes from other eigh calls than the
-    # 2B x 2B generator's, and each eigh-built propagator is unitary only to
-    # about 2e-15 (two modes: the largest block gap measured here is 2.4e-15,
-    # 4.2e-17 with one mode)
+    # columns come from the same generator as the block's full propagator.
+    # The sector-basis assembly of the two parity-block propagators, and the
+    # kron of the one-mode propagators, come from other eigh calls than the
+    # dense exponential's, and each eigh-built propagator is unitary only to
+    # about 2e-15. Largest gaps measured here: parity assembly 2.4e-15 (one
+    # mode) and 3.3e-15 (two); split blocks 4.2e-17 and 2.4e-15
     system = OracleSystem(E_J, modes)
     b = system.bath_dim
+    sectors = sector_basis(modes)
+    zero = np.zeros((b, b), dtype=complex)
     for t in (0.0, 1e-13, 3e-13, 2e-12):
+        blocks = [spectral_propagator(s, t) for s in system._block_spectra]
+        for spectrum, u in zip(system._block_spectra, blocks):
+            for columns in ([0], [2, 3], list(range(b))):
+                got = spectral_propagator(spectrum, t, columns)
+                np.testing.assert_allclose(got, u[:, columns], rtol=0.0, atol=1e-15)
+        assembled = sectors @ np.block([[blocks[0], zero], [zero, blocks[1]]])
+        assembled = assembled @ sectors.conj().T / 2.0
         full = matrix_exponential(build_hamiltonian(system), t)
-        for columns in ([0, b], [2, 3, b + 2, b + 3], list(range(2 * b))):
-            got = spectral_propagator(system._full_spectrum, t, columns)
-            np.testing.assert_allclose(got, full[:, columns], rtol=0.0, atol=1e-15)
+        np.testing.assert_allclose(assembled, full, rtol=0.0, atol=1e-14)
         dense = matrix_exponential(interaction_generator(modes), t)
         for p in range(2):
             block = np.eye(1, dtype=complex)
@@ -605,7 +670,7 @@ def oracle_counts(monkeypatch):
 
 @pytest.mark.parametrize(
     "measure,spectra,propagators,weights",
-    [(split_deviation, 4, 4, 1), (channel_discrepancy, 3, 3, 0)],
+    [(split_deviation, 5, 5, 1), (channel_discrepancy, 3, 3, 0)],
     ids=["split_deviation", "channel_discrepancy"],
 )
 @pytest.mark.parametrize("samples", [4, 8])
@@ -613,10 +678,10 @@ def test_each_measurement_builds_its_propagators_once(
     oracle_counts, measure, spectra, propagators, weights, samples
 ):
     # a split step takes the qubit half-step and the mode's two one-mode
-    # propagators, an exact step the full one; on a fresh system each needs
-    # its own spectrum as well. Every evolve reads each mode's Gibbs weights
-    # once; only the exact step joins them into the bath weights, and no
-    # evolve forms the dense bath state.
+    # propagators, an exact step those of the two parity blocks; on a fresh
+    # system each needs its own spectrum as well. Every evolve reads each
+    # mode's Gibbs weights once; only the exact step joins them into the
+    # bath weights, and no evolve forms the dense bath state.
     measure(reference_system(4), Temperature.finite(5e-11), 2e-13, samples)
     assert oracle_counts == {
         "hermitian_spectrum": spectra,
@@ -641,23 +706,47 @@ def halving_grid_pattern(system, samples):
 def test_each_system_diagonalizes_its_hamiltonians_once(oracle_counts, samples):
     system = reference_system(4)
     halving_grid_pattern(system, samples)
-    # spectra: full, qubit and the mode's two one-mode generators h +- v;
-    # propagators: three for each of the 7 split steps and one for each of
-    # the 4 exact; Gibbs weights: once per step
+    # spectra: the two parity blocks, qubit and the mode's two one-mode
+    # generators h +- v; propagators: three for each of the 7 split steps
+    # and two for each of the 4 exact; Gibbs weights: once per step
     assert oracle_counts == {
-        "hermitian_spectrum": 4,
-        "spectral_propagator": 25,
+        "hermitian_spectrum": 5,
+        "spectral_propagator": 29,
         "_bath_weights": 4,
         "_mode_weights": 11,
         "thermal_bath_state": 0,
     }
     halving_grid_pattern(system, samples)
-    assert oracle_counts["hermitian_spectrum"] == 4
+    assert oracle_counts["hermitian_spectrum"] == 5
     # an equal but new system keeps no spectra from the first: no global cache
     twin = reference_system(4)
     assert twin == system
     halving_grid_pattern(twin, samples)
-    assert oracle_counts["hermitian_spectrum"] == 8
+    assert oracle_counts["hermitian_spectrum"] == 10
+
+
+def test_the_sample_states_are_drawn_once_per_samples_and_seed(monkeypatch):
+    oracle._sample_pure_states.cache_clear()
+    draws = []
+    original = np.random.default_rng
+
+    def counted(seed):
+        draws.append(seed)
+        return original(seed)
+
+    monkeypatch.setattr(np.random, "default_rng", counted)
+    halving_grid_pattern(reference_system(4), 4)
+    assert draws == [7]
+    halving_grid_pattern(reference_system(3), 4)
+    assert draws == [7]
+    halving_grid_pattern(reference_system(4), 6)
+    assert draws == [7, 7]
+
+
+def test_sampled_states_are_read_only():
+    states = oracle._sample_pure_states(4, 11)
+    with pytest.raises(ValueError):
+        states[0, 0, 0] = 0.0
 
 
 @pytest.mark.parametrize(
@@ -667,19 +756,19 @@ def test_each_system_diagonalizes_full_qubit_and_two_per_mode(oracle_counts, mod
     system = OracleSystem(E_J, modes)
     for _ in range(2):
         halving_grid_pattern(system, 4)
-        assert oracle_counts["hermitian_spectrum"] == 2 + 2 * len(modes)
-    # 7 split steps of 1 + 2 per mode propagators, 4 exact steps of one
-    assert oracle_counts["spectral_propagator"] == 2 * (7 * (1 + 2 * len(modes)) + 4)
+        assert oracle_counts["hermitian_spectrum"] == 3 + 2 * len(modes)
+    # 7 split steps of 1 + 2 per mode propagators, 4 exact steps of two
+    assert oracle_counts["spectral_propagator"] == 2 * (7 * (1 + 2 * len(modes)) + 8)
 
 
 def test_kept_spectra_are_read_only():
     system = OracleSystem(E_J, TWO_MODES)
     exact_evolve(system, PLUS, Temperature.zero(), 1e-13)
     split_evolve(system, PLUS, Temperature.zero(), 1e-13)
-    spectra = [system._full_spectrum, system._qubit_spectrum]
+    spectra = [*system._block_spectra, system._qubit_spectrum]
     for pair in system._mode_spectra:
         spectra.extend(pair)
-    assert len(spectra) == 6
+    assert len(spectra) == 7
     for spectrum in spectra:
         for part in spectrum:
             with pytest.raises(ValueError):
@@ -690,7 +779,8 @@ def test_kept_spectra_are_read_only():
 @TEMPERATURES
 def test_evolves_build_only_the_occupied_propagator_columns(monkeypatch, modes, temp):
     # zero temperature occupies the bath vacuum alone, finite all levels; the
-    # split step builds nothing larger than one mode's levels
+    # exact step builds nothing larger than the bath, the split step nothing
+    # larger than one mode's levels
     system = OracleSystem(E_J, modes)
     b = system.bath_dim
     r = 1 if temp.beta is None else b
@@ -704,7 +794,7 @@ def test_evolves_build_only_the_occupied_propagator_columns(monkeypatch, modes, 
 
     monkeypatch.setattr(oracle, "spectral_propagator", recorded)
     exact_evolve(system, PLUS, temp, 1e-13)
-    assert shapes == [(2 * b, 2 * r)]
+    assert shapes == [(b, r), (b, r)]
     shapes.clear()
     split_evolve(system, PLUS, temp, 1e-13)
     per_mode = []

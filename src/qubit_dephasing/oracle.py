@@ -18,7 +18,7 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from .bath import DiscreteBath, Temperature, g_discrete
-from .channel import QubitParams, check_qubit_state, evolve_single
+from .channel import QubitParams, _evolve_checked, check_qubit_state
 from .errors import DimensionTooLarge, NonHermitian
 from .qmath import MAX_EXPONENTIAL_DIM, hermitian_spectrum, spectral_propagator
 
@@ -51,6 +51,9 @@ _EIGENBASIS = np.array([[1.0, 1.0], [-1.0, 1.0]], dtype=complex) / math.sqrt(2.0
 
 # Largest admissible truncated thermal weight beyond the Fock cutoff.
 THERMAL_TAIL_LIMIT = 1e-6
+
+# Reduced maps each system keeps: one halving grid, 4 times x 2 kinds.
+_MAP_MEMO_SIZE = 8
 
 
 @dataclass(frozen=True)
@@ -123,6 +126,12 @@ class OracleSystem:
             spectra.append((_frozen_spectrum(h + v), _frozen_spectrum(h - v)))
         return tuple(spectra)
 
+    @cached_property
+    def _reduced_maps(self) -> dict:
+        # (map builder, temp, t) -> the read-only parts of that reduced map,
+        # oldest first; see _reduced_map
+        return {}
+
 
 def _frozen_spectrum(h: np.ndarray):
     spectrum = hermitian_spectrum(h)
@@ -138,30 +147,28 @@ def lowering_operator(n_levels: int) -> np.ndarray:
     return np.diag(np.sqrt(np.arange(1.0, n_levels)), 1).astype(complex)
 
 
-def _lift(modes: tuple[FockMode, ...], index: int, op: np.ndarray) -> np.ndarray:
-    out = np.eye(1, dtype=complex)
-    for k, mode in enumerate(modes):
-        out = np.kron(out, op if k == index else np.eye(mode.levels, dtype=complex))
-    return out
-
-
 def bath_free_hamiltonian(modes: tuple[FockMode, ...]) -> np.ndarray:
     """Sum of ``omega_k b_k^dag b_k`` over the bath space."""
-    dim = math.prod(mode.levels for mode in modes)
-    h = np.zeros((dim, dim), dtype=complex)
-    for k, mode in enumerate(modes):
-        b = lowering_operator(mode.levels)
-        h += mode.omega * _lift(modes, k, b.conj().T @ b)
-    return h
+    diagonal = np.zeros(1)
+    for mode in modes:
+        # sqrt(n)**2, the bits of (b^dag b).diagonal(), not arange(n)
+        number = np.sqrt(np.arange(float(mode.levels))) ** 2
+        diagonal = np.add.outer(diagonal, mode.omega * number).ravel()
+    return np.diag(diagonal).astype(complex)
 
 
 def bath_coupling_operator(modes: tuple[FockMode, ...]) -> np.ndarray:
     """Sum of ``conj(g_k) b_k + g_k b_k^dag`` over the bath space."""
-    dim = math.prod(mode.levels for mode in modes)
+    levels = [mode.levels for mode in modes]
+    dim = math.prod(levels)
     op = np.zeros((dim, dim), dtype=complex)
     for k, mode in enumerate(modes):
         b = lowering_operator(mode.levels)
-        op += _lift(modes, k, np.conj(mode.g) * b + mode.g * b.conj().T)
+        before, after = math.prod(levels[:k]), math.prod(levels[k + 1 :])
+        # identities on the other modes: only entries that keep their levels
+        i, j = np.arange(before)[:, None], np.arange(after)
+        blocks = op.reshape(before, mode.levels, after, before, mode.levels, after)
+        blocks[i, :, j, i, :, j] += np.conj(mode.g) * b + mode.g * b.conj().T
     return op
 
 
@@ -279,6 +286,64 @@ def from_eigenbasis(rho: np.ndarray) -> np.ndarray:
     return _EIGENBASIS @ np.asarray(rho, dtype=complex) @ _EIGENBASIS.conj().T
 
 
+def _check_time(t: float) -> None:
+    # a non-finite t fails where its first propagator is built
+    if t < 0.0:
+        raise ValueError("t must be nonnegative")
+
+
+def _reduced_map(sys: OracleSystem, build, temp: Temperature, t: float):
+    # build(sys, temp, t), kept read-only in sys under (build, temp, t); the
+    # oldest of _MAP_MEMO_SIZE entries goes first. A build that raises is
+    # not kept.
+    memo, key = sys._reduced_maps, (build, temp, t)
+    if key not in memo:
+        parts = build(sys, temp, t)
+        for part in parts:
+            part.flags.writeable = False
+        if len(memo) >= _MAP_MEMO_SIZE:
+            del memo[next(iter(memo))]
+        memo[key] = parts
+    return memo[key]
+
+
+def _exact_map(sys: OracleSystem, temp: Temperature, t: float):
+    weights = _bath_weights(sys, temp)
+    occupied = np.flatnonzero(weights)
+    u_plus, u_minus = (
+        spectral_propagator(spectrum, t, occupied) for spectrum in sys._block_spectra
+    )
+    even, odd = 0.5 * (u_plus + u_minus), 0.5 * (u_plus - u_minus)
+    parity = _bath_parity(sys.modes)
+    rows, cols = parity[:, None], parity[occupied]
+    # U[ib, kc] for (i, k) = (0, 0), (0, 1), (1, 0), (1, 1)
+    blocks = np.stack([even, odd * cols, odd * rows, even * rows * cols])
+    a = (blocks * np.sqrt(weights[occupied])).reshape(4, -1)
+    return ((a @ a.conj().T).reshape(2, 2, 2, 2).transpose(0, 2, 1, 3),)
+
+
+def _exact_step(sys: OracleSystem, rho: np.ndarray, temp: Temperature, t: float):
+    (reduced,) = _reduced_map(sys, _exact_map, temp, t)
+    return np.einsum("ijkl,...kl->...ij", reduced, rho)
+
+
+def _split_map(sys: OracleSystem, temp: Temperature, t: float):
+    coherence = np.ones((2, 2), dtype=complex)
+    for mode, spectra in zip(sys.modes, sys._mode_spectra):
+        weights = _mode_weights(mode, temp)
+        occupied = np.flatnonzero(weights)
+        u = np.stack([spectral_propagator(s, t, occupied) for s in spectra])
+        a = (u * np.sqrt(weights[occupied])).reshape(2, -1)
+        coherence *= a @ a.conj().T
+    half = spectral_propagator(sys._qubit_spectrum, 0.5 * t)
+    return half, half.conj().T, coherence
+
+
+def _split_step(sys: OracleSystem, rho: np.ndarray, temp: Temperature, t: float):
+    half, half_dag, coherence = _reduced_map(sys, _split_map, temp, t)
+    return half @ ((half @ rho @ half_dag) * coherence) @ half_dag
+
+
 def exact_evolve(
     sys: OracleSystem, rho_qubit0, temp: Temperature, t: float
 ) -> np.ndarray:
@@ -292,24 +357,10 @@ def exact_evolve(
     ``p_c``, the block propagators' columns of the occupied bath levels
     (one at zero temperature, all ``B`` above) and the reduced map
     ``L[i,j,k,l] = sum_{b,c} p_c U[ib,kc] conj(U[jb,lc])`` are built once
-    per call.
+    per ``(temp, t)``; ``sys`` keeps the last few maps it built.
     """
-    if t < 0.0:
-        raise ValueError("t must be nonnegative")
-    weights = _bath_weights(sys, temp)
-    occupied = np.flatnonzero(weights)
-    u_plus, u_minus = (
-        spectral_propagator(spectrum, t, occupied) for spectrum in sys._block_spectra
-    )
-    even, odd = 0.5 * (u_plus + u_minus), 0.5 * (u_plus - u_minus)
-    parity = _bath_parity(sys.modes)
-    rows, cols = parity[:, None], parity[occupied]
-    # U[ib, kc] for (i, k) = (0, 0), (0, 1), (1, 0), (1, 1)
-    blocks = np.stack([even, odd * cols, odd * rows, even * rows * cols])
-    a = (blocks * np.sqrt(weights[occupied])).reshape(4, -1)
-    rho = check_qubit_state(rho_qubit0)
-    reduced = (a @ a.conj().T).reshape(2, 2, 2, 2).transpose(0, 2, 1, 3)
-    return np.einsum("ijkl,...kl->...ij", reduced, rho)
+    _check_time(t)
+    return _exact_step(sys, check_qubit_state(rho_qubit0), temp, t)
 
 
 def split_evolve(
@@ -324,21 +375,11 @@ def split_evolve(
     F) half^dag`` with the coherence factor ``F[p, q] = prod_k tr(u_{p,k}
     theta_k u_{q,k}^dag)`` of the one-mode propagators ``u_{p,k}`` of
     ``h_k +- v_k``, built on the occupied levels only. Takes one qubit
-    state or a stack ``(..., 2, 2)``, like :func:`exact_evolve`.
+    state or a stack ``(..., 2, 2)``, and keeps its map in ``sys``, like
+    :func:`exact_evolve`.
     """
-    if t < 0.0:
-        raise ValueError("t must be nonnegative")
-    rho = check_qubit_state(rho_qubit0)
-    coherence = np.ones((2, 2), dtype=complex)
-    for mode, spectra in zip(sys.modes, sys._mode_spectra):
-        weights = _mode_weights(mode, temp)
-        occupied = np.flatnonzero(weights)
-        u = np.stack([spectral_propagator(s, t, occupied) for s in spectra])
-        a = (u * np.sqrt(weights[occupied])).reshape(2, -1)
-        coherence *= a @ a.conj().T
-    half = spectral_propagator(sys._qubit_spectrum, 0.5 * t)
-    half_dag = half.conj().T
-    return half @ ((half @ rho @ half_dag) * coherence) @ half_dag
+    _check_time(t)
+    return _split_step(sys, check_qubit_state(rho_qubit0), temp, t)
 
 
 @lru_cache(maxsize=16)
@@ -366,8 +407,9 @@ def split_deviation(
     """
     if samples < 1:
         raise ValueError("need at least one sample")
-    rho0 = _sample_pure_states(samples, seed)
-    gaps = np.abs(split_evolve(sys, rho0, temp, t) - exact_evolve(sys, rho0, temp, t))
+    _check_time(t)
+    rho0 = check_qubit_state(_sample_pure_states(samples, seed))
+    gaps = np.abs(_split_step(sys, rho0, temp, t) - _exact_step(sys, rho0, temp, t))
     return float(gaps.max())
 
 
@@ -390,7 +432,10 @@ def channel_discrepancy(
     else:
         g_value = 0.0
     params = QubitParams(e_j=sys.e_j)
-    rho0 = _sample_pure_states(samples, seed)
-    via_split = to_eigenbasis(split_evolve(sys, rho0, temp, t))
-    via_channel = evolve_single(to_eigenbasis(rho0), params, g_value, t)
+    _check_time(t)
+    rho0 = check_qubit_state(_sample_pure_states(samples, seed))
+    via_split = to_eigenbasis(_split_step(sys, rho0, temp, t))
+    # g_discrete's exponent is nonnegative, and a t the split map accepts is
+    # finite and nonnegative: evolve_single would check nothing new
+    via_channel = _evolve_checked(to_eigenbasis(rho0), params.e_j, g_value, t)
     return float(np.abs(via_split - via_channel).max())

@@ -354,6 +354,25 @@ def test_main_oracle_check_happy_path(tmp_path):
     assert np.all(data[:, 3] > 6.0) and np.all(data[:, 3] < 10.0)
 
 
+def test_oracle_check_gates_the_halving_ratio_on_the_qubit_frequency_too(tmp_path):
+    # E_J t >> 1: the split error's leading order is no longer t^3, so the
+    # ratios sit near 4 while the channel still matches to rounding. Only
+    # the channel gap is checked here (t <= 0.1/omega at the two smaller
+    # times); the ratio window needs t <= 0.1/max(omega, E_J) as well
+    conf = tmp_path / "oracle.conf"
+    conf.write_text(
+        "oracle_e_j = 2e12\noracle_omega = 1.6e9\noracle_g = 7e6\n"
+        "oracle_n_max = 17\noracle_t = 6.7e-11\n",
+        encoding="utf-8",
+    )
+    out = tmp_path / "oc.csv"
+    assert main(["oracle-check", "--config", str(conf), "--out", str(out)]) == 0
+    _, data = read_rows(str(out))
+    assert data.shape == (3, 4)
+    assert np.all(data[:, 2] < 1e-6)
+    assert np.all(np.abs(data[:, 3] - 4.0) < 0.1)
+
+
 def test_load_config_round_trip_through_disk(tmp_path):
     cfg = ExperimentConfig(alpha=1.5 + 0.5j, beta=3e-12, n_points=21)
     path = tmp_path / "saved.conf"

@@ -394,6 +394,65 @@ def test_sampled_states_equal_the_per_sample_loop(samples, seed):
     assert np.array_equal(got, np.array(list(sampled_pure_states(samples, seed))))
 
 
+def public_measurements(system, temp, t, samples, seed):
+    # split_deviation and channel_discrepancy composed from the public evolves
+    rho0 = oracle._sample_pure_states(samples, seed)
+    deviation = np.abs(
+        split_evolve(system, rho0, temp, t) - exact_evolve(system, rho0, temp, t)
+    ).max()
+    g_value = 0.0
+    if system.modes:
+        bath = DiscreteBath(tuple((m.omega, m.g) for m in system.modes))
+        g_value = g_discrete(bath, temp, t)
+    via_split = to_eigenbasis(split_evolve(system, rho0, temp, t))
+    params = QubitParams(system.e_j)
+    via_channel = evolve_single(to_eigenbasis(rho0), params, g_value, t)
+    return float(deviation), float(np.abs(via_split - via_channel).max())
+
+
+@SYSTEMS
+@TEMPERATURES
+def test_measurements_equal_the_public_composition(modes, temp):
+    # the measurements validate their stack once and call the evolves'
+    # kernels; on a fresh system (cold) or one whose maps the public
+    # evolves built (warm), they give the composition's bits
+    for t, samples, seed in ((4e-13, 6, 7), (1e-13, 4, 11), (2e-12, 8, 3)):
+        cold, warm = OracleSystem(E_J, modes), OracleSystem(E_J, modes)
+        expect = public_measurements(warm, temp, t, samples, seed)
+        for system in (cold, warm):
+            got = (
+                split_deviation(system, temp, t, samples, seed),
+                channel_discrepancy(system, temp, t, samples, seed),
+            )
+            assert got == expect
+
+
+@pytest.mark.parametrize("measure", [split_deviation, channel_discrepancy])
+def test_each_measurement_checks_its_sample_stack_once(monkeypatch, measure):
+    checked = []
+    original = oracle.check_qubit_state
+
+    def counted(rho):
+        checked.append(rho)
+        return original(rho)
+
+    monkeypatch.setattr(oracle, "check_qubit_state", counted)
+    system = reference_system(4)
+    for _ in range(2):  # cold, then on the maps the first call kept
+        checked.clear()
+        measure(system, Temperature.zero(), 2e-13, 6)
+        assert len(checked) == 1
+        assert checked[0] is oracle._sample_pure_states(6, 7)
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(st.integers(1, 200), st.integers(0, 2**32 - 1))
+def test_sampled_stacks_pass_the_state_check(samples, seed):
+    # the measurements check the stack once, outside the sampling cache
+    states = oracle._sample_pure_states(samples, seed)
+    assert check_qubit_state(states) is states
+
+
 # -- propagator and spectrum builds -------------------------------------------
 
 
@@ -478,6 +537,26 @@ def lift(modes, index, op):
     for k, mode in enumerate(modes):
         out = np.kron(out, op if k == index else np.eye(mode.levels, dtype=complex))
     return out
+
+
+def kron_bath_operators(modes):
+    # the dense construction: each mode's term lifted by kron, then summed
+    dim = math.prod(mode.levels for mode in modes)
+    free = np.zeros((dim, dim), dtype=complex)
+    coupling = np.zeros((dim, dim), dtype=complex)
+    for k, mode in enumerate(modes):
+        b = lowering_operator(mode.levels)
+        free += mode.omega * lift(modes, k, b.conj().T @ b)
+        coupling += lift(modes, k, np.conj(mode.g) * b + mode.g * b.conj().T)
+    return free, coupling
+
+
+@SYSTEMS
+def test_bath_operators_equal_the_kron_construction(modes):
+    # built mode by mode from diagonals and one write per mode, bit for bit
+    free, coupling = kron_bath_operators(modes)
+    assert np.array_equal(bath_free_hamiltonian(modes), free)
+    assert np.array_equal(bath_coupling_operator(modes), coupling)
 
 
 def bath_parity(modes):
@@ -707,13 +786,14 @@ def test_each_system_diagonalizes_its_hamiltonians_once(oracle_counts, samples):
     system = reference_system(4)
     halving_grid_pattern(system, samples)
     # spectra: the two parity blocks, qubit and the mode's two one-mode
-    # generators h +- v; propagators: three for each of the 7 split steps
-    # and two for each of the 4 exact; Gibbs weights: once per step
+    # generators h +- v; propagators: three for each of the 4 split maps
+    # and two for each of the 4 exact maps, the channel's 3 split steps
+    # reusing the kept ones; Gibbs weights: once per map
     assert oracle_counts == {
         "hermitian_spectrum": 5,
-        "spectral_propagator": 29,
+        "spectral_propagator": 20,
         "_bath_weights": 4,
-        "_mode_weights": 11,
+        "_mode_weights": 8,
         "thermal_bath_state": 0,
     }
     halving_grid_pattern(system, samples)
@@ -757,8 +837,9 @@ def test_each_system_diagonalizes_full_qubit_and_two_per_mode(oracle_counts, mod
     for _ in range(2):
         halving_grid_pattern(system, 4)
         assert oracle_counts["hermitian_spectrum"] == 3 + 2 * len(modes)
-    # 7 split steps of 1 + 2 per mode propagators, 4 exact steps of two
-    assert oracle_counts["spectral_propagator"] == 2 * (7 * (1 + 2 * len(modes)) + 8)
+    # 4 split maps of 1 + 2 per mode propagators, 4 exact maps of two; the
+    # second pass finds all 8 maps kept
+    assert oracle_counts["spectral_propagator"] == 4 * (1 + 2 * len(modes)) + 8
 
 
 def test_kept_spectra_are_read_only():
@@ -773,6 +854,75 @@ def test_kept_spectra_are_read_only():
         for part in spectrum:
             with pytest.raises(ValueError):
                 part[0] = 0.0
+
+
+EVOLVE_PAIR = (split_evolve, exact_evolve)
+
+
+def test_a_repeated_time_builds_no_propagator(oracle_counts):
+    system = reference_system(4)
+    temp = Temperature.finite(5e-11)
+    first = {evolve: evolve(system, PLUS, temp, 2e-13) for evolve in EVOLVE_PAIR}
+    built = dict(oracle_counts)
+    assert built["spectral_propagator"] == 5
+    minus = PLUS - SIGMA_X  # |-><-|
+    for evolve, out in first.items():
+        evolve(system, minus, temp, 2e-13)
+        assert np.array_equal(evolve(system, PLUS, temp, 2e-13), out)
+    split_deviation(system, temp, 2e-13, 4)
+    channel_discrepancy(system, temp, 2e-13, 4)
+    assert oracle_counts == built
+    # another temperature or time is another map
+    split_evolve(system, PLUS, Temperature.zero(), 2e-13)
+    split_evolve(system, PLUS, temp, 1e-13)
+    assert oracle_counts["spectral_propagator"] == 5 + 2 * 3
+
+
+def test_a_ninth_map_evicts_the_oldest(oracle_counts):
+    system = reference_system(4)
+    temp = Temperature.zero()
+    times = [1e-13 * (k + 1) for k in range(9)]
+    for t in times[:8]:
+        split_evolve(system, PLUS, temp, t)
+    assert len(system._reduced_maps) == 8
+    exact_evolve(system, PLUS, temp, times[8])
+    kept = [t for _, _, t in system._reduced_maps]
+    assert kept == times[1:]
+    count = oracle_counts["spectral_propagator"]
+    split_evolve(system, PLUS, temp, times[1])  # still kept
+    assert oracle_counts["spectral_propagator"] == count
+    split_evolve(system, PLUS, temp, times[0])  # evicted: built again
+    assert oracle_counts["spectral_propagator"] == count + 3
+    assert len(system._reduced_maps) == 8
+
+
+def test_kept_maps_are_read_only():
+    system = OracleSystem(E_J, TWO_MODES)
+    split_deviation(system, Temperature.finite(2e-11), 2e-13, 4)
+    assert len(system._reduced_maps) == 2
+    for parts in system._reduced_maps.values():
+        for part in parts:
+            with pytest.raises(ValueError):
+                part[(0,) * part.ndim] = 0.0
+
+
+@pytest.mark.parametrize("evolve", EVOLVE_PAIR)
+def test_a_changed_result_leaves_the_next_call_alone(evolve):
+    system = reference_system(4)
+    first = evolve(system, PLUS, Temperature.zero(), 2e-13)
+    expect = first.copy()
+    first[...] = 0.0
+    assert np.array_equal(evolve(system, PLUS, Temperature.zero(), 2e-13), expect)
+
+
+def test_an_equal_new_system_builds_its_own_maps(oracle_counts):
+    system = reference_system(4)
+    split_deviation(system, Temperature.zero(), 2e-13, 4)
+    twin = reference_system(4)
+    assert twin == system and not twin._reduced_maps
+    split_deviation(twin, Temperature.zero(), 2e-13, 4)
+    assert oracle_counts["hermitian_spectrum"] == 2 * 5
+    assert oracle_counts["spectral_propagator"] == 2 * 5
 
 
 @SYSTEMS

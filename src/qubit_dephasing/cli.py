@@ -484,7 +484,13 @@ def _cmd_oracle_check(args) -> int:
         for item in violations:
             print(f"violation: {item}")
         raise ToleranceNotMet("; ".join(violations))
-    print("all thresholds met for t <= 0.1/omega")
+    if abs(cfg.e_j) > cfg.omega:  # the ratio window is the narrower one
+        print(
+            "all thresholds met: channel gap for t <= 0.1/omega, "
+            "halving ratio for t <= 0.1/|e_j|"
+        )
+    else:
+        print("all thresholds met for t <= 0.1/omega")
     return 0
 
 

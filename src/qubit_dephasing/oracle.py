@@ -3,7 +3,13 @@
 Everything here works on truncated Fock ladders, the exact step on the two
 parity blocks of the qubit-times-bath Hilbert space and the split step mode
 by mode, and stays deliberately independent of the analytic channel it
-validates. Reduced qubit states enter and leave in the computational
+validates. The gauge ``D = prod_k exp(i arg(g_k) n_k)`` takes every
+generator with couplings ``|g_k|`` to the one with ``g_k`` and commutes
+with every bath state used here, so the reduced maps come from real
+symmetric spectra. Each map is a sum over Bohr frequencies, ``sum_{m,n}
+exp(-i (w[m] - w'[n]) t) K[m, n]``, whose real kernels ``K`` are built once
+per system and temperature; no evolve forms a propagator larger than the
+qubit's. Reduced qubit states enter and leave in the computational
 (sigma_z) basis; :func:`to_eigenbasis` converts to the
 energy eigenbasis used by the channel module, with the higher-energy
 eigenstate ``(|0> - |1>)/sqrt(2)`` first.
@@ -12,7 +18,7 @@ eigenstate ``(|0> - |1>)/sqrt(2)`` first.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache
 
 import numpy as np
@@ -20,7 +26,12 @@ import numpy as np
 from .bath import DiscreteBath, Temperature, g_discrete
 from .channel import QubitParams, _evolve_checked, check_qubit_state
 from .errors import DimensionTooLarge, NonHermitian
-from .qmath import MAX_EXPONENTIAL_DIM, hermitian_spectrum, spectral_propagator
+from .qmath import (
+    MAX_EXPONENTIAL_DIM,
+    hermitian_spectrum,
+    spectral_phases,
+    spectral_propagator,
+)
 
 __all__ = [
     "FockMode",
@@ -54,6 +65,9 @@ THERMAL_TAIL_LIMIT = 1e-6
 
 # Reduced maps each system keeps: one halving grid, 4 times x 2 kinds.
 _MAP_MEMO_SIZE = 8
+
+# Kernel sets each system keeps: both steps at two temperatures.
+_KERNEL_MEMO_SIZE = 4
 
 
 @dataclass(frozen=True)
@@ -107,8 +121,8 @@ class OracleSystem:
     def _block_spectra(self):
         # P = sigma_x (-1)^(sum_k n_k) commutes with the Hamiltonian; on its
         # sectors |s;b> = (|0,b> + s pi_b |1,b>)/sqrt(2), s = +-1, the
-        # Hamiltonian is H_B + V - s (E_J/2) diag(pi)
-        h = bath_free_hamiltonian(self.modes) + bath_coupling_operator(self.modes)
+        # Hamiltonian is H_B + V - s (E_J/2) diag(pi), real in the gauge
+        h = _real_bath_generator(self.modes)
         tunneling = np.diag(0.5 * self.e_j * _bath_parity(self.modes))
         return _frozen_spectrum(h - tunneling), _frozen_spectrum(h + tunneling)
 
@@ -119,12 +133,15 @@ class OracleSystem:
     @cached_property
     def _mode_spectra(self):
         # on sigma_z = +-1 the split step's bath-plus-coupling generator is
-        # the sum over modes of h_k +- v_k; each term is diagonalized apart
-        spectra = []
-        for mode in self.modes:
-            h, v = bath_free_hamiltonian((mode,)), bath_coupling_operator((mode,))
-            spectra.append((_frozen_spectrum(h + v), _frozen_spectrum(h - v)))
-        return tuple(spectra)
+        # the sum over modes of h_k +- v_k, and h_k - v_k = P (h_k + v_k) P
+        # with P = diag((-1)^n): one spectrum of h_k + v_k serves both signs
+        return tuple(_frozen_spectrum(_real_bath_generator((m,))) for m in self.modes)
+
+    @cached_property
+    def _kernels(self) -> dict:
+        # (kernel builder, temp) -> that step's read-only Bohr-sum kernels,
+        # oldest first; see _kernel
+        return {}
 
     @cached_property
     def _reduced_maps(self) -> dict:
@@ -140,6 +157,13 @@ def _frozen_spectrum(h: np.ndarray):
     for part in spectrum:
         part.flags.writeable = False
     return spectrum
+
+
+def _real_bath_generator(modes: tuple[FockMode, ...]) -> np.ndarray:
+    # H_B + V with each g_k replaced by |g_k|: the gauge of the module
+    # docstring, under which every reduced map is unchanged
+    gauged = tuple(replace(mode, g=abs(mode.g)) for mode in modes)
+    return (bath_free_hamiltonian(gauged) + bath_coupling_operator(gauged)).real
 
 
 def lowering_operator(n_levels: int) -> np.ndarray:
@@ -287,39 +311,105 @@ def from_eigenbasis(rho: np.ndarray) -> np.ndarray:
 
 
 def _check_time(t: float) -> None:
-    # a non-finite t fails where its first propagator is built
+    # a non-finite t fails where its first phases are built
     if t < 0.0:
         raise ValueError("t must be nonnegative")
 
 
-def _reduced_map(sys: OracleSystem, build, temp: Temperature, t: float):
-    # build(sys, temp, t), kept read-only in sys under (build, temp, t); the
-    # oldest of _MAP_MEMO_SIZE entries goes first. A build that raises is
-    # not kept.
-    memo, key = sys._reduced_maps, (build, temp, t)
+def _memoized(memo: dict, size: int, key, build):
+    # build()'s parts, kept read-only in memo under key; the oldest of size
+    # entries goes first. A build that raises is not kept.
     if key not in memo:
-        parts = build(sys, temp, t)
+        parts = build()
         for part in parts:
             part.flags.writeable = False
-        if len(memo) >= _MAP_MEMO_SIZE:
+        if len(memo) >= size:
             del memo[next(iter(memo))]
         memo[key] = parts
     return memo[key]
 
 
-def _exact_map(sys: OracleSystem, temp: Temperature, t: float):
+def _reduced_map(sys: OracleSystem, build, temp: Temperature, t: float):
+    # build(sys, temp, t), kept in sys under (build, temp, t)
+    memo, key = sys._reduced_maps, (build, temp, t)
+    return _memoized(memo, _MAP_MEMO_SIZE, key, lambda: build(sys, temp, t))
+
+
+def _kernel(sys: OracleSystem, build, temp: Temperature):
+    # build(sys, temp), kept in sys under (build, temp)
+    memo, key = sys._kernels, (build, temp)
+    return _memoized(memo, _KERNEL_MEMO_SIZE, key, lambda: build(sys, temp))
+
+
+def _real_matmul(a: np.ndarray, z: np.ndarray) -> np.ndarray:
+    # a @ z for a real matrix a and a complex 2-D z, as one real product over
+    # z's interleaved real and imaginary parts: no complex copy of a
+    return (a @ np.ascontiguousarray(z).view(float)).view(complex)
+
+
+# Dense exact-step kernels, in the order _exact_kernels stacks them: for each
+# block pair (s, s'), with 0 for s = +1 and 1 for s = -1, the overlap
+# parities x, each with y = 0 and 1. The pair (-, +) is the conjugate of
+# (+, -), and x = 0 with s = s' has the identity as overlap.
+_DENSE_PAIRS = ((0, 0, (1,)), (1, 1, (1,)), (0, 1, (0, 1)))
+_DENSE_SECTORS = np.array(
+    [(s, s2, x, y) for s, s2, xs in _DENSE_PAIRS for x in xs for y in (0, 1)]
+).T
+
+
+def _sector_coefficients() -> np.ndarray:
+    # L[i,j,k,l] = 1/4 sum_{s,s'} s^(i+k) s'^(j+l) T^{xy}_{ss'} with
+    # x = (i + j) % 2 and y = (k + l) % 2, as one 16 x 16 matrix from the
+    # sums T[s, s', x, y] to the entries of L
+    m = np.zeros((2,) * 8)
+    for i, j, k, l, s, s2 in np.ndindex(*(2,) * 6):
+        sign = (-1.0) ** (s * (i + k) + s2 * (j + l))
+        m[i, j, k, l, s, s2, (i + j) % 2, (k + l) % 2] = 0.25 * sign
+    return m.reshape(16, 16)
+
+
+_SECTOR_COEFFICIENTS = _sector_coefficients()
+
+
+def _exact_kernels(sys: OracleSystem, temp: Temperature):
+    # K = (V_s^T Pi^x V_s') o (V_s^T diag(p) Pi^y V_s') for the sectors of
+    # _DENSE_SECTORS, stacked; where the overlap is the identity, each level
+    # pairs with itself at Bohr frequency 0 and T^{0y}_{ss} is the constant
+    # tr(diag(p) Pi^y), kept for y = 0, 1
     weights = _bath_weights(sys, temp)
-    occupied = np.flatnonzero(weights)
-    u_plus, u_minus = (
-        spectral_propagator(spectrum, t, occupied) for spectrum in sys._block_spectra
-    )
-    even, odd = 0.5 * (u_plus + u_minus), 0.5 * (u_plus - u_minus)
     parity = _bath_parity(sys.modes)
-    rows, cols = parity[:, None], parity[occupied]
-    # U[ib, kc] for (i, k) = (0, 0), (0, 1), (1, 0), (1, 1)
-    blocks = np.stack([even, odd * cols, odd * rows, even * rows * cols])
-    a = (blocks * np.sqrt(weights[occupied])).reshape(4, -1)
-    return ((a @ a.conj().T).reshape(2, 2, 2, 2).transpose(0, 2, 1, 3),)
+    occupied = np.flatnonzero(weights)
+    vecs = [v for _, v in sys._block_spectra]
+    b = sys.bath_dim
+    dense = np.empty((_DENSE_SECTORS.shape[1], b, b))
+    slots = iter(dense)
+    for s, s2, xs in _DENSE_PAIRS:
+        left, right = vecs[s], vecs[s2]
+        weighted = [
+            (left[occupied].T * (weights * parity**y)[occupied]) @ right[occupied]
+            for y in (0, 1)
+        ]
+        for x in xs:
+            overlap = left.T @ (right * parity[:, None]) if x else left.T @ right
+            for part in weighted:
+                np.multiply(overlap, part, out=next(slots))
+    return dense, np.array([weights.sum(), weights @ parity])
+
+
+def _exact_map(sys: OracleSystem, temp: Temperature, t: float):
+    dense, traces = _kernel(sys, _exact_kernels, temp)
+    s, s2, x, y = _DENSE_SECTORS
+    phases = np.stack([spectral_phases(w, t) for w, _ in sys._block_spectra], axis=1)
+    # K e_s'^* for both s' at once, then e_s^T of the column each kernel needs
+    right = _real_matmul(dense.reshape(-1, sys.bath_dim), phases.conj())
+    right = right.reshape(len(dense), sys.bath_dim, 2)[np.arange(len(dense)), :, s2]
+    sums = np.empty((2, 2, 2, 2), dtype=complex)
+    sums[s, s2, x, y] = np.einsum("bn,nb->n", phases[:, s], right)
+    for sector in range(2):  # T_ss is real; T_-+ is the conjugate of T_+-
+        sums[sector, sector, 0] = traces
+        sums[sector, sector, 1] = sums[sector, sector, 1].real
+    sums[1, 0] = sums[0, 1].conj()
+    return ((_SECTOR_COEFFICIENTS @ sums.ravel()).reshape(2, 2, 2, 2),)
 
 
 def _exact_step(sys: OracleSystem, rho: np.ndarray, temp: Temperature, t: float):
@@ -327,14 +417,27 @@ def _exact_step(sys: OracleSystem, rho: np.ndarray, temp: Temperature, t: float)
     return np.einsum("ijkl,...kl->...ij", reduced, rho)
 
 
-def _split_map(sys: OracleSystem, temp: Temperature, t: float):
-    coherence = np.ones((2, 2), dtype=complex)
-    for mode, spectra in zip(sys.modes, sys._mode_spectra):
+def _split_kernels(sys: OracleSystem, temp: Temperature):
+    # F_k = tr(u_+ theta_k u_-^dag) for mode k, with u_+ = V e V^T and
+    # u_- = P u_+ P, is e^T K e^* with K = (V^T P V) o (V^T theta_k P V)
+    kernels = []
+    for mode, (_, v) in zip(sys.modes, sys._mode_spectra):
         weights = _mode_weights(mode, temp)
+        parity = (-1.0) ** np.arange(mode.levels)
         occupied = np.flatnonzero(weights)
-        u = np.stack([spectral_propagator(s, t, occupied) for s in spectra])
-        a = (u * np.sqrt(weights[occupied])).reshape(2, -1)
-        coherence *= a @ a.conj().T
+        rows = v[occupied]
+        weighted = (rows.T * (weights * parity)[occupied]) @ rows
+        kernels.append((v.T @ (v * parity[:, None])) * weighted)
+    return tuple(kernels)
+
+
+def _split_map(sys: OracleSystem, temp: Temperature, t: float):
+    factor = 1.0
+    kernels = _kernel(sys, _split_kernels, temp)
+    for (w, _), kernel in zip(sys._mode_spectra, kernels):
+        phases = spectral_phases(w, t)
+        factor *= phases @ _real_matmul(kernel, phases.conj()[:, None])[:, 0]
+    coherence = np.array([[1.0, factor], [np.conj(factor), 1.0]], dtype=complex)
     half = spectral_propagator(sys._qubit_spectrum, 0.5 * t)
     return half, half.conj().T, coherence
 
@@ -353,11 +456,16 @@ def exact_evolve(
     the parity ``P = sigma_x (-1)^(sum_k n_k)``, so its propagator is
     ``U[ib,kc] = 1/2 pi_b^i pi_c^k (U_+ + (-1)^(i+k) U_-)[b,c]`` with the
     bath parities ``pi`` and the ``B x B`` propagators ``U_+-`` of the two
-    parity blocks, which ``sys`` diagonalizes once. The bath weights
-    ``p_c``, the block propagators' columns of the occupied bath levels
-    (one at zero temperature, all ``B`` above) and the reduced map
-    ``L[i,j,k,l] = sum_{b,c} p_c U[ib,kc] conj(U[jb,lc])`` are built once
-    per ``(temp, t)``; ``sys`` keeps the last few maps it built.
+    parity blocks, which ``sys`` diagonalizes once as real symmetric
+    matrices (the coupling phases are a gauge). The reduced map
+    ``L[i,j,k,l] = sum_{b,c} p_c U[ib,kc] conj(U[jb,lc])``, with the bath
+    weights ``p_c``, is one constant 16 x 16 matrix applied to the sector
+    sums ``T^{xy}_{ss'} = tr(Pi^x U_s diag(p) Pi^y U_s'^dag)``; each is a
+    Bohr-frequency sum ``e_s^T K e_s'^*`` over the phases ``e_s = exp(-i
+    w_s t)`` of the block spectra, with real kernels ``K`` that ``sys``
+    builds once per temperature. So a new ``(temp, t)`` costs two phase
+    vectors and ``O(B^2)`` work, and no propagator; ``sys`` keeps the last
+    few maps it built.
     """
     _check_time(t)
     return _exact_step(sys, check_qubit_state(rho_qubit0), temp, t)
@@ -374,9 +482,11 @@ def split_evolve(
     are products over modes, so the result is ``half (half rho half^dag *
     F) half^dag`` with the coherence factor ``F[p, q] = prod_k tr(u_{p,k}
     theta_k u_{q,k}^dag)`` of the one-mode propagators ``u_{p,k}`` of
-    ``h_k +- v_k``, built on the occupied levels only. Takes one qubit
-    state or a stack ``(..., 2, 2)``, and keeps its map in ``sys``, like
-    :func:`exact_evolve`.
+    ``h_k +- v_k``. ``F[0, 0] = F[1, 1] = 1``, and ``F[0, 1] =
+    conj(F[1, 0])`` is the product over modes of the Bohr-frequency sums
+    ``e_k^T K_k e_k^*``, from one real spectrum per mode and one kernel
+    per mode and temperature. Takes one qubit state or a stack ``(..., 2,
+    2)``, and keeps its map in ``sys``, like :func:`exact_evolve`.
     """
     _check_time(t)
     return _split_step(sys, check_qubit_state(rho_qubit0), temp, t)

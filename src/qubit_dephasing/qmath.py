@@ -1,6 +1,7 @@
 """Dense complex linear algebra and adaptive quadrature.
 
-Matrices are plain ``numpy.ndarray`` objects with complex entries. The
+Matrices are plain ``numpy.ndarray`` objects with complex entries;
+:func:`hermitian_spectrum` keeps a real symmetric generator real. The
 analytic path of the library works on 2x2 and 4x4 matrices, the
 brute-force reference path on a few hundred dimensions at most, so
 everything here is dense and double precision.
@@ -26,6 +27,7 @@ __all__ = [
     "hermitian_spectrum",
     "matrix_exponential",
     "semi_infinite_cutoff",
+    "spectral_phases",
     "spectral_propagator",
 ]
 
@@ -37,8 +39,8 @@ MAX_EXPONENTIAL_DIM = 1024
 MAX_GENERAL_EIG_DIM = 8
 
 
-def _as_square(m, stack: bool = False) -> np.ndarray:
-    a = np.asarray(m, dtype=complex)
+def _as_square(m, stack: bool = False, dtype=complex) -> np.ndarray:
+    a = np.asarray(m, dtype=dtype)
     square = a.ndim >= 2 and a.shape[-1] == a.shape[-2]
     if not square or (a.ndim > 2 and not stack):
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
@@ -109,10 +111,12 @@ def hermitian_spectrum(m):
 
     Checks ``m`` as :func:`matrix_exponential` does and returns ``None``
     when its Hermiticity defect exceeds ``1e-12 * max(1, max|m|)``; such a
-    generator has no spectral propagator. Pass the result to
-    :func:`spectral_propagator` to build ``exp(-i m t)`` at any ``t``.
+    generator has no spectral propagator. A real ``m`` is diagonalized as a
+    real symmetric matrix, so its eigenvectors ``v`` are float64. Pass the
+    result to :func:`spectral_propagator` to build ``exp(-i m t)`` at any
+    ``t``, or its eigenvalues to :func:`spectral_phases`.
     """
-    a = _as_square(m)
+    a = _as_square(m, dtype=float if np.isrealobj(m) else complex)
     n = a.shape[0]
     if n > MAX_EXPONENTIAL_DIM:
         raise DimensionTooLarge(f"dimension {n} exceeds cap {MAX_EXPONENTIAL_DIM}")
@@ -125,20 +129,29 @@ def hermitian_spectrum(m):
         raise NoConvergence(str(exc)) from exc
 
 
+def spectral_phases(w: np.ndarray, t: float) -> np.ndarray:
+    """Phase factors ``exp(-i w t)`` of the eigenvalues ``w`` of a spectrum.
+
+    Raises ``ValueError`` when ``t`` is not finite, and ``ToleranceNotMet``
+    naming ``t`` when a phase ``w t`` is not finite.
+    """
+    if not math.isfinite(t):
+        raise ValueError("t must be finite")
+    if w.size and not math.isfinite(float(np.abs(w).max()) * t):
+        raise ToleranceNotMet(f"at t = {t:.6e} s: phase w t is not finite")
+    return np.exp(-1j * w * t)
+
+
 def spectral_propagator(spectrum, t: float, columns=None) -> np.ndarray:
     """Propagator ``exp(-i m t)`` from ``spectrum = hermitian_spectrum(m)``.
 
     With ``columns`` (indices), only those columns of the propagator are
     built: ``O(n^2 r)`` work for ``r`` columns instead of ``O(n^3)``.
-    Raises ``ToleranceNotMet`` naming ``t`` when a phase ``w t`` is not finite.
+    Checks ``t`` as :func:`spectral_phases` does.
     """
-    if not math.isfinite(t):
-        raise ValueError("t must be finite")
     w, v = spectrum
-    if w.size and not math.isfinite(float(np.abs(w).max()) * t):
-        raise ToleranceNotMet(f"at t = {t:.6e} s: phase w t is not finite")
     rows = v if columns is None else v[columns]
-    return (v * np.exp(-1j * w * t)) @ rows.conj().T
+    return (v * spectral_phases(w, t)) @ rows.conj().T
 
 
 def matrix_exponential(m, t: float) -> np.ndarray:

@@ -343,7 +343,7 @@ def test_main_exit_four_on_io_failure(tmp_path):
     assert main(["gfactor", "--config", str(tmp_path / "absent.conf")]) == 4
 
 
-def test_main_oracle_check_happy_path(tmp_path):
+def test_main_oracle_check_happy_path(tmp_path, capsys):
     out = tmp_path / "oc.csv"
     conf = tmp_path / "oracle.conf"
     conf.write_text("oracle_samples = 4\n", encoding="utf-8")
@@ -352,9 +352,14 @@ def test_main_oracle_check_happy_path(tmp_path):
     assert header == "t_seconds,split_vs_exact,channel_vs_split,ratio_at_half_t"
     assert data.shape == (3, 4)
     assert np.all(data[:, 3] > 6.0) and np.all(data[:, 3] < 10.0)
+    # e_j <= omega: both thresholds share one window
+    last = capsys.readouterr().out.splitlines()[-1]
+    assert last == "all thresholds met for t <= 0.1/omega"
 
 
-def test_oracle_check_gates_the_halving_ratio_on_the_qubit_frequency_too(tmp_path):
+def test_oracle_check_gates_the_halving_ratio_on_the_qubit_frequency_too(
+    tmp_path, capsys
+):
     # E_J t >> 1: the split error's leading order is no longer t^3, so the
     # ratios sit near 4 while the channel still matches to rounding. Only
     # the channel gap is checked here (t <= 0.1/omega at the two smaller
@@ -371,6 +376,11 @@ def test_oracle_check_gates_the_halving_ratio_on_the_qubit_frequency_too(tmp_pat
     assert data.shape == (3, 4)
     assert np.all(data[:, 2] < 1e-6)
     assert np.all(np.abs(data[:, 3] - 4.0) < 0.1)
+    # the closing line names both windows, since they differ here
+    assert capsys.readouterr().out.splitlines()[-1] == (
+        "all thresholds met: channel gap for t <= 0.1/omega, "
+        "halving ratio for t <= 0.1/|e_j|"
+    )
 
 
 def test_load_config_round_trip_through_disk(tmp_path):

@@ -294,8 +294,9 @@ SYSTEMS = pytest.mark.parametrize(
     [(FockMode(OMEGA, COUPLING, 8),), TWO_MODES, (), THREE_MODES],
     ids=["one_mode", "two_modes", "no_modes", "three_modes"],
 )
+TEMPERATURES_LIST = [Temperature.zero(), Temperature.finite(2e-11)]
 TEMPERATURES = pytest.mark.parametrize(
-    "temp", [Temperature.zero(), Temperature.finite(2e-11)], ids=["zero", "finite"]
+    "temp", TEMPERATURES_LIST, ids=["zero", "finite"]
 )
 
 
@@ -567,6 +568,21 @@ def bath_parity(modes):
     return parity
 
 
+def gauged(modes):
+    # the same modes with each coupling g_k replaced by |g_k|
+    return tuple(FockMode(mode.omega, abs(mode.g), mode.n_max) for mode in modes)
+
+
+def gauge_phases(modes):
+    # diagonal of D = prod_k exp(i arg(g_k) n_k), which takes the generators
+    # with |g_k| to those with g_k: D V(|g|) D^dag = V(g)
+    phases = np.ones(1, dtype=complex)
+    for mode in modes:
+        ladder = np.exp(1j * cmath.phase(mode.g) * np.arange(mode.levels))
+        phases = np.outer(phases, ladder).ravel()
+    return phases
+
+
 def parity_blocks(modes):
     # H_B + V -+ (E_J/2) Pi: the Hamiltonian on the sectors P = +1 and -1
     h = bath_free_hamiltonian(modes) + bath_coupling_operator(modes)
@@ -618,7 +634,10 @@ def test_diagonalized_generators_are_the_hamiltonian_and_the_split_blocks(
 ):
     # the exact step diagonalizes the Hamiltonian's two B x B parity blocks;
     # the split blocks H_B +- V are sums of one-mode terms h_k +- v_k, and
-    # only those (n_max + 1)-level terms are diagonalized for the split step
+    # only those (n_max + 1)-level terms are diagonalized for the split step,
+    # one per mode, since h_k - v_k = P (h_k + v_k) P with P = diag((-1)^n).
+    # Every bath generator is the real one with |g_k|, which the gauge D
+    # takes to the one with g_k
     system = OracleSystem(E_J, modes)
     b = system.bath_dim
     generators = []
@@ -632,22 +651,39 @@ def test_diagonalized_generators_are_the_hamiltonian_and_the_split_blocks(
     exact_evolve(system, PLUS, Temperature.zero(), 1e-13)
     split_evolve(system, PLUS, Temperature.zero(), 1e-13)
     plus, minus, *per_mode, qubit = generators
-    expect_plus, expect_minus = parity_blocks(modes)
+    assert plus.dtype == minus.dtype == np.float64
+    expect_plus, expect_minus = parity_blocks(gauged(modes))
     assert np.array_equal(plus, expect_plus) and np.array_equal(minus, expect_minus)
+    d = gauge_phases(modes)
+    for got, expect in zip((plus, minus), parity_blocks(modes)):
+        scale = float(np.abs(expect).max())
+        gauge = d[:, None] * got * d.conj()
+        np.testing.assert_allclose(gauge, expect, rtol=0.0, atol=1e-15 * scale)
     assert np.array_equal(qubit, system_hamiltonian(system))
-    assert len(per_mode) == 2 * len(modes)
-    interaction = interaction_generator(modes)
+    assert len(per_mode) == len(modes)
+    interaction = interaction_generator(gauged(modes))
     blocks = [np.zeros((b, b), dtype=complex) for _ in range(2)]
-    for k, mode in enumerate(modes):
+    for k, mode in enumerate(gauged(modes)):
         h = bath_free_hamiltonian((mode,))
         v = bath_coupling_operator((mode,))
-        plus, minus = per_mode[2 * k : 2 * k + 2]
-        assert np.array_equal(plus, h + v) and np.array_equal(minus, h - v)
-        blocks[0] += lift(modes, k, plus)
-        blocks[1] += lift(modes, k, minus)
+        parity = np.diag((-1.0) ** np.arange(mode.levels))
+        assert per_mode[k].dtype == np.float64
+        assert np.array_equal(per_mode[k], h + v)
+        assert np.array_equal(parity @ per_mode[k] @ parity, h - v)
+        blocks[0] += lift(modes, k, per_mode[k])
+        blocks[1] += lift(modes, k, parity @ per_mode[k] @ parity)
     assert np.array_equal(blocks[0], interaction[:b, :b])
     assert np.array_equal(blocks[1], interaction[b:, b:])
     assert not interaction[:b, b:].any() and not interaction[b:, :b].any()
+
+
+def mode_propagators(system, t):
+    # each mode's one-mode propagators u_+ and u_- = P u_+ P from its one
+    # kept spectrum of h + v
+    for mode, (w, v) in zip(system.modes, system._mode_spectra):
+        parity = (-1.0) ** np.arange(mode.levels)
+        minus = (w, v * parity[:, None])
+        yield spectral_propagator((w, v), t), spectral_propagator(minus, t)
 
 
 @pytest.mark.parametrize(
@@ -657,33 +693,37 @@ def test_diagonalized_generators_are_the_hamiltonian_and_the_split_blocks(
 )
 def test_column_and_block_propagators_match_the_dense_exponential(modes, block_atol):
     # columns come from the same generator as the block's full propagator.
-    # The sector-basis assembly of the two parity-block propagators, and the
-    # kron of the one-mode propagators, come from other eigh calls than the
-    # dense exponential's, and each eigh-built propagator is unitary only to
-    # about 2e-15. Largest gaps measured here: parity assembly 2.4e-15 (one
-    # mode) and 3.3e-15 (two); split blocks 4.2e-17 and 2.4e-15
+    # The sector-basis assembly of the two gauged parity-block propagators,
+    # and the kron of the one-mode propagators, come from other eigh calls
+    # than the dense exponential's, and each eigh-built propagator is unitary
+    # only to about 2e-15. Largest gaps measured here: parity assembly with
+    # the gauge 2.2e-15 (one mode) and 3.7e-15 (two); split blocks, against
+    # the dense exponential with |g_k|, 0 and 3.3e-15
     system = OracleSystem(E_J, modes)
     b = system.bath_dim
     sectors = sector_basis(modes)
     zero = np.zeros((b, b), dtype=complex)
+    d = gauge_phases(modes)
     for t in (0.0, 1e-13, 3e-13, 2e-12):
         blocks = [spectral_propagator(s, t) for s in system._block_spectra]
         for spectrum, u in zip(system._block_spectra, blocks):
             for columns in ([0], [2, 3], list(range(b))):
                 got = spectral_propagator(spectrum, t, columns)
                 np.testing.assert_allclose(got, u[:, columns], rtol=0.0, atol=1e-15)
+        blocks = [d[:, None] * u * d.conj() for u in blocks]  # D U D^dag
         assembled = sectors @ np.block([[blocks[0], zero], [zero, blocks[1]]])
         assembled = assembled @ sectors.conj().T / 2.0
         full = matrix_exponential(build_hamiltonian(system), t)
         np.testing.assert_allclose(assembled, full, rtol=0.0, atol=1e-14)
-        dense = matrix_exponential(interaction_generator(modes), t)
+        dense = matrix_exponential(interaction_generator(gauged(modes)), t)
         for p in range(2):
             block = np.eye(1, dtype=complex)
-            for spectra in system._mode_spectra:
-                u = spectral_propagator(spectra[p], t)
-                columns = spectral_propagator(spectra[p], t, [0, 3])
-                np.testing.assert_allclose(columns, u[:, [0, 3]], rtol=0.0, atol=1e-15)
-                block = np.kron(block, u)
+            pairs = mode_propagators(system, t)
+            for spectrum, pair in zip(system._mode_spectra, pairs):
+                columns = spectral_propagator(spectrum, t, [0, 3])
+                expect = pair[0][:, [0, 3]]
+                np.testing.assert_allclose(columns, expect, rtol=0.0, atol=1e-15)
+                block = np.kron(block, pair[p])
             expect = dense[p * b : (p + 1) * b, p * b : (p + 1) * b]
             np.testing.assert_allclose(block, expect, rtol=0.0, atol=block_atol)
 
@@ -727,11 +767,57 @@ def test_reduced_map_matches_the_dense_reference(states, t, system, temp):
         check_qubit_state(got)
 
 
+@settings(derandomize=True, max_examples=30, deadline=None)
+@given(
+    st.lists(qubit_states, min_size=1, max_size=3),
+    st.floats(0.0, 2e-12),
+    st.sampled_from([(FockMode(OMEGA, 3e10, 8),), gauged(TWO_MODES)]),
+    st.lists(st.floats(-math.pi, math.pi), min_size=2, max_size=2),
+    st.sampled_from([Temperature.zero(), Temperature.finite(2e-11)]),
+)
+def test_coupling_phases_leave_the_reduced_maps_alone(states, t, modes, angles, temp):
+    # the gauge D = prod_k exp(i arg(g_k) n_k) commutes with every bath state,
+    # so couplings g_k and |g_k| give one reduced map; the dense reference
+    # keeps the phases, so it checks the gauge independently
+    stack = np.array(states)
+    phased = tuple(
+        FockMode(mode.omega, mode.g * cmath.exp(1j * angle), mode.n_max)
+        for mode, angle in zip(modes, angles)
+    )
+    with_phases, without = OracleSystem(E_J, phased), OracleSystem(E_J, modes)
+    for split, evolve in ((True, split_evolve), (False, exact_evolve)):
+        got = evolve(with_phases, stack, temp, t)
+        np.testing.assert_allclose(
+            got, evolve(without, stack, temp, t), rtol=0.0, atol=1e-14
+        )
+        expect = reference_evolve(with_phases, stack, temp, t, split)
+        np.testing.assert_allclose(got, expect, rtol=0.0, atol=1e-14)
+
+
+def test_a_time_grid_builds_each_kernel_once_per_temperature(oracle_counts):
+    # 64 times on one two-mode system: every map is its own, every kernel and
+    # spectrum is built once per (system, temperature), and no evolve builds
+    # a bath propagator (the 64 per temperature are the qubit's half-steps)
+    system = OracleSystem(E_J, TWO_MODES)
+    stack = random_pure_states((3,), 34)
+    for n, temp in enumerate(TEMPERATURES_LIST, start=1):
+        for t in np.linspace(0.0, 2e-12, 64).tolist():
+            for split, evolve in ((True, split_evolve), (False, exact_evolve)):
+                got = evolve(system, stack, temp, t)
+                expect = reference_evolve(system, stack, temp, t, split)
+                np.testing.assert_allclose(got, expect, rtol=0.0, atol=1e-14)
+        assert oracle_counts["hermitian_spectrum"] == 5
+        assert oracle_counts["_exact_kernels"] == oracle_counts["_split_kernels"] == n
+        assert oracle_counts["spectral_propagator"] == 64 * n
+
+
 @pytest.fixture
 def oracle_counts(monkeypatch):
     counts = {
         "hermitian_spectrum": 0,
         "spectral_propagator": 0,
+        "_exact_kernels": 0,
+        "_split_kernels": 0,
         "_bath_weights": 0,
         "_mode_weights": 0,
         "thermal_bath_state": 0,
@@ -748,23 +834,27 @@ def oracle_counts(monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "measure,spectra,propagators,weights",
-    [(split_deviation, 5, 5, 1), (channel_discrepancy, 3, 3, 0)],
+    "measure,spectra,exact_kernels,weights",
+    [(split_deviation, 4, 1, 1), (channel_discrepancy, 2, 0, 0)],
     ids=["split_deviation", "channel_discrepancy"],
 )
 @pytest.mark.parametrize("samples", [4, 8])
 def test_each_measurement_builds_its_propagators_once(
-    oracle_counts, measure, spectra, propagators, weights, samples
+    oracle_counts, measure, spectra, exact_kernels, weights, samples
 ):
-    # a split step takes the qubit half-step and the mode's two one-mode
-    # propagators, an exact step those of the two parity blocks; on a fresh
-    # system each needs its own spectrum as well. Every evolve reads each
-    # mode's Gibbs weights once; only the exact step joins them into the
-    # bath weights, and no evolve forms the dense bath state.
+    # a split step takes the qubit half-step, the only propagator an evolve
+    # builds, and the mode's kernel; an exact step the kernels of the two
+    # parity blocks. On a fresh system each needs its own spectra as well:
+    # the two blocks', and one for the qubit and one for the mode. Each
+    # kernel build reads each mode's Gibbs weights once; only the exact
+    # kernels join them into the bath weights, and no evolve forms the
+    # dense bath state.
     measure(reference_system(4), Temperature.finite(5e-11), 2e-13, samples)
     assert oracle_counts == {
         "hermitian_spectrum": spectra,
-        "spectral_propagator": propagators,
+        "spectral_propagator": 1,
+        "_exact_kernels": exact_kernels,
+        "_split_kernels": 1,
         "_bath_weights": weights,
         "_mode_weights": weights + 1,
         "thermal_bath_state": 0,
@@ -785,24 +875,26 @@ def halving_grid_pattern(system, samples):
 def test_each_system_diagonalizes_its_hamiltonians_once(oracle_counts, samples):
     system = reference_system(4)
     halving_grid_pattern(system, samples)
-    # spectra: the two parity blocks, qubit and the mode's two one-mode
-    # generators h +- v; propagators: three for each of the 4 split maps
-    # and two for each of the 4 exact maps, the channel's 3 split steps
-    # reusing the kept ones; Gibbs weights: once per map
+    # spectra: the two parity blocks, the qubit and the mode; kernels: each
+    # step's once for the one temperature; propagators: the qubit half-step
+    # of each of the 4 split maps, the channel's 3 split steps reusing the
+    # kept maps; Gibbs weights: once per kernel build
     assert oracle_counts == {
-        "hermitian_spectrum": 5,
-        "spectral_propagator": 20,
-        "_bath_weights": 4,
-        "_mode_weights": 8,
+        "hermitian_spectrum": 4,
+        "spectral_propagator": 4,
+        "_exact_kernels": 1,
+        "_split_kernels": 1,
+        "_bath_weights": 1,
+        "_mode_weights": 2,
         "thermal_bath_state": 0,
     }
     halving_grid_pattern(system, samples)
-    assert oracle_counts["hermitian_spectrum"] == 5
+    assert oracle_counts["hermitian_spectrum"] == 4
     # an equal but new system keeps no spectra from the first: no global cache
     twin = reference_system(4)
     assert twin == system
     halving_grid_pattern(twin, samples)
-    assert oracle_counts["hermitian_spectrum"] == 10
+    assert oracle_counts["hermitian_spectrum"] == 8
 
 
 def test_the_sample_states_are_drawn_once_per_samples_and_seed(monkeypatch):
@@ -833,23 +925,33 @@ def test_sampled_states_are_read_only():
     "modes", [(), TWO_MODES, THREE_MODES], ids=["no_modes", "two_modes", "three_modes"]
 )
 def test_each_system_diagonalizes_full_qubit_and_two_per_mode(oracle_counts, modes):
+    # the full Hamiltonian as its two parity blocks, the qubit, and each
+    # mode's two generators h_k +- v_k through one spectrum: (w, v)
+    # diagonalizes h_k + v_k, and (w, P v) diagonalizes h_k - v_k
     system = OracleSystem(E_J, modes)
     for _ in range(2):
         halving_grid_pattern(system, 4)
-        assert oracle_counts["hermitian_spectrum"] == 3 + 2 * len(modes)
-    # 4 split maps of 1 + 2 per mode propagators, 4 exact maps of two; the
-    # second pass finds all 8 maps kept
-    assert oracle_counts["spectral_propagator"] == 4 * (1 + 2 * len(modes)) + 8
+        assert oracle_counts["hermitian_spectrum"] == 3 + len(modes)
+    # the qubit half-step of the 4 split maps; the second pass finds all 8
+    # maps kept, and no exact map builds a propagator
+    assert oracle_counts["spectral_propagator"] == 4
+    for mode, (w, v) in zip(gauged(modes), system._mode_spectra):
+        h, coupling = bath_free_hamiltonian((mode,)), bath_coupling_operator((mode,))
+        parity = (-1.0) ** np.arange(mode.levels)
+        scale = float(np.abs(h + coupling).max())
+        for sign, vecs in ((1.0, v), (-1.0, v * parity[:, None])):
+            rebuilt = (vecs * w) @ vecs.T
+            np.testing.assert_allclose(
+                rebuilt, h + sign * coupling, rtol=0.0, atol=1e-14 * scale
+            )
 
 
 def test_kept_spectra_are_read_only():
     system = OracleSystem(E_J, TWO_MODES)
     exact_evolve(system, PLUS, Temperature.zero(), 1e-13)
     split_evolve(system, PLUS, Temperature.zero(), 1e-13)
-    spectra = [*system._block_spectra, system._qubit_spectrum]
-    for pair in system._mode_spectra:
-        spectra.extend(pair)
-    assert len(spectra) == 7
+    spectra = [*system._block_spectra, system._qubit_spectrum, *system._mode_spectra]
+    assert len(spectra) == 5
     for spectrum in spectra:
         for part in spectrum:
             with pytest.raises(ValueError):
@@ -864,7 +966,9 @@ def test_a_repeated_time_builds_no_propagator(oracle_counts):
     temp = Temperature.finite(5e-11)
     first = {evolve: evolve(system, PLUS, temp, 2e-13) for evolve in EVOLVE_PAIR}
     built = dict(oracle_counts)
-    assert built["spectral_propagator"] == 5
+    # the split map's qubit half-step, and each step's kernels
+    assert built["spectral_propagator"] == 1
+    assert built["_split_kernels"] == built["_exact_kernels"] == 1
     minus = PLUS - SIGMA_X  # |-><-|
     for evolve, out in first.items():
         evolve(system, minus, temp, 2e-13)
@@ -872,13 +976,29 @@ def test_a_repeated_time_builds_no_propagator(oracle_counts):
     split_deviation(system, temp, 2e-13, 4)
     channel_discrepancy(system, temp, 2e-13, 4)
     assert oracle_counts == built
-    # another temperature or time is another map
+    # another temperature is another map and other kernels; another time is
+    # another map on the kept kernels
     split_evolve(system, PLUS, Temperature.zero(), 2e-13)
     split_evolve(system, PLUS, temp, 1e-13)
-    assert oracle_counts["spectral_propagator"] == 5 + 2 * 3
+    assert oracle_counts["spectral_propagator"] == 1 + 2
+    assert oracle_counts["_split_kernels"] == 2
 
 
-def test_a_ninth_map_evicts_the_oldest(oracle_counts):
+@pytest.fixture
+def map_builds(monkeypatch):
+    counts = {"_split_map": 0, "_exact_map": 0}
+    for name in counts:
+        original = getattr(oracle, name)
+
+        def counted(*args, _name=name, _original=original):
+            counts[_name] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(oracle, name, counted)
+    return counts
+
+
+def test_a_ninth_map_evicts_the_oldest(map_builds):
     system = reference_system(4)
     temp = Temperature.zero()
     times = [1e-13 * (k + 1) for k in range(9)]
@@ -888,11 +1008,11 @@ def test_a_ninth_map_evicts_the_oldest(oracle_counts):
     exact_evolve(system, PLUS, temp, times[8])
     kept = [t for _, _, t in system._reduced_maps]
     assert kept == times[1:]
-    count = oracle_counts["spectral_propagator"]
+    count = map_builds["_split_map"]
     split_evolve(system, PLUS, temp, times[1])  # still kept
-    assert oracle_counts["spectral_propagator"] == count
+    assert map_builds["_split_map"] == count
     split_evolve(system, PLUS, temp, times[0])  # evicted: built again
-    assert oracle_counts["spectral_propagator"] == count + 3
+    assert map_builds["_split_map"] == count + 1
     assert len(system._reduced_maps) == 8
 
 
@@ -906,6 +1026,28 @@ def test_kept_maps_are_read_only():
                 part[(0,) * part.ndim] = 0.0
 
 
+def test_kept_kernels_are_read_only_and_bounded(oracle_counts):
+    # one kernel set per step and temperature, the oldest of four dropped
+    # first: both steps at two temperatures stay kept
+    system = OracleSystem(E_J, TWO_MODES)
+    temps = [Temperature.zero(), Temperature.finite(2e-11), Temperature.finite(3e-11)]
+    for temp in temps[:2]:
+        split_deviation(system, temp, 2e-13, 4)
+    assert len(system._kernels) == 4
+    for parts in system._kernels.values():
+        assert len(parts) == 2  # the exact step's dense stack and traces, or two modes
+        for part in parts:
+            with pytest.raises(ValueError):
+                part[(0,) * part.ndim] = 0.0
+    for temp in temps[:2]:
+        split_deviation(system, temp, 1e-13, 4)
+    assert oracle_counts["_exact_kernels"] == oracle_counts["_split_kernels"] == 2
+    split_deviation(system, temps[2], 2e-13, 4)
+    assert [temp for _, temp in system._kernels] == [temps[1]] * 2 + [temps[2]] * 2
+    split_deviation(system, temps[0], 2e-13, 4)  # evicted: built again
+    assert oracle_counts["_exact_kernels"] == oracle_counts["_split_kernels"] == 4
+
+
 @pytest.mark.parametrize("evolve", EVOLVE_PAIR)
 def test_a_changed_result_leaves_the_next_call_alone(evolve):
     system = reference_system(4)
@@ -915,25 +1057,29 @@ def test_a_changed_result_leaves_the_next_call_alone(evolve):
     assert np.array_equal(evolve(system, PLUS, Temperature.zero(), 2e-13), expect)
 
 
-def test_an_equal_new_system_builds_its_own_maps(oracle_counts):
+def test_an_equal_new_system_builds_its_own_maps(oracle_counts, map_builds):
     system = reference_system(4)
     split_deviation(system, Temperature.zero(), 2e-13, 4)
     twin = reference_system(4)
-    assert twin == system and not twin._reduced_maps
+    assert twin == system and not twin._reduced_maps and not twin._kernels
     split_deviation(twin, Temperature.zero(), 2e-13, 4)
-    assert oracle_counts["hermitian_spectrum"] == 2 * 5
-    assert oracle_counts["spectral_propagator"] == 2 * 5
+    assert oracle_counts["hermitian_spectrum"] == 2 * 4
+    assert oracle_counts["_exact_kernels"] == oracle_counts["_split_kernels"] == 2
+    assert oracle_counts["spectral_propagator"] == 2 * 1
+    assert map_builds == {"_split_map": 2, "_exact_map": 2}
 
 
 @SYSTEMS
 @TEMPERATURES
 def test_evolves_build_only_the_occupied_propagator_columns(monkeypatch, modes, temp):
-    # zero temperature occupies the bath vacuum alone, finite all levels; the
-    # exact step builds nothing larger than the bath, the split step nothing
-    # larger than one mode's levels
+    # zero temperature occupies the bath vacuum alone, finite all levels. No
+    # evolve builds a bath propagator: the only one is the qubit's 2 x 2
+    # half-step. The exact step keeps nothing larger than the bath (8 B x B
+    # kernels), the split step nothing larger than one mode's levels, and
+    # each kernel reads only the occupied levels: it equals the product
+    # (V_s^T Pi^x V_s') o (V_s^T diag(p) Pi^y V_s') over all B levels
     system = OracleSystem(E_J, modes)
     b = system.bath_dim
-    r = 1 if temp.beta is None else b
     shapes = []
     original = oracle.spectral_propagator
 
@@ -944,14 +1090,28 @@ def test_evolves_build_only_the_occupied_propagator_columns(monkeypatch, modes, 
 
     monkeypatch.setattr(oracle, "spectral_propagator", recorded)
     exact_evolve(system, PLUS, temp, 1e-13)
-    assert shapes == [(b, r), (b, r)]
-    shapes.clear()
+    assert shapes == []
     split_evolve(system, PLUS, temp, 1e-13)
-    per_mode = []
-    for mode in modes:
-        r_k = 1 if temp.beta is None else mode.levels
-        per_mode += [(mode.levels, r_k)] * 2
-    assert shapes == per_mode + [(2, 2)]
+    assert shapes == [(2, 2)]
+    dense, traces = system._kernels[oracle._exact_kernels, temp]
+    assert dense.shape == (8, b, b) and traces.shape == (2,)
+    weights = thermal_bath_state(system, temp).real
+    parity = bath_parity(modes).real
+    vecs = [v for _, v in system._block_spectra]
+    for kernel, (s, s2, x, y) in zip(dense, oracle._DENSE_SECTORS.T):
+        overlap = vecs[s].T @ np.linalg.matrix_power(parity, x) @ vecs[s2]
+        weighted = vecs[s].T @ weights @ np.linalg.matrix_power(parity, y) @ vecs[s2]
+        np.testing.assert_allclose(kernel, overlap * weighted, rtol=0.0, atol=1e-15)
+    np.testing.assert_allclose(
+        traces, [np.trace(weights), np.trace(weights @ parity)], rtol=0.0, atol=1e-15
+    )
+    kernels = system._kernels[oracle._split_kernels, temp]
+    assert [k.shape for k in kernels] == [(m.levels, m.levels) for m in modes]
+    for mode, (_, v), kernel in zip(modes, system._mode_spectra, kernels):
+        weights = np.diag(oracle._mode_weights(mode, temp))
+        p = np.diag((-1.0) ** np.arange(mode.levels))
+        expect = (v.T @ p @ v) * (v.T @ weights @ p @ v)
+        np.testing.assert_allclose(kernel, expect, rtol=0.0, atol=1e-15)
 
 
 EVOLVES = pytest.mark.parametrize("evolve", [split_evolve, exact_evolve])

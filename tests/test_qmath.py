@@ -16,6 +16,7 @@ from qubit_dephasing.qmath import (
     hermitian_spectrum,
     matrix_exponential,
     semi_infinite_cutoff,
+    spectral_phases,
     spectral_propagator,
 )
 
@@ -176,6 +177,80 @@ def test_spectral_propagator_names_t_when_a_phase_overflows():
     with pytest.raises(ToleranceNotMet, match=message):
         matrix_exponential(2.0 * SIGMA_X, 1e308)
     assert np.isfinite(spectral_propagator(spectrum, 5e307)).all()
+
+
+def real_symmetric(n, seed):
+    a = np.random.default_rng(seed).normal(size=(n, n))
+    return a + a.T
+
+
+def test_real_symmetric_input_keeps_a_real_spectrum():
+    h = real_symmetric(9, 41)
+    w, v = hermitian_spectrum(h)
+    assert w.dtype == np.float64 and v.dtype == np.float64
+    w_complex, _ = hermitian_spectrum(h.astype(complex))
+    scale = float(np.abs(h).max())
+    np.testing.assert_allclose(w, w_complex, rtol=0.0, atol=1e-14 * scale)
+    np.testing.assert_allclose(v @ np.diag(w) @ v.T, h, rtol=0.0, atol=1e-13 * scale)
+    # integer input takes the real path as well
+    assert hermitian_spectrum(np.array([[2, 1], [1, 2]]))[1].dtype == np.float64
+
+
+def test_real_asymmetric_input_has_no_spectrum():
+    h = real_symmetric(5, 42)
+    h[0, 3] += 1e-9  # defect 1e-9, above the 1e-12 * max|m| gate
+    assert hermitian_spectrum(h) is None
+    h[0, 3] -= 1e-9 - 1e-15  # a defect within the gate is accepted
+    assert hermitian_spectrum(h) is not None
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_real_non_finite_input_raises(bad):
+    h = real_symmetric(4, 43)
+    h[1, 2] = h[2, 1] = bad
+    with pytest.raises(ValueError, match="matrix entries must be finite"):
+        hermitian_spectrum(h)
+
+
+def test_propagator_from_a_real_spectrum_equals_the_complex_one():
+    # a displaced-ladder generator omega n + g (b + b^dag), the form of the
+    # oracle's one-mode terms: the real and complex eigh give equal bits here.
+    # For dense random matrices the two reductions differ, and the
+    # propagators only agree to about 2e-14 (9 x 9, seeds 40-239, |w t| <= 60)
+    n = 12
+    coupling = 0.3 * np.sqrt(np.arange(1.0, n))
+    h = np.diag(np.arange(float(n))) + np.diag(coupling, 1) + np.diag(coupling, -1)
+    real, complex_ = hermitian_spectrum(h), hermitian_spectrum(h.astype(complex))
+    for t in (0.0, 0.3, -1.7, 25.0):
+        got = spectral_propagator(real, t)
+        np.testing.assert_allclose(
+            got, spectral_propagator(complex_, t), rtol=0.0, atol=1e-15
+        )
+        np.testing.assert_allclose(
+            spectral_propagator(real, t, [4, 0]), got[:, [4, 0]], rtol=0.0, atol=1e-15
+        )
+    dense = real_symmetric(9, 44) / 9.0
+    real = hermitian_spectrum(dense)
+    complex_ = hermitian_spectrum(dense.astype(complex))
+    for t in (0.0, 0.3, -1.7, 25.0):
+        np.testing.assert_allclose(
+            spectral_propagator(real, t),
+            spectral_propagator(complex_, t),
+            rtol=0.0,
+            atol=1e-13,
+        )
+
+
+def test_spectral_phases_are_the_propagator_eigenvalues():
+    w, v = hermitian_spectrum(real_symmetric(6, 45))
+    for t in (0.0, 0.3, 25.0):
+        phases = spectral_phases(w, t)
+        assert np.array_equal(phases, np.exp(-1j * w * t))
+        assert np.array_equal(spectral_propagator((w, v), t), (v * phases) @ v.T)
+    with pytest.raises(ValueError, match="t must be finite"):
+        spectral_phases(w, math.nan)
+    with pytest.raises(ToleranceNotMet, match=r"^at t = 1\.000000e\+308 s: phase"):
+        spectral_phases(np.array([2.0]), 1e308)
 
 
 def test_quadrature_spec_validation():

@@ -61,20 +61,21 @@ class QubitParams:
             raise ValueError("e_j must be finite")
 
 
-def _qubit_margins(a: np.ndarray):
-    # Hermiticity defect, trace gap and lowest eigenvalue of the Hermitized
-    # matrix for a 2x2 stack, in closed form from its four entries, each
-    # computed only when the check before it has passed. The defect and the
-    # trace gap have the bits of _matrix_margins; the eigenvalue
+def _qubit_margins(a: np.ndarray, trace: float = 1.0):
+    # Hermiticity defect, gap to the given trace and lowest eigenvalue of the
+    # Hermitized matrix for a 2x2 stack, in closed form from its four
+    # entries, each computed only when the check before it has passed. The
+    # defect, 2 |Im a_ii| or |a01 - conj(a10)|, and the trace gap have the
+    # bits of _matrix_margins on finite input; the eigenvalue
     # (p + q)/2 - hypot((p - q)/2, |b|) of [[p, b], [conj(b), q]], with
     # b = (a01 + conj(a10))/2, agrees with its eigvalsh to rounding.
     diag = a.diagonal(axis1=-2, axis2=-1)
     a01, c10 = a[..., 0, 1], a[..., 1, 0].conj()
     yield max(2.0 * float(np.abs(diag.imag).max()), float(np.abs(a01 - c10).max()))
-    trace = diag[..., 0] + diag[..., 1]
-    yield float(np.abs(trace - 1.0).max())
+    sums = diag[..., 0] + diag[..., 1]
+    yield float(np.abs(sums - trace).max())
     p, q = diag.real[..., 0], diag.real[..., 1]
-    yield 0.5 * float((trace.real - np.hypot(p - q, np.abs(a01 + c10))).min())
+    yield 0.5 * float((sums.real - np.hypot(p - q, np.abs(a01 + c10))).min())
 
 
 def _matrix_margins(a: np.ndarray):
@@ -141,9 +142,12 @@ def _apply_single(rho: np.ndarray, e_j: float, g_value: float, t: float) -> np.n
 
 def _evolve_checked(a: np.ndarray, e_j: float, g_value: float, t: float) -> np.ndarray:
     # The channel on a state or stack already validated, Hermitized to
-    # suppress rounding drift.
+    # suppress rounding drift: the bits of (out + out^dag)/2, entrywise.
     out = _apply_single(a, e_j, g_value, t)
-    return 0.5 * (out + out.conj().swapaxes(-1, -2))
+    a01, a10 = out[..., 0, 1], out[..., 1, 0]
+    out[..., 0, 1], out[..., 1, 0] = 0.5 * (a01 + a10.conj()), 0.5 * (a10 + a01.conj())
+    out.imag[..., (0, 1), (0, 1)] = 0.0  # (z + conj(z))/2 is exactly Re z
+    return out
 
 
 def _check_times(t) -> None:
@@ -245,15 +249,17 @@ def lambda_norm(sigma) -> float | np.ndarray:
     a = np.asarray(sigma, dtype=complex)
     if a.ndim < 2 or a.shape[-2:] != (2, 2) or a.size == 0:
         raise InvalidState(f"expected a 2x2 matrix, got shape {a.shape}")
-    defect = float(np.abs(a - a.conj().swapaxes(-1, -2)).max())
+    margins = _qubit_margins(a, trace=0.0)
+    defect = next(margins)
     if defect > HERMITICITY_TOL:
         raise InvalidState(f"deviation not Hermitian, defect {defect:.3e}")
-    trace_size = float(np.abs(np.trace(a, axis1=-2, axis2=-1)).max())
+    trace_size = next(margins)
     if trace_size > TRACE_TOL:
         raise InvalidState(f"deviation not traceless, |trace| {trace_size:.3e}")
     row = a[..., 1, :]
     # hypot, as abs() of a complex scalar; numpy's array abs rounds differently
-    norms = np.sqrt((np.hypot(row.real, row.imag) ** 2).sum(axis=-1))
+    h = np.hypot(row.real, row.imag)
+    norms = np.sqrt(h[..., 0] * h[..., 0] + h[..., 1] * h[..., 1])
     return float(norms) if a.ndim == 2 else norms
 
 
@@ -278,10 +284,13 @@ def max_decoherence_numeric(
         raise ValueError("grid_size must be at least 8")
     thetas = np.linspace(0.0, math.pi, grid_size + 2)[1:-1]
     phis = np.linspace(0.0, 2.0 * math.pi, grid_size, endpoint=False)
-    # both poles first, then theta-major over the grid
-    theta = np.concatenate(([0.0, math.pi], np.repeat(thetas, grid_size)))
-    phi = np.concatenate(([0.0, 0.0], np.tile(phis, grid_size)))
-    vec = np.stack([np.cos(0.5 * theta), np.sin(0.5 * theta) * np.exp(1j * phi)], -1)
+    # both poles (at phi = 0) first, then theta-major over the grid; cos and
+    # sin once per theta and exp once per phi, broadcast to every state
+    half = 0.5 * np.concatenate(([0.0, math.pi], thetas))
+    amp1 = np.sin(half)[:, None] * np.exp(1j * phis)
+    vec = np.empty((grid_size**2 + 2, 2), dtype=complex)
+    vec[:, 0] = np.repeat(np.cos(half), [1, 1] + [grid_size] * grid_size)
+    vec[:2, 1], vec[2:, 1] = amp1[:2, 0], amp1[2:].ravel()
     rho0 = vec[:, :, None] * vec.conj()[:, None, :]
     dephased = evolve_single(rho0, params, g_value, t)
     # rho0 passed the check in evolve_single; deviation checks both outputs

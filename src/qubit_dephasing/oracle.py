@@ -347,13 +347,13 @@ def _real_matmul(a: np.ndarray, z: np.ndarray) -> np.ndarray:
     return (a @ np.ascontiguousarray(z).view(float)).view(complex)
 
 
-# Dense exact-step kernels, in the order _exact_kernels stacks them: for each
-# block pair (s, s'), with 0 for s = +1 and 1 for s = -1, the overlap
-# parities x, each with y = 0 and 1. The pair (-, +) is the conjugate of
+# Dense exact-step kernels, in the order _exact_kernels stacks them: for
+# y = 0 and then y = 1, each block pair (s, s'), with 0 for s = +1 and 1 for
+# s = -1, with its overlap parities x. The pair (-, +) is the conjugate of
 # (+, -), and x = 0 with s = s' has the identity as overlap.
 _DENSE_PAIRS = ((0, 0, (1,)), (1, 1, (1,)), (0, 1, (0, 1)))
 _DENSE_SECTORS = np.array(
-    [(s, s2, x, y) for s, s2, xs in _DENSE_PAIRS for x in xs for y in (0, 1)]
+    [(s, s2, x, y) for y in (0, 1) for s, s2, xs in _DENSE_PAIRS for x in xs]
 ).T
 
 
@@ -375,36 +375,39 @@ def _exact_kernels(sys: OracleSystem, temp: Temperature):
     # K = (V_s^T Pi^x V_s') o (V_s^T diag(p) Pi^y V_s') for the sectors of
     # _DENSE_SECTORS, stacked; where the overlap is the identity, each level
     # pairs with itself at Bohr frequency 0 and T^{0y}_{ss} is the constant
-    # tr(diag(p) Pi^y), kept for y = 0, 1
+    # tr(diag(p) Pi^y), kept for y = 0, 1. When every occupied level is even,
+    # zero temperature included, diag(p) Pi = diag(p): only the y = 0 kernels
+    # are built, and they serve y = 1 as well.
     weights = _bath_weights(sys, temp)
     parity = _bath_parity(sys.modes)
     occupied = np.flatnonzero(weights)
+    ys = (0, 1) if (parity[occupied] < 0.0).any() else (0,)
+    scales = [(weights * parity**y)[occupied] for y in ys]
     vecs = [v for _, v in sys._block_spectra]
     b = sys.bath_dim
-    dense = np.empty((_DENSE_SECTORS.shape[1], b, b))
-    slots = iter(dense)
+    dense = np.empty((len(ys), _DENSE_SECTORS.shape[1] // 2, b, b))
+    slots = iter(dense.swapaxes(0, 1))
     for s, s2, xs in _DENSE_PAIRS:
         left, right = vecs[s], vecs[s2]
-        weighted = [
-            (left[occupied].T * (weights * parity**y)[occupied]) @ right[occupied]
-            for y in (0, 1)
-        ]
+        rows, cols = left[occupied].T, right[occupied]
+        weighted = np.stack([(rows * scale) @ cols for scale in scales])
         for x in xs:
             overlap = left.T @ (right * parity[:, None]) if x else left.T @ right
-            for part in weighted:
-                np.multiply(overlap, part, out=next(slots))
-    return dense, np.array([weights.sum(), weights @ parity])
+            np.multiply(overlap, weighted, out=next(slots))
+    return dense.reshape(-1, b, b), np.array([weights.sum(), weights @ parity])
 
 
 def _exact_map(sys: OracleSystem, temp: Temperature, t: float):
     dense, traces = _kernel(sys, _exact_kernels, temp)
     s, s2, x, y = _DENSE_SECTORS
+    n = len(dense)  # 4 when only the y = 0 kernels were built
     phases = np.stack([spectral_phases(w, t) for w, _ in sys._block_spectra], axis=1)
     # K e_s'^* for both s' at once, then e_s^T of the column each kernel needs
     right = _real_matmul(dense.reshape(-1, sys.bath_dim), phases.conj())
-    right = right.reshape(len(dense), sys.bath_dim, 2)[np.arange(len(dense)), :, s2]
+    right = right.reshape(n, sys.bath_dim, 2)[np.arange(n), :, s2[:n]]
     sums = np.empty((2, 2, 2, 2), dtype=complex)
-    sums[s, s2, x, y] = np.einsum("bn,nb->n", phases[:, s], right)
+    values = np.einsum("bn,nb->n", phases[:, s[:n]], right)
+    sums[s, s2, x, y] = np.resize(values, len(s))  # y = 0 sums repeat for y = 1
     for sector in range(2):  # T_ss is real; T_-+ is the conjugate of T_+-
         sums[sector, sector, 0] = traces
         sums[sector, sector, 1] = sums[sector, sector, 1].real

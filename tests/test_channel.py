@@ -1,5 +1,7 @@
 import cmath
+import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -661,3 +663,140 @@ def test_pair_evolution_checks_the_initial_state_once_per_call(monkeypatch):
     evolve_pair(initial_state(2.0), p, p, 0.1 * ts / ts[-1], 0.2 * ts / ts[-1], ts)
     evolve_pair(initial_state(2.0), p, p, 0.1, 0.2, 1e-12)
     assert seen == [(4, 4), (4, 4)]
+
+
+# -- the Bloch scan on entrywise 2 x 2 kernels ---------------------------------
+# The full-matrix forms the scan used before its 2 x 2 paths went entrywise,
+# kept as references: every output must keep their bits, signed zeros
+# included.
+
+
+def reference_hermitize(out):
+    return 0.5 * (out + out.conj().swapaxes(-1, -2))
+
+
+def reference_lambda_norm(sigma):
+    a = np.asarray(sigma, dtype=complex)
+    defect = float(np.abs(a - a.conj().swapaxes(-1, -2)).max())
+    if defect > channel.HERMITICITY_TOL:
+        raise InvalidState(f"deviation not Hermitian, defect {defect:.3e}")
+    trace_size = float(np.abs(np.trace(a, axis1=-2, axis2=-1)).max())
+    if trace_size > channel.TRACE_TOL:
+        raise InvalidState(f"deviation not traceless, |trace| {trace_size:.3e}")
+    row = a[..., 1, :]
+    norms = np.sqrt((np.hypot(row.real, row.imag) ** 2).sum(axis=-1))
+    return float(norms) if a.ndim == 2 else norms
+
+
+def reference_bloch_states(grid_size):
+    # one (theta, phi) pair per state, both poles first, then theta-major
+    thetas = np.linspace(0.0, math.pi, grid_size + 2)[1:-1]
+    phis = np.linspace(0.0, 2.0 * math.pi, grid_size, endpoint=False)
+    theta = np.concatenate(([0.0, math.pi], np.repeat(thetas, grid_size)))
+    phi = np.concatenate(([0.0, 0.0], np.tile(phis, grid_size)))
+    vec = np.stack([np.cos(0.5 * theta), np.sin(0.5 * theta) * np.exp(1j * phi)], -1)
+    return vec[:, :, None] * vec.conj()[:, None, :]
+
+
+def signed_zero_states():
+    # valid states whose entries carry zeros of either sign in every place
+    z = [0.0, -0.0]
+    states = []
+    for re01, im01, im00, im11, re10, im10 in np.ndindex(*(2,) * 6):
+        states.append(
+            [
+                [complex(0.5, z[im00]), complex(z[re01], z[im01])],
+                [complex(z[re10], z[im10]), complex(0.5, z[im11])],
+            ]
+        )
+    states.append([[complex(1.0, -0.0), complex(-0.0, 0.0)], [0.0, complex(-0.0, -0.0)]])
+    return np.array(states)
+
+
+HERMITIZED_STACKS = {
+    "random": lambda: random_qubit_stack(np.random.default_rng(31), (7, 9)),
+    "signed_zeros": signed_zero_states,
+    "grid_8": lambda: reference_bloch_states(8),
+    "grid_33": lambda: reference_bloch_states(33),
+    "grid_64": lambda: reference_bloch_states(64),
+}
+SCAN_POINTS = [(0.0, 0.0), (0.0, 1e-11), (0.25, 0.0), (0.25, 3.3e-12), (2.0, 1e-11)]
+
+
+@pytest.mark.parametrize("stack", HERMITIZED_STACKS)
+@pytest.mark.parametrize(("g", "t"), SCAN_POINTS)
+def test_entrywise_hermitization_has_the_matrix_bits(stack, g, t):
+    rho = check_qubit_state(HERMITIZED_STACKS[stack]())
+    for a in (rho, rho[0]):
+        expect = reference_hermitize(channel._apply_single(a, 1.3e10, g, t))
+        assert same_bits(channel._evolve_checked(a, 1.3e10, g, t), expect)
+        assert same_bits(evolve_single(a, QubitParams(1.3e10), g, t), expect)
+
+
+@pytest.mark.parametrize("stack", HERMITIZED_STACKS)
+@pytest.mark.parametrize(("g", "t"), SCAN_POINTS)
+def test_entrywise_lambda_norm_has_the_matrix_bits(stack, g, t):
+    rho = check_qubit_state(HERMITIZED_STACKS[stack]())
+    params = QubitParams(1.3e10)
+    sigma = deviation(evolve_single(rho, params, g, t), evolve_single(rho, params, 0.0, t))
+    for a in (sigma, sigma[0], sigma[-1]):
+        expect = reference_lambda_norm(a)
+        got = lambda_norm(a)
+        assert type(got) is type(expect) and same_bits(got, expect)
+        defect, trace_size = list(itertools.islice(channel._qubit_margins(a, 0.0), 2))
+        assert defect == float(np.abs(a - a.conj().swapaxes(-1, -2)).max())
+        assert trace_size == float(np.abs(np.trace(a, axis1=-2, axis2=-1)).max())
+
+
+@pytest.mark.parametrize(
+    "spoil",
+    [
+        lambda s: s.__setitem__((3, 0, 0), s[3, 0, 0] + 2e-9j),
+        lambda s: s.__setitem__((5, 0, 1), s[5, 0, 1] + 3e-10),
+        lambda s: s.__setitem__((5, 1, 0), s[5, 1, 0] - 4e-10j),
+        lambda s: s.__setitem__((2, 1, 1), s[2, 1, 1] + 1e-9),
+        lambda s: s.__setitem__((slice(None), 0, 0), s[:, 0, 0] + 5e-12 - 1e-13j),
+    ],
+    ids=["diagonal_imaginary", "off_diagonal_real", "off_diagonal_imaginary",
+         "traceful", "traceful_everywhere"],
+)
+def test_entrywise_lambda_norm_rejects_with_the_matrix_messages(spoil):
+    rng = np.random.default_rng(32)
+    params = QubitParams(1e10)
+    rho = random_qubit_stack(rng, (8,))
+    sigma = deviation(evolve_single(rho, params, 0.3, 1e-12), rho)
+    spoil(sigma)
+    with pytest.raises(InvalidState) as expect:
+        reference_lambda_norm(sigma)
+    with pytest.raises(InvalidState, match=f"^{re.escape(str(expect.value))}$"):
+        lambda_norm(sigma)
+
+
+def reference_scan(params, g_value, t, grid_size):
+    # the parent's array scan, every 2 x 2 step in its full-matrix form
+    rho0 = check_qubit_state(reference_bloch_states(grid_size))
+    dephased = reference_hermitize(channel._apply_single(rho0, params.e_j, g_value, t))
+    ideal = reference_hermitize(channel._apply_single(rho0, params.e_j, 0.0, t))
+    sigma = check_qubit_state(dephased) - check_qubit_state(ideal)
+    return rho0, dephased, ideal, max(0.0, float(reference_lambda_norm(sigma).max()))
+
+
+@pytest.mark.parametrize("grid", [8, 33, 64])
+@pytest.mark.parametrize(("g", "t"), SCAN_POINTS)
+def test_bloch_scan_has_the_matrix_bits(monkeypatch, grid, g, t):
+    checked = []
+    original = channel.check_qubit_state
+
+    def recording(rho):
+        checked.append(np.array(rho))
+        return original(rho)
+
+    monkeypatch.setattr(channel, "check_qubit_state", recording)
+    params = QubitParams(1.3e10)
+    got = max_decoherence_numeric(params, g, t, grid)
+    *states, expect = reference_scan(params, g, t, grid)
+    assert got.hex() == expect.hex()
+    # the initial states, then the dephased and the unitary outputs
+    assert len(checked) == 3
+    for seen, want in zip(checked, states):
+        assert same_bits(seen, want)

@@ -609,16 +609,21 @@ def test_sweep_exit_two_when_the_qubit_phase_overflows(tmp_path, capsys, argv):
 
 def test_importing_the_cli_loads_no_scipy(tmp_path):
     # scipy dominates the import time, so the package loads it on first use
-    # only; the oracle's Hermitian generators never need it
+    # only; the oracle's Hermitian generators (dense eigh on the parity
+    # blocks, at zero and finite temperature) and the Bloch scan never need it
     src = os.path.dirname(os.path.dirname(os.path.abspath(qubit_dephasing.__file__)))
     env = dict(os.environ, PYTHONPATH=src)
     probe = (
         "import contextlib, io, sys, qubit_dephasing.cli as cli\n"
+        "from qubit_dephasing import channel\n"
         "loaded = lambda: sorted(m for m in sys.modules if m.startswith('scipy'))\n"
         "print(loaded())\n"
-        "with contextlib.redirect_stdout(io.StringIO()):\n"
-        "    code = cli.main(['oracle-check', '--out', sys.argv[1]])\n"
-        "print(code, loaded())\n"
+        "for extra in ([], ['--beta', '5e-11']):\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        code = cli.main(['oracle-check', '--out', sys.argv[1]] + extra)\n"
+        "    print(code, loaded())\n"
+        "channel.max_decoherence_numeric(channel.QubitParams(1e10), 0.2, 1e-12, 16)\n"
+        "print(loaded())\n"
     )
     out = subprocess.run(
         [sys.executable, "-c", probe, str(tmp_path / "oracle.csv")],
@@ -627,7 +632,7 @@ def test_importing_the_cli_loads_no_scipy(tmp_path):
         text=True,
         check=True,
     )
-    assert out.stdout.splitlines() == ["[]", "0 []"]
+    assert out.stdout.splitlines() == ["[]", "0 []", "0 []", "[]"]
 
 
 # -- one stacked pair call per table -------------------------------------------------

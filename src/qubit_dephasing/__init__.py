@@ -15,6 +15,7 @@ from .bath import (
     default_quadrature,
     g_discrete,
     g_ohmic,
+    g_ohmic_closed,
     suppression_factor,
 )
 from .channel import (
@@ -107,6 +108,7 @@ __all__ = [
     "from_eigenbasis",
     "g_discrete",
     "g_ohmic",
+    "g_ohmic_closed",
     "general_eigenvalues",
     "hermitian_eigenvalues",
     "hermitian_spectrum",

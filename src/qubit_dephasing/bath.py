@@ -13,6 +13,7 @@ therefore carries seconds.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,12 +28,20 @@ __all__ = [
     "default_quadrature",
     "g_discrete",
     "g_ohmic",
+    "g_ohmic_closed",
     "suppression_factor",
 ]
 
 # Fraction of the cutoff below which the Ohmic integrand switches to its
 # analytic small-frequency limit (the 0/0 at the origin is removable).
 SMALL_FREQUENCY_FRACTION = 1e-8
+
+# Below this |omega_c t| the square (omega_c t)^2 stays in float range.
+_PHASE_LIMIT = math.sqrt(sys.float_info.max)
+# The Matsubara sum adds its terms one by one up to z + n = 32, then an
+# Euler-Maclaurin tail; B_2j / (2j)! for j = 1..4 weight its corrections.
+_DIRECT_UNTIL = 32.0
+_EULER_MACLAURIN = (1.0 / 12.0, -1.0 / 720.0, 1.0 / 30240.0, -1.0 / 1209600.0)
 
 
 @dataclass(frozen=True)
@@ -133,6 +142,8 @@ def g_ohmic(
                coth(beta omega_c x / 2) / x  dx,
 
     which at zero temperature equals ``(eta/2) * ln(1 + omega_c^2 t^2)``.
+    ``g_ohmic_closed`` evaluates the same exponent in closed form over a
+    whole time grid; this quadrature is its independent check.
     Below ``x = 1e-8`` the integrand is replaced by its analytic limit,
     removing the 0/0 at the origin. ``quad`` bounds are in rad/s and are
     rescaled by the cutoff; an infinite upper bound is truncated where
@@ -188,6 +199,68 @@ def g_ohmic(
     except ToleranceNotMet as exc:
         raise ToleranceNotMet(f"at t = {t:.6e} s: {exc}") from exc
     return max(0.0, 2.0 * bath.eta * value)
+
+
+def g_ohmic_closed(bath: OhmicBath, temp: Temperature, times) -> np.ndarray:
+    """Ohmic decoherence exponent at each time of the 1-D ``times``, in closed form.
+
+    With ``a = omega_c t``, ``y = t / beta`` and ``z = 1 + 1/(beta omega_c)``,
+
+        G(t) = eta [ (1/2) ln(1 + a^2) + sum_{n>=0} ln(1 + y^2/(z+n)^2) ],
+
+    the Matsubara expansion of ``g_ohmic``'s integral (Palma, Suominen &
+    Ekert, Proc. R. Soc. A 452, 567 (1996)); zero temperature keeps the
+    first term. The sum takes its terms up to ``z + n = 32`` one by one
+    with ``log1p``, and the rest as the Euler-Maclaurin tail at ``u``,
+    ``r = y/u``: ``2 y atan(r) - u log1p(r^2) + log1p(r^2)/2`` minus four
+    Bernoulli corrections, each written so that nothing cancels as
+    ``r -> 0``. One numpy pass, no quadrature.
+
+    ``G(0)`` is exactly 0. Raises ``ValueError`` for a negative or
+    non-finite time, and ``ToleranceNotMet`` naming the first time, ``at t
+    = ... s:``, at which ``(omega_c t)^2`` is not finite or, with ``beta
+    omega_c`` or ``t / beta`` beyond float range, ``G`` is NaN. A ``G``
+    too large for floats is ``inf``, as at zero temperature.
+    """
+    t = np.array(times, dtype=float, ndmin=1)
+    if not np.all(np.isfinite(t)):
+        raise ValueError("t must be finite")
+    if np.any(t < 0.0):
+        raise ValueError("t must be nonnegative")
+    with np.errstate(over="ignore"):
+        a = bath.omega_c * t
+    _raise_at_first(t, ~(a < _PHASE_LIMIT), "(omega_c t)^2 is not finite")
+    if temp.beta is None:
+        return 0.5 * bath.eta * np.log1p(a * a)
+    # past float range (1/(beta omega_c) or t / beta overflowing) the terms
+    # turn NaN, and the check below names the time
+    with np.errstate(over="ignore", invalid="ignore"):
+        bwc = temp.beta * bath.omega_c
+        z = 1.0 + 1.0 / bwc if bwc > 0.0 else math.inf
+        y = t / temp.beta
+        z_n = z + np.arange(math.ceil(_DIRECT_UNTIL - z) if z < _DIRECT_UNTIL else 0)
+        direct = np.log1p((y[:, None] / z_n) ** 2).sum(axis=1)
+        u = z + z_n.size
+        r = y / u
+        log_r = np.log1p(r * r)
+        angle = np.arctan(r)
+        tail = 2.0 * y * angle - u * log_r + 0.5 * log_r
+        # f^(m)(u) = (m-1)! 2 u^-m [Re (1 + i r)^-m - 1], m = 2j - 1, with the
+        # bracket expm1(-(m/2) log1p(r^2)) cos(m atan r) - 2 sin^2(m atan(r)/2)
+        for j, weight in enumerate(_EULER_MACLAURIN, 1):
+            m = 2 * j - 1
+            bracket = np.expm1(-0.5 * m * log_r) * np.cos(m * angle)
+            bracket -= 2.0 * np.sin(0.5 * m * angle) ** 2
+            tail -= weight * math.factorial(m - 1) * 2.0 * u**-m * bracket
+        g = bath.eta * (0.5 * np.log1p(a * a) + (direct + tail))
+    g[t == 0.0] = 0.0  # also where z overflowed and the tail is NaN
+    _raise_at_first(t, np.isnan(g), "G is not a number")
+    return g
+
+
+def _raise_at_first(t: np.ndarray, bad: np.ndarray, what: str) -> None:
+    if bad.any():
+        raise ToleranceNotMet(f"at t = {t[np.argmax(bad)]:.6e} s: {what}")
 
 
 def default_quadrature() -> QuadratureSpec:

@@ -21,7 +21,14 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .bath import OhmicBath, Temperature, default_quadrature, g_ohmic, suppression_factor
+from .bath import (
+    OhmicBath,
+    Temperature,
+    default_quadrature,
+    g_ohmic,
+    g_ohmic_closed,
+    suppression_factor,
+)
 from .channel import QubitParams, evolve_pair, max_decoherence_analytic
 from .entanglement import concurrence, initial_state
 from .errors import (
@@ -282,8 +289,12 @@ def _g_sweep(cfg: ExperimentConfig) -> tuple[list[float], list[float]]:
     """
     ohmic = OhmicBath(cfg.eta, cfg.omega_c)
     temp = Temperature(cfg.beta)
+    times = np.linspace(cfg.t_start, cfg.t_end, cfg.n_points).tolist()
+    if cfg.beta is not None:
+        return times, g_ohmic_closed(ohmic, temp, times).tolist()
+    # zero T stays on the quadrature until bench/selftest.py stops asserting
+    # that its long horizons fail there (ROADMAP item 1a)
     quad = default_quadrature()
-    times = [float(t) for t in np.linspace(cfg.t_start, cfg.t_end, cfg.n_points)]
     return times, [g_ohmic(ohmic, temp, t, quad) for t in times]
 
 

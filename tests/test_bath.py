@@ -10,6 +10,7 @@ from qubit_dephasing.bath import (
     default_quadrature,
     g_discrete,
     g_ohmic,
+    g_ohmic_closed,
     suppression_factor,
 )
 from qubit_dephasing.errors import ToleranceNotMet
@@ -147,6 +148,90 @@ def test_ohmic_finite_temperature_enhances():
         assert g_ohmic(bath, warm, t, quad) > cold_g > 0.0
 
 
+def matsubara_reference(omega_c, beta, t, n_terms=200_000):
+    """G / eta at one time: the Matsubara sum, its first ``n_terms`` terms one
+    by one, the rest as the integral from ``z + n_terms - 1/2`` (midpoint
+    rule) with its first midpoint correction ``f'/24``."""
+    z = 1.0 + 1.0 / (beta * omega_c)
+    y = t / beta
+    direct = np.log1p((y / (z + np.arange(n_terms))) ** 2).sum()
+    m = z + n_terms - 0.5
+    r = y / m
+    integral = 2.0 * y * math.atan(r) - m * math.log1p(r * r)
+    correction = -2.0 * y * y / (m * (m * m + y * y)) / 24.0
+    return 0.5 * math.log1p((omega_c * t) ** 2) + direct + integral + correction
+
+
+# (omega_c, beta): z = 1 + 1/(beta omega_c) from 1 + 1e-6 to 1e6 + 1; the
+# last pair is a benchmark sweep op's bath, where the quadrature is off by
+# 7.7e-8 relative at t = 4.803e-11 s
+MATSUBARA_BATHS = [
+    (1e12, 1e-6),
+    (1e12, 2e-12),
+    (1e9, 1e-11),
+    (1e15, 1e-15),
+    (5e11, 1e-13),
+    (1e12, 1e-18),
+    (9.114064220507402e11, 1.1010995730163544e-12),
+]
+
+
+@pytest.mark.parametrize("omega_c,beta", MATSUBARA_BATHS)
+def test_ohmic_closed_matches_a_long_matsubara_sum(omega_c, beta):
+    # t from 1e-17 s to omega_c t = 1e5, far past the quadrature edge;
+    # largest measured gap 5.8e-16 (the reference is 3e-16 off mpmath)
+    times = np.append(np.logspace(-17, math.log10(1e5 / omega_c), 12), 4.803e-11)
+    got = g_ohmic_closed(OhmicBath(1.0, omega_c), Temperature(beta), times)
+    for t, g in zip(times, got):
+        assert g == pytest.approx(matsubara_reference(omega_c, beta, t), rel=2e-15, abs=0)
+    dense = np.linspace(0.0, 1e5 / omega_c, 400)
+    g = g_ohmic_closed(OhmicBath(1e-5, omega_c), Temperature(beta), dense)
+    assert g[0] == 0.0
+    assert np.all(np.diff(g) >= 0.0)
+
+
+@pytest.mark.parametrize("omega_c,beta", MATSUBARA_BATHS)
+def test_ohmic_closed_matches_loggamma_where_y_exceeds_z(omega_c, beta):
+    # the sum is 2 [ln Gamma(z) - Re ln Gamma(z + i y)], which does not cancel
+    # for y >= z; largest measured gap 3.1e-15, at z = 1e6
+    from scipy.special import loggamma
+
+    z = 1.0 + 1.0 / (beta * omega_c)
+    times = beta * z * np.logspace(0.0, 4.0, 15)
+    times = times[omega_c * times <= 1e7]
+    y = times / beta
+    expect = 0.5 * np.log1p((omega_c * times) ** 2) + 2.0 * (
+        loggamma(z).real - loggamma(z + 1j * y).real
+    )
+    got = g_ohmic_closed(OhmicBath(1.0, omega_c), Temperature(beta), times)
+    np.testing.assert_allclose(got, expect, rtol=1e-14, atol=0.0)
+
+
+@pytest.mark.parametrize("omega_c", [5e11, 1e12, 2e12])
+@pytest.mark.parametrize("beta", [1e-13, 2e-12, 1e-11])
+def test_ohmic_closed_matches_the_quadrature(omega_c, beta):
+    # t from 1e-17 s to omega_c t = 300, where the quadrature still converges;
+    # largest measured gap 1.1e-11, inside its rel_tol of 1e-10
+    bath = OhmicBath(1e-5, omega_c)
+    temp = Temperature(beta)
+    quad = default_quadrature()
+    times = np.logspace(-17, math.log10(300.0 / omega_c), 15)
+    got = g_ohmic_closed(bath, temp, times)
+    for t, g in zip(times.tolist(), got):
+        assert g == pytest.approx(g_ohmic(bath, temp, t, quad), rel=quad.rel_tol)
+
+
+def test_ohmic_closed_zero_time_and_zero_temperature():
+    bath = OhmicBath(3e-4, 5e11)
+    times = np.array([0.0, 1e-17, 2e-13, 1.7e-12, 8e-12, 1e-6])
+    assert g_ohmic_closed(bath, Temperature.finite(2e-12), [0.0, 0.0]).tolist() == [0.0, 0.0]
+    cold = g_ohmic_closed(bath, Temperature.zero(), times)
+    expect = (bath.eta / 2) * np.log1p((bath.omega_c * times) ** 2)
+    assert cold.tobytes() == expect.tobytes()
+    warm = g_ohmic_closed(bath, Temperature.finite(2e-12), times)
+    assert np.all(warm[1:] > cold[1:])
+
+
 def discretized_ohmic(eta, omega_c, n_modes, omega_max):
     # midpoint rule: |g_k|^2 = J(omega_k) d_omega on a uniform grid
     d_omega = omega_max / n_modes
@@ -219,6 +304,8 @@ def test_negative_time_rejected():
         g_discrete(DiscreteBath(((1.0, 1.0),)), Temperature.zero(), -1.0)
     with pytest.raises(ValueError):
         g_ohmic(OhmicBath(1e-5, 1e12), Temperature.zero(), -1e-12, default_quadrature())
+    with pytest.raises(ValueError, match="^t must be nonnegative$"):
+        g_ohmic_closed(OhmicBath(1e-5, 1e12), Temperature.zero(), [0.0, -1e-12])
 
 
 TEMPERATURES = pytest.mark.parametrize(
@@ -233,6 +320,8 @@ def test_non_finite_time_rejected(temp, t):
         g_discrete(DiscreteBath(((1.0, 1.0),)), temp, t)
     with pytest.raises(ValueError, match="^t must be finite$"):
         g_ohmic(OhmicBath(1e-5, 1e12), temp, t, default_quadrature())
+    with pytest.raises(ValueError, match="^t must be finite$"):
+        g_ohmic_closed(OhmicBath(1e-5, 1e12), temp, [0.0, t])
 
 
 @TEMPERATURES
@@ -250,6 +339,28 @@ def test_ohmic_phase_overflow_names_its_time_point(temp):
         ToleranceNotMet, match=r"^at t = 1\.000000e\+296 s: integrand phase .* not finite$"
     ):
         g_ohmic(OhmicBath(1e-5, 1e12), temp, 1e296, default_quadrature())
+
+
+@TEMPERATURES
+def test_ohmic_closed_phase_overflow_names_its_time_point(temp):
+    # (omega_c t)^2 leaves float range past omega_c t = 1.34e154; the first
+    # such time is named, and nothing is squared that would warn
+    bath = OhmicBath(1e-5, 1e12)
+    with pytest.raises(
+        ToleranceNotMet, match=r"^at t = 1\.000000e\+296 s: \(omega_c t\)\^2 is not finite$"
+    ):
+        g_ohmic_closed(bath, temp, [0.0, 1e-12, 1e296, 1e142, 1e300])
+    assert np.all(np.isfinite(g_ohmic_closed(bath, temp, [1.34e142])))
+
+
+def test_ohmic_closed_names_the_first_time_it_cannot_evaluate():
+    # beta omega_c = 1e-400 underflows, so z = 1 + 1/(beta omega_c) does not
+    # exist in floats; G(0) = 0 still holds
+    bath = OhmicBath(1e-5, 1e-200)
+    hot = Temperature.finite(1e-200)
+    assert g_ohmic_closed(bath, hot, [0.0, 0.0]).tolist() == [0.0, 0.0]
+    with pytest.raises(ToleranceNotMet, match=r"^at t = 1\.000000e-12 s: G is not a number$"):
+        g_ohmic_closed(bath, hot, [0.0, 1e-12, 1.0])
 
 
 @TEMPERATURES

@@ -6,6 +6,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import qubit_dephasing
 import qubit_dephasing.cli as cli_module
@@ -14,6 +16,7 @@ from qubit_dephasing.bath import (
     Temperature,
     default_quadrature,
     g_ohmic,
+    g_ohmic_closed,
     suppression_factor,
 )
 from qubit_dephasing.channel import QubitParams, evolve_pair, max_decoherence_analytic
@@ -177,6 +180,39 @@ def test_run_experiment_strict_gap_for_partial_entanglement():
         closed = max(0.0, (1.0 + dd) * a_w * b_w - 0.5 * (1.0 - dd))
         assert row.concurrence == pytest.approx(closed, abs=1e-10)
         assert row.concurrence < row.s_reference
+
+
+def log_uniform(lo, hi):
+    return st.floats(math.log10(lo), math.log10(hi)).map(lambda e: 10.0**e)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(
+    log_uniform(1e-8, 1.0),
+    log_uniform(1e9, 1e15),
+    log_uniform(1e-15, 1e-9),
+    log_uniform(1e6, 1e13),
+    log_uniform(1e6, 1e13),
+    st.builds(complex, st.floats(-4.0, 4.0), st.floats(-4.0, 4.0)),
+    log_uniform(1e-14, 1e-8),
+)
+def test_every_finite_temperature_config_runs(eta, omega_c, beta, e_j1, e_j2, alpha, t_end):
+    cfg = ExperimentConfig(
+        eta=eta,
+        omega_c=omega_c,
+        beta=beta,
+        e_j1=e_j1,
+        e_j2=e_j2,
+        alpha=alpha,
+        t_end=t_end,
+        n_points=20,
+    )
+    rows = np.array(run_experiment(cfg))
+    assert np.all(np.isfinite(rows))
+    t, g = rows[:, 0], rows[:, 2]
+    assert np.array_equal(g, rows[:, 3])
+    assert np.all(np.diff(g) >= 0.0)
+    assert np.all(g >= 0.5 * eta * np.log1p((omega_c * t) ** 2))
 
 
 def test_emit_csv_layout_and_determinism(tmp_path):
@@ -402,13 +438,17 @@ def reference_csv(header, rows):
 
 
 def reference_points(beta):
-    """(t, G) on the sweep grid, one quadrature per point."""
+    """(t, G) on the sweep grid, one library call per point: the quadrature
+    at zero temperature, the closed form at finite temperature."""
     bath = OhmicBath(REF_ETA, REF_OMEGA_C)
     temp = Temperature.zero() if beta is None else Temperature.finite(beta)
     quad = default_quadrature()
     for t in np.linspace(0.0, REF_T_END_PS * 1e-12, REF_POINTS):
         t = float(t)
-        yield t, g_ohmic(bath, temp, t, quad)
+        if beta is None:
+            yield t, g_ohmic(bath, temp, t, quad)
+        else:
+            yield t, float(g_ohmic_closed(bath, temp, [t])[0])
 
 
 def reference_gfactor(beta):
@@ -610,7 +650,8 @@ def test_sweep_exit_two_when_the_qubit_phase_overflows(tmp_path, capsys, argv):
 def test_importing_the_cli_loads_no_scipy(tmp_path):
     # scipy dominates the import time, so the package loads it on first use
     # only; the oracle's Hermitian generators (dense eigh on the parity
-    # blocks, at zero and finite temperature) and the Bloch scan never need it
+    # blocks, at zero and finite temperature), the Bloch scan and the
+    # finite-temperature sweeps (closed-form G) never need it
     src = os.path.dirname(os.path.dirname(os.path.abspath(qubit_dephasing.__file__)))
     env = dict(os.environ, PYTHONPATH=src)
     probe = (
@@ -624,15 +665,20 @@ def test_importing_the_cli_loads_no_scipy(tmp_path):
         "    print(code, loaded())\n"
         "channel.max_decoherence_numeric(channel.QubitParams(1e10), 0.2, 1e-12, 16)\n"
         "print(loaded())\n"
+        "for command in ('gfactor', 'fig1'):\n"
+        "    argv = [command, '--beta', '2e-12', '--out', sys.argv[2] + command]\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        code = cli.main(argv)\n"
+        "    print(code, loaded())\n"
     )
     out = subprocess.run(
-        [sys.executable, "-c", probe, str(tmp_path / "oracle.csv")],
+        [sys.executable, "-c", probe, str(tmp_path / "oracle.csv"), str(tmp_path / "s_")],
         env=env,
         capture_output=True,
         text=True,
         check=True,
     )
-    assert out.stdout.splitlines() == ["[]", "0 []", "0 []", "[]"]
+    assert out.stdout.splitlines() == ["[]", "0 []", "0 []", "[]", "0 []", "0 []"]
 
 
 # -- one stacked pair call per table -------------------------------------------------

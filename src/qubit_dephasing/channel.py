@@ -115,7 +115,7 @@ def check_pair_state(rho) -> np.ndarray:
     return _check_state(rho, 4, PAIR_PSD_FLOOR)
 
 
-def _times(c: complex, z: np.ndarray) -> np.ndarray:
+def _times(c, z: np.ndarray) -> np.ndarray:
     # c * z rounding each product, as a scalar complex product does. numpy's
     # array loop may fuse multiply-adds, which would give a state different
     # last bits alone and in a stack.
@@ -125,17 +125,30 @@ def _times(c: complex, z: np.ndarray) -> np.ndarray:
     return out
 
 
-def _apply_single(rho: np.ndarray, e_j: float, g_value: float, t: float) -> np.ndarray:
-    # Linear action on any 2x2 matrix or stack of them; no input validation,
-    # so it can serve both state evolution and the process-matrix construction.
+def _weights(e_j: float, g_value: float, t: float) -> tuple:
+    # up, dn, up * phase and its conjugate partner, as math/cmath scalars,
+    # whose last bits the array np.exp does not always reproduce
     delta = math.exp(-4.0 * g_value)
     up = 0.5 * (1.0 + delta)
-    dn = 0.5 * (1.0 - delta)
     ph = cmath.exp(-1j * e_j * t)
+    return up, 0.5 * (1.0 - delta), up * ph, up * ph.conjugate()
+
+
+def _apply_single(rho: np.ndarray, e_j: float, g_value, t) -> np.ndarray:
+    # Linear action on any 2x2 matrix or stack of them; no input validation,
+    # so it can serve both state evolution and the process-matrix construction.
+    # Lists g_value and t give one point per leading entry of rho, each with
+    # the bits of the scalar call.
+    if isinstance(g_value, list):
+        shape = (len(g_value),) + (1,) * (rho.ndim - 3)
+        points = zip(*[_weights(e_j, g, s) for g, s in zip(g_value, t)])
+        up, dn, c, c_bar = (np.reshape(w, shape) for w in points)
+    else:
+        up, dn, c, c_bar = _weights(e_j, g_value, t)
     out = np.empty(rho.shape, dtype=complex)
     out[..., 0, 0] = up * rho[..., 0, 0] + dn * rho[..., 1, 1]
-    out[..., 0, 1] = _times(up * ph, rho[..., 0, 1]) + dn * rho[..., 1, 0]
-    out[..., 1, 0] = _times(up * ph.conjugate(), rho[..., 1, 0]) + dn * rho[..., 0, 1]
+    out[..., 0, 1] = _times(c, rho[..., 0, 1]) + dn * rho[..., 1, 0]
+    out[..., 1, 0] = _times(c_bar, rho[..., 1, 0]) + dn * rho[..., 0, 1]
     out[..., 1, 1] = up * rho[..., 1, 1] + dn * rho[..., 0, 0]
     return out
 
@@ -151,8 +164,8 @@ def _evolve_checked(a: np.ndarray, e_j: float, g_value: float, t: float) -> np.n
 
 
 def _check_times(t) -> None:
-    # The rule of the bath and oracle modules: a negative time, -inf
-    # included, is out of range; NaN and +inf are not finite.
+    # As in the oracle, a negative time, -inf included, is out of range and
+    # NaN and +inf are not finite; the bath module calls -inf not finite.
     ts = np.asarray(t, dtype=float)
     if (ts < 0.0).any():
         raise ValueError("t must be nonnegative")
@@ -190,26 +203,13 @@ def _pair_points(g1, g2, t) -> tuple[list[float], list[float], list[float]]:
     return gs1.tolist(), gs2.tolist(), ts.tolist()
 
 
-def _kraus_stack(e_j: float, gs: list[float], ts: list[float]) -> np.ndarray:
-    # (n, 2, 2, 2): the two Kraus operators ``sqrt((1 +- delta)/2) * (R, X)``
-    # at each point. The scalars come from math/cmath, whose last bits the
-    # array np.exp does not always reproduce.
-    ops = np.zeros((len(ts), 2, 2, 2), dtype=complex)
-    ops[:, 0, 0, 0] = [cmath.exp(-0.5j * e_j * t) for t in ts]
-    ops[:, 0, 1, 1] = ops[:, 0, 0, 0].conj()
-    ops[:, 1, 0, 1] = ops[:, 1, 1, 0] = 1.0
-    deltas = [math.exp(-4.0 * g) for g in gs]
-    scale = [[math.sqrt(0.5 * (1.0 + d)), math.sqrt(0.5 * (1.0 - d))] for d in deltas]
-    return np.array(scale)[:, :, None, None] * ops
-
-
 def evolve_pair(rho0, p1: QubitParams, p2: QubitParams, g1, g2, t) -> np.ndarray:
     """Evolve a joint two-qubit state under independent dephasing channels.
 
-    The two single-qubit channels act as a tensor product of superoperators
-    on the joint state, so entangled inputs stay entangled exactly as far
-    as the factorized dynamics allows; on product inputs the result is the
-    tensor product of the single-qubit outputs.
+    The single-qubit kernel acts on qubit 1's axes of the joint state, then
+    on qubit 2's, and ``(out + out^dag)/2`` Hermitizes the result: a tensor
+    product of superoperators, which maps product inputs to the tensor
+    product of the single-qubit outputs.
 
     ``g1``, ``g2`` and ``t`` are scalars, giving one ``(4, 4)`` state, or
     1-D arrays of one length ``n`` (a time grid), giving an ``(n, 4, 4)``
@@ -220,15 +220,11 @@ def evolve_pair(rho0, p1: QubitParams, p2: QubitParams, g1, g2, t) -> np.ndarray
     if a.ndim != 2:
         raise InvalidState(f"expected a 4x4 matrix, got shape {a.shape}")
     gs1, gs2, ts = _pair_points(g1, g2, t)
-    kraus1 = _kraus_stack(p1.e_j, gs1, ts)
-    kraus2 = _kraus_stack(p2.e_j, gs2, ts)
-    out = np.zeros((len(ts), 4, 4), dtype=complex)
-    for i in range(2):
-        for j in range(2):
-            # kron(ka, kb) of each point, as one broadcast product
-            k = kraus1[:, i, :, None, :, None] * kraus2[:, j, None, :, None, :]
-            k = k.reshape(-1, 4, 4)
-            out += k @ a @ k.conj().swapaxes(-1, -2)
+    # [point, i2, j2, i1, j1], then [point, i1, j1, i2, j2] for qubit 2
+    out = a.reshape(2, 2, 2, 2).transpose(1, 3, 0, 2)
+    out = _apply_single(np.broadcast_to(out, (len(ts),) + out.shape), p1.e_j, gs1, ts)
+    out = _apply_single(out.transpose(0, 3, 4, 1, 2), p2.e_j, gs2, ts)
+    out = out.transpose(0, 1, 3, 2, 4).reshape(-1, 4, 4)
     out = 0.5 * (out + out.conj().swapaxes(-1, -2))
     return out if np.ndim(t) else out[0]
 

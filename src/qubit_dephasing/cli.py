@@ -100,6 +100,14 @@ class ExperimentConfig:
         for name in ("e_j1", "e_j2"):  # the qubit phase e_j t on the grid
             if not math.isfinite(getattr(self, name) * self.t_end):
                 raise ConfigError(f"{name} * t_end must be finite")
+        if self.beta is not None:  # the Matsubara terms of g_ohmic_closed
+            if not math.isfinite(self.beta):
+                raise ConfigError("beta must be finite")
+            bwc = self.beta * self.omega_c
+            if not (bwc > 0.0 and math.isfinite(1.0 / bwc)):
+                raise ConfigError("1/(beta * omega_c) must be finite")
+            if not math.isfinite(self.t_end / self.beta):
+                raise ConfigError("t_end / beta must be finite")
         try:
             initial_state(self.alpha)
         except ValueError as exc:

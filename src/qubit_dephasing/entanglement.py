@@ -81,7 +81,8 @@ def concurrence(rho) -> float | np.ndarray:
     ``sqrt(rho) sqrt(rho_tilde)``, which equal the ``lambda_i`` but stay
     accurate near zero: square-rooting a vanishing ``mu_i`` would inflate
     its rounding noise from 1e-16 to 1e-8, swamping the small
-    coherence-suppression gaps this library is about.
+    coherence-suppression gaps this library is about. One root serves
+    both: ``sqrt(rho_tilde) = F conj(sqrt(rho)) F``, ``F = sigma_y x sigma_y``.
 
     A stack ``(..., 4, 4)`` gives an array of concurrences, each equal to
     that of its matrix alone; the checks cover the whole stack and report
@@ -99,7 +100,8 @@ def concurrence(rho) -> float | np.ndarray:
         raise InvalidState(
             f"eigenvalue of rho * rho_tilde too negative: {float(mus.real.min()):.3e}"
         )
-    lams = np.linalg.svd(_psd_sqrt(a) @ _psd_sqrt(rho_tilde), compute_uv=False)
+    root = _psd_sqrt(a)
+    lams = np.linalg.svd(root @ _FLIP @ root.conj(), compute_uv=False)
     value = lams[..., 0] - lams[..., 1] - lams[..., 2] - lams[..., 3]
     value = np.where(value > 0.0, value, 0.0)
     value = np.where(value < 1.0, value, 1.0)

@@ -109,6 +109,8 @@ def test_config_rejects_bad_value():
         ("t_end", "1e300"),  # e_j t_end overflows at the default e_j = 1e10
         ("alpha", "nan+0j"),
         ("alpha", "1e200"),
+        ("beta", "inf"),
+        ("beta", "5e-324"),  # 1/(beta omega_c) and t_end / beta overflow
     ],
 )
 def test_config_rejects_non_finite_or_overflowing_values(key, value):
@@ -645,6 +647,27 @@ def test_sweep_exit_two_when_the_qubit_phase_overflows(tmp_path, capsys, argv):
     conf.write_text("e_j1 = 1e300\nomega_c = 1e-300\nt_end = 1e10\nn_points = 2\n")
     assert main(argv + ["--config", str(conf), "--out", str(tmp_path / "x")]) == 2
     assert capsys.readouterr().err == "config error: e_j1 * t_end must be finite\n"
+
+
+@pytest.mark.parametrize(
+    ("argv", "message"),
+    [
+        (["--beta", "inf"], "beta must be finite"),
+        (["--beta", "5e-324"], "1/(beta * omega_c) must be finite"),
+        (["--beta", "1e-200", "--omega-c", "1e-200"], "1/(beta * omega_c) must be finite"),
+        (
+            ["--beta", "1e-300", "--omega-c", "1e-200", "--t-end-ps", "1e300"],
+            "1/(beta * omega_c) must be finite",
+        ),
+        (["--beta", "1e-300", "--omega-c", "1", "--t-end-ps", "1e22"], "t_end / beta must be finite"),
+    ],
+    ids=lambda v: " ".join(v) if isinstance(v, list) else v,
+)
+def test_sweep_exit_two_on_a_beta_no_sweep_can_evaluate(tmp_path, capsys, argv, message):
+    # each of these ran to "G is not a number" (exit 3), or, at beta = inf,
+    # as zero temperature
+    assert main(["gfactor", "--points", "3", "--out", str(tmp_path / "x")] + argv) == 2
+    assert capsys.readouterr().err == f"config error: {message}\n"
 
 
 def test_importing_the_cli_loads_no_scipy(tmp_path):

@@ -18,9 +18,8 @@ from qubit_dephasing import (
     QubitParams,
     Temperature,
     concurrence,
-    default_quadrature,
     evolve_pair,
-    g_ohmic,
+    g_ohmic_closed,
     initial_state,
     suppression_factor,
 )
@@ -28,18 +27,17 @@ from qubit_dephasing import (
 bath = OhmicBath(eta=1e-5, omega_c=1e12)
 cold = Temperature.zero()
 params = QubitParams(1e10)
-quad = default_quadrature()
 
 times = np.linspace(0.0, 12.15e-12, 6)
+gs = g_ohmic_closed(bath, cold, times)  # same bath on both qubits
 
 for alpha in (1.0, 2.0):
     rho0 = initial_state(alpha)
     c0 = 2.0 * alpha / (1.0 + alpha**2)
     print(f"alpha = {alpha:g}   C(0) = {c0:g}")
     print(f"{'t [s]':>12} {'C(t)':>14} {'S = C0*d1*d2':>14} {'S - C':>12}")
-    for t in times:
-        g = g_ohmic(bath, cold, float(t), quad)  # same bath on both qubits
-        evolved = evolve_pair(rho0, params, params, g, g, float(t))
+    for t, g in zip(times.tolist(), gs.tolist()):
+        evolved = evolve_pair(rho0, params, params, g, g, t)
         c = concurrence(evolved)
         s = c0 * suppression_factor(g) ** 2
         print(f"{t:12.3e} {c:14.10f} {s:14.10f} {s - c:12.3e}")

@@ -143,7 +143,8 @@ def g_ohmic(
 
     which at zero temperature equals ``(eta/2) * ln(1 + omega_c^2 t^2)``.
     ``g_ohmic_closed`` evaluates the same exponent in closed form over a
-    whole time grid; this quadrature is its independent check.
+    whole time grid, and the CLI sweeps run it; this quadrature only
+    validates it and is on no run path.
     Below ``x = 1e-8`` the integrand is replaced by its analytic limit,
     removing the 0/0 at the origin. ``quad`` bounds are in rad/s and are
     rescaled by the cutoff; an infinite upper bound is truncated where

@@ -24,8 +24,6 @@ import numpy as np
 from .bath import (
     OhmicBath,
     Temperature,
-    default_quadrature,
-    g_ohmic,
     g_ohmic_closed,
     suppression_factor,
 )
@@ -293,17 +291,12 @@ def _g_sweep(cfg: ExperimentConfig) -> tuple[list[float], list[float]]:
     """The time grid and the Ohmic exponent ``G`` at each of its points.
 
     Both qubits see statistically identical baths, so one evaluation per
-    time serves both; ``G`` does not depend on ``alpha``.
+    time serves both; ``G`` does not depend on ``alpha``. The closed form
+    holds at every temperature, zero included.
     """
     ohmic = OhmicBath(cfg.eta, cfg.omega_c)
-    temp = Temperature(cfg.beta)
     times = np.linspace(cfg.t_start, cfg.t_end, cfg.n_points).tolist()
-    if cfg.beta is not None:
-        return times, g_ohmic_closed(ohmic, temp, times).tolist()
-    # zero T stays on the quadrature until bench/selftest.py stops asserting
-    # that its long horizons fail there (ROADMAP item 1a)
-    quad = default_quadrature()
-    return times, [g_ohmic(ohmic, temp, t, quad) for t in times]
+    return times, g_ohmic_closed(ohmic, Temperature(cfg.beta), times).tolist()
 
 
 def _evolved_states(cfg: ExperimentConfig, times, gs) -> np.ndarray:

@@ -14,8 +14,6 @@ import qubit_dephasing.cli as cli_module
 from qubit_dephasing.bath import (
     OhmicBath,
     Temperature,
-    default_quadrature,
-    g_ohmic,
     g_ohmic_closed,
     suppression_factor,
 )
@@ -188,33 +186,45 @@ def log_uniform(lo, hi):
     return st.floats(math.log10(lo), math.log10(hi)).map(lambda e: 10.0**e)
 
 
-@settings(derandomize=True, max_examples=200, deadline=None)
-@given(
-    log_uniform(1e-8, 1.0),
-    log_uniform(1e9, 1e15),
-    log_uniform(1e-15, 1e-9),
-    log_uniform(1e6, 1e13),
-    log_uniform(1e6, 1e13),
-    st.builds(complex, st.floats(-4.0, 4.0), st.floats(-4.0, 4.0)),
-    log_uniform(1e-14, 1e-8),
-)
-def test_every_finite_temperature_config_runs(eta, omega_c, beta, e_j1, e_j2, alpha, t_end):
-    cfg = ExperimentConfig(
-        eta=eta,
-        omega_c=omega_c,
+def sweep_configs(beta):
+    """Configs over the full ranges of each parameter, at temperature ``beta``."""
+    return st.builds(
+        ExperimentConfig,
+        eta=log_uniform(1e-8, 1.0),
+        omega_c=log_uniform(1e9, 1e15),
         beta=beta,
-        e_j1=e_j1,
-        e_j2=e_j2,
-        alpha=alpha,
-        t_end=t_end,
-        n_points=20,
+        e_j1=log_uniform(1e6, 1e13),
+        e_j2=log_uniform(1e6, 1e13),
+        alpha=st.builds(complex, st.floats(-4.0, 4.0), st.floats(-4.0, 4.0)),
+        t_end=log_uniform(1e-14, 1e-8),
+        n_points=st.just(20),
     )
+
+
+def checked_g(cfg):
+    """Run ``cfg``, check that its rows are finite and that ``G`` is the same
+    on both qubits and nondecreasing; return ``G`` and the zero-temperature
+    exponent on the same grid."""
     rows = np.array(run_experiment(cfg))
     assert np.all(np.isfinite(rows))
     t, g = rows[:, 0], rows[:, 2]
     assert np.array_equal(g, rows[:, 3])
     assert np.all(np.diff(g) >= 0.0)
-    assert np.all(g >= 0.5 * eta * np.log1p((omega_c * t) ** 2))
+    return g, 0.5 * cfg.eta * np.log1p((cfg.omega_c * t) ** 2)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(sweep_configs(log_uniform(1e-15, 1e-9)))
+def test_every_finite_temperature_config_runs(cfg):
+    g, zero_t = checked_g(cfg)
+    assert np.all(g >= zero_t)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(sweep_configs(st.none()))
+def test_every_zero_temperature_config_runs(cfg):
+    g, zero_t = checked_g(cfg)
+    assert np.array_equal(g, zero_t)
 
 
 def test_emit_csv_layout_and_determinism(tmp_path):
@@ -440,17 +450,12 @@ def reference_csv(header, rows):
 
 
 def reference_points(beta):
-    """(t, G) on the sweep grid, one library call per point: the quadrature
-    at zero temperature, the closed form at finite temperature."""
+    """(t, G) on the sweep grid, one closed-form call per point."""
     bath = OhmicBath(REF_ETA, REF_OMEGA_C)
     temp = Temperature.zero() if beta is None else Temperature.finite(beta)
-    quad = default_quadrature()
     for t in np.linspace(0.0, REF_T_END_PS * 1e-12, REF_POINTS):
         t = float(t)
-        if beta is None:
-            yield t, g_ohmic(bath, temp, t, quad)
-        else:
-            yield t, float(g_ohmic_closed(bath, temp, [t])[0])
+        yield t, float(g_ohmic_closed(bath, temp, [t])[0])
 
 
 def reference_gfactor(beta):
@@ -535,25 +540,24 @@ def test_fig1_bundle_matches_reference_and_single_alpha_runs(tmp_path, beta):
         assert raw == reference_fig1(complex(k), beta)
 
 
-@pytest.mark.parametrize(
-    "argv,t_label",
-    [
-        # omega_c t = 500 at the last point: the Ohmic quadrature cannot
-        # resolve sin^2(omega_c t x) and raises ToleranceNotMet
-        (["gfactor", "--t-end-ps", "500", "--points", "3"], "5.000000e-10"),
-        (["evolve", "--t-end-ps", "500", "--points", "3"], "5.000000e-10"),
-        # omega_c t x / 2 overflows float range before the quadrature starts
-        (["gfactor", "--t-end-ps", "1e308", "--points", "2"], "1.000000e+296"),
-        (
-            ["gfactor", "--t-end-ps", "1e308", "--points", "2", "--beta", "2e-12"],
-            "1.000000e+296",
-        ),
-    ],
-    ids=["gfactor", "evolve", "gfactor-phase-overflow", "gfactor-phase-overflow-finite"],
-)
-def test_sweep_past_quadrature_edge_exits_three_naming_t(tmp_path, capsys, argv, t_label):
+@pytest.mark.parametrize("command", ["gfactor", "evolve", "fig1"])
+def test_sweep_runs_where_omega_c_t_reaches_500(tmp_path, command):
+    # the quadrature cannot resolve sin^2(omega_c t x) this far out; the
+    # closed form the sweep takes has no such edge
+    out = tmp_path / "x"
+    assert main([command, "--t-end-ps", "500", "--points", "3", "--out", str(out)]) == 0
+    if command == "gfactor":
+        _, data = read_rows(str(out))
+        assert data[-1, 2] == 0.5 * 1e-5 * np.log1p(500.0**2)
+
+
+@pytest.mark.parametrize("beta", [[], ["--beta", "2e-12"]], ids=["zero", "finite"])
+def test_sweep_exits_three_naming_t_when_omega_c_t_squared_overflows(
+    tmp_path, capsys, beta
+):
+    argv = ["gfactor", "--t-end-ps", "1e308", "--points", "2", *beta]
     assert main(argv + ["--out", str(tmp_path / "x")]) == 3
-    assert capsys.readouterr().err.startswith(f"numerical failure: at t = {t_label} s: ")
+    assert capsys.readouterr().err.startswith("numerical failure: at t = 1.000000e+296 s: ")
 
 
 def exit_code(argv):
@@ -674,7 +678,7 @@ def test_importing_the_cli_loads_no_scipy(tmp_path):
     # scipy dominates the import time, so the package loads it on first use
     # only; the oracle's Hermitian generators (dense eigh on the parity
     # blocks, at zero and finite temperature), the Bloch scan and the
-    # finite-temperature sweeps (closed-form G) never need it
+    # sweeps (closed-form G, at zero and finite temperature) never need it
     src = os.path.dirname(os.path.dirname(os.path.abspath(qubit_dephasing.__file__)))
     env = dict(os.environ, PYTHONPATH=src)
     probe = (
@@ -689,10 +693,11 @@ def test_importing_the_cli_loads_no_scipy(tmp_path):
         "channel.max_decoherence_numeric(channel.QubitParams(1e10), 0.2, 1e-12, 16)\n"
         "print(loaded())\n"
         "for command in ('gfactor', 'fig1'):\n"
-        "    argv = [command, '--beta', '2e-12', '--out', sys.argv[2] + command]\n"
-        "    with contextlib.redirect_stdout(io.StringIO()):\n"
-        "        code = cli.main(argv)\n"
-        "    print(code, loaded())\n"
+        "    for extra in ([], ['--beta', '2e-12']):\n"
+        "        argv = [command, '--out', sys.argv[2] + command] + extra\n"
+        "        with contextlib.redirect_stdout(io.StringIO()):\n"
+        "            code = cli.main(argv)\n"
+        "        print(code, loaded())\n"
     )
     out = subprocess.run(
         [sys.executable, "-c", probe, str(tmp_path / "oracle.csv"), str(tmp_path / "s_")],
@@ -701,7 +706,7 @@ def test_importing_the_cli_loads_no_scipy(tmp_path):
         text=True,
         check=True,
     )
-    assert out.stdout.splitlines() == ["[]", "0 []", "0 []", "[]", "0 []", "0 []"]
+    assert out.stdout.splitlines() == ["[]", "0 []", "0 []", "[]"] + ["0 []"] * 4
 
 
 # -- one stacked pair call per table -------------------------------------------------

@@ -34,6 +34,7 @@ from .entanglement import (
     analytic_bell_concurrence,
     analytic_bell_state,
     concurrence,
+    family_concurrence,
     initial_state,
     spin_flip,
 )
@@ -105,6 +106,7 @@ __all__ = [
     "evolve_pair",
     "evolve_single",
     "exact_evolve",
+    "family_concurrence",
     "from_eigenbasis",
     "g_discrete",
     "g_ohmic",

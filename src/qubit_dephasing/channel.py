@@ -188,9 +188,9 @@ def evolve_single(rho0, params: QubitParams, g_value: float, t: float) -> np.nda
     return _evolve_checked(a, params.e_j, g_value, t)
 
 
-def _pair_points(g1, g2, t) -> tuple[list[float], list[float], list[float]]:
-    # The grid of (g1, g2, t) points: three scalars, or three 1-D arrays of
-    # one nonzero length.
+def _pair_points(g1, g2, t) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    # The grid of (g1, g2, t) points, from three scalars or three 1-D arrays
+    # of one nonzero length, as three 1-D float arrays.
     arrays = [np.asarray(x, dtype=float) for x in (g1, g2, t)]
     if len({x.shape for x in arrays}) != 1 or arrays[0].ndim > 1 or not arrays[0].size:
         raise ValueError(
@@ -200,7 +200,7 @@ def _pair_points(g1, g2, t) -> tuple[list[float], list[float], list[float]]:
     if not ((gs1 >= 0.0).all() and (gs2 >= 0.0).all()):
         raise ValueError("exponents must be nonnegative")
     _check_times(ts)
-    return gs1.tolist(), gs2.tolist(), ts.tolist()
+    return gs1, gs2, ts
 
 
 def evolve_pair(rho0, p1: QubitParams, p2: QubitParams, g1, g2, t) -> np.ndarray:
@@ -219,7 +219,7 @@ def evolve_pair(rho0, p1: QubitParams, p2: QubitParams, g1, g2, t) -> np.ndarray
     a = check_pair_state(rho0)
     if a.ndim != 2:
         raise InvalidState(f"expected a 4x4 matrix, got shape {a.shape}")
-    gs1, gs2, ts = _pair_points(g1, g2, t)
+    gs1, gs2, ts = (x.tolist() for x in _pair_points(g1, g2, t))
     # [point, i2, j2, i1, j1], then [point, i1, j1, i2, j2] for qubit 2
     out = a.reshape(2, 2, 2, 2).transpose(1, 3, 0, 2)
     out = _apply_single(np.broadcast_to(out, (len(ts),) + out.shape), p1.e_j, gs1, ts)

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import cmath
+import functools
 import math
 import os
 import sys
@@ -28,7 +29,7 @@ from .bath import (
     suppression_factor,
 )
 from .channel import QubitParams, evolve_pair, max_decoherence_analytic
-from .entanglement import concurrence, initial_state
+from .entanglement import family_concurrence, initial_state
 from .errors import (
     ConfigError,
     DephasingError,
@@ -299,16 +300,17 @@ def _g_sweep(cfg: ExperimentConfig) -> tuple[list[float], list[float]]:
     return times, g_ohmic_closed(ohmic, Temperature(cfg.beta), times).tolist()
 
 
-def _evolved_states(cfg: ExperimentConfig, times, gs) -> np.ndarray:
-    """``(n, 4, 4)``: the pair state evolved from ``initial_state(cfg.alpha)``."""
-    params1, params2 = QubitParams(cfg.e_j1), QubitParams(cfg.e_j2)
-    return evolve_pair(initial_state(cfg.alpha), params1, params2, gs, gs, times)
-
-
 def _records(cfg: ExperimentConfig, times, gs) -> list[TimeSeriesRecord]:
-    """One record per grid point; the reference is ``C(0) * delta1 * delta2``."""
+    """One record per grid point; the reference is ``C(0) * delta1 * delta2``.
+
+    The concurrence column comes from the closed-form X state of the evolved
+    family, one ``family_concurrence`` call per table, with no states formed;
+    Wootters ``concurrence`` of the ``evolve_pair`` states validates it in
+    tier-1.
+    """
     c0 = 2.0 * abs(cfg.alpha) / (1.0 + abs(cfg.alpha) ** 2)
-    cs = concurrence(_evolved_states(cfg, times, gs))
+    params1, params2 = QubitParams(cfg.e_j1), QubitParams(cfg.e_j2)
+    cs = family_concurrence(cfg.alpha, params1, params2, gs, gs, times)
     records = []
     for t, g, c_t in zip(times, gs, cs.tolist()):
         delta = suppression_factor(g)
@@ -331,7 +333,11 @@ def _records(cfg: ExperimentConfig, times, gs) -> list[TimeSeriesRecord]:
 
 
 def run_experiment(cfg: ExperimentConfig) -> list[TimeSeriesRecord]:
-    """Sweep the time grid and collect one record per point."""
+    """Sweep the time grid and collect one record per point.
+
+    The concurrence is that of the closed-form X state the family evolves
+    into (``family_concurrence``); Wootters validates it in tier-1.
+    """
     return _records(cfg, *_g_sweep(cfg))
 
 
@@ -443,8 +449,10 @@ _EVOLVE_CSV_HEADER = "t_seconds,t_ks," + ",".join(
 def _cmd_evolve(args) -> int:
     cfg = _experiment_config(args)
     times, gs = _g_sweep(cfg)
+    params1, params2 = QubitParams(cfg.e_j1), QubitParams(cfg.e_j2)
+    states = evolve_pair(initial_state(cfg.alpha), params1, params2, gs, gs, times)
     # each state's 16 entries as (re, im) pairs, row-major
-    entries = _evolved_states(cfg, times, gs).view(float).reshape(len(times), -1)
+    entries = states.view(float).reshape(len(times), -1)
     rows = [[t, t / KS_IN_SECONDS, *row] for t, row in zip(times, entries.tolist())]
     path = args.out or cfg.output_path or "evolve.csv"
     _write_table(path, _EVOLVE_CSV_HEADER, rows)
@@ -556,8 +564,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    # built on the first call of main, so that importing the module stays
+    # cheap, and reused after that: parsing leaves the tree unchanged
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except ConfigError as exc:

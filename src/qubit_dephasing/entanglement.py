@@ -1,4 +1,5 @@
-"""Wootters concurrence and analytic references for a dephasing pair."""
+"""Concurrence of a dephasing pair: Wootters in general, and in closed form
+for the evolved ``(|01> + alpha |10>)`` family, plus analytic references."""
 
 from __future__ import annotations
 
@@ -8,13 +9,20 @@ import math
 import numpy as np
 
 from .errors import InvalidState
-from .channel import check_pair_state
+from .channel import (
+    PAIR_PSD_FLOOR,
+    TRACE_TOL,
+    QubitParams,
+    _pair_points,
+    check_pair_state,
+)
 from .qmath import general_eigenvalues
 
 __all__ = [
     "analytic_bell_concurrence",
     "analytic_bell_state",
     "concurrence",
+    "family_concurrence",
     "initial_state",
     "spin_flip",
 ]
@@ -45,18 +53,23 @@ def initial_state(alpha: complex) -> np.ndarray:
     The concurrence of the returned state is ``2|alpha| / (1 + |alpha|^2)``,
     which peaks at one for ``|alpha| = 1`` and vanishes for ``alpha = 0``.
     """
+    a, norm_sq = _checked_alpha(alpha)
+    vec = np.zeros(4, dtype=complex)
+    vec[1] = 1.0
+    vec[2] = a
+    vec /= math.sqrt(norm_sq)
+    return np.outer(vec, vec.conj())
+
+
+def _checked_alpha(alpha) -> tuple[complex, float]:
+    # alpha as a complex number and its norm 1 + |alpha|^2, both finite
     a = complex(alpha)
     if not (math.isfinite(a.real) and math.isfinite(a.imag)):
         raise ValueError("alpha must be finite")
     try:
-        norm = math.sqrt(1.0 + abs(a) ** 2)
+        return a, 1.0 + abs(a) ** 2
     except OverflowError:
         raise ValueError("alpha too large: |alpha|**2 overflows") from None
-    vec = np.zeros(4, dtype=complex)
-    vec[1] = 1.0
-    vec[2] = a
-    vec /= norm
-    return np.outer(vec, vec.conj())
 
 
 def spin_flip(rho) -> np.ndarray:
@@ -106,6 +119,73 @@ def concurrence(rho) -> float | np.ndarray:
     value = np.where(value > 0.0, value, 0.0)
     value = np.where(value < 1.0, value, 1.0)
     return float(value) if a.ndim == 2 else value
+
+
+def family_concurrence(
+    alpha, p1: QubitParams, p2: QubitParams, g1, g2, t
+) -> float | np.ndarray:
+    """Concurrence of ``evolve_pair(initial_state(alpha), p1, p2, g1, g2, t)``
+    in closed form, without forming the states.
+
+    The evolved family is an X state. With ``delta_k = exp(-4 g_k)``,
+    ``u_k = (1 + delta_k)/2``, ``d_k = (1 - delta_k)/2``, ``c_k = u_k
+    exp(-i E_Jk t)``, ``N^2 = 1 + |alpha|^2``, ``p = 1/N^2``, ``q =
+    |alpha|^2/N^2`` and ``z = conj(alpha)/N^2``, its nonzero entries are
+
+        rho_00 = p u1 d2 + q d1 u2        rho_11 = p u1 u2 + q d1 d2
+        rho_22 = p d1 d2 + q u1 u2        rho_33 = p d1 u2 + q u1 d2
+        rho_12 = z c1 conj(c2) + conj(z) d1 d2
+        rho_03 = z c1 d2 + conj(z) d1 c2
+
+    and the concurrence is ``2 max(0, |rho_12| - sqrt(rho_00 rho_33),
+    |rho_03| - sqrt(rho_11 rho_22))``. Both moduli depend on the phases
+    only through ``(E_J1 - E_J2) t``.
+
+    Every point is validated as ``check_pair_state`` validates a state. An
+    X state's spectrum is that of its blocks ``{0, 3}`` and ``{1, 2}``, so a
+    trace gap above ``TRACE_TOL``, or a block eigenvalue ``(a + b)/2 -
+    hypot((a - b)/2, |c|)`` below ``PAIR_PSD_FLOOR``, raises
+    ``InvalidState`` naming the worst point. ``g1``, ``g2`` and ``t`` are
+    taken as by ``evolve_pair``: scalars give a float, 1-D arrays of one
+    length an array, and negative or NaN values raise ``ValueError``, as
+    does a phase ``E_J t`` that is not finite. Wootters ``concurrence`` of
+    the ``evolve_pair`` states is its tier-1 cross-check.
+    """
+    a, norm_sq = _checked_alpha(alpha)
+    gs1, gs2, ts = _pair_points(g1, g2, t)
+    with np.errstate(over="ignore", invalid="ignore"):
+        phi = p1.e_j * ts - p2.e_j * ts
+    if not np.isfinite(phi).all():
+        raise ValueError("e_j t must be finite")
+    cos, sin = np.cos(phi), np.sin(phi)
+    delta1, delta2 = np.exp(-4.0 * gs1), np.exp(-4.0 * gs2)
+    u1, d1 = 0.5 * (1.0 + delta1), 0.5 * (1.0 - delta1)
+    u2, d2 = 0.5 * (1.0 + delta2), 0.5 * (1.0 - delta2)
+    uu, dd, ud, du = u1 * u2, d1 * d2, u1 * d2, d1 * u2
+    p, q = 1.0 / norm_sq, abs(a) ** 2 / norm_sq
+    zr, zi = a.real / norm_sq, -a.imag / norm_sq
+    # z exp(-i phi) = w + i v and conj(z) exp(i phi) = w - i v, so that
+    # rho_12 = uu (w + i v) + dd conj(z) and exp(i E_J1 t) rho_03 = ud z +
+    # du (w - i v)
+    w, v = zr * cos + zi * sin, zi * cos - zr * sin
+    abs_12 = np.hypot(uu * w + dd * zr, uu * v - dd * zi)
+    abs_03 = np.hypot(ud * zr + du * w, ud * zi - du * v)
+    rho_00, rho_33 = p * ud + q * du, p * du + q * ud
+    rho_11, rho_22 = p * uu + q * dd, p * dd + q * uu
+    trace_gap = float(np.abs(rho_00 + rho_11 + rho_22 + rho_33 - 1.0).max())
+    if trace_gap > TRACE_TOL:
+        raise InvalidState(f"trace differs from one by {trace_gap:.3e}")
+    lowest = min(
+        float((0.5 * (x + y) - np.hypot(0.5 * (x - y), c)).min())
+        for x, y, c in ((rho_00, rho_33, abs_03), (rho_11, rho_22, abs_12))
+    )
+    if lowest < PAIR_PSD_FLOOR:
+        raise InvalidState(f"negative eigenvalue {lowest:.3e}")
+    value = 2.0 * np.maximum(
+        abs_12 - np.sqrt(rho_00 * rho_33), abs_03 - np.sqrt(rho_11 * rho_22)
+    )
+    value = np.clip(value, 0.0, 1.0)
+    return value if np.ndim(t) else float(value[0])
 
 
 def analytic_bell_state(g1: float, g2: float, e_j_sum: float, t: float) -> np.ndarray:

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 import qubit_dephasing
 import qubit_dephasing.cli as cli_module
+import qubit_dephasing.entanglement as entanglement_module
 from qubit_dephasing.bath import (
     OhmicBath,
     Temperature,
@@ -33,7 +34,7 @@ from qubit_dephasing.cli import (
     run_oracle_check,
     serialize_config,
 )
-from qubit_dephasing.entanglement import concurrence, initial_state
+from qubit_dephasing.entanglement import concurrence, family_concurrence, initial_state
 from qubit_dephasing.errors import ConfigError, InvalidState
 
 FLOAT_CELL = re.compile(r"^-?\d\.\d{16}e[+-]\d{2,3}$")
@@ -483,13 +484,12 @@ def reference_evolve(alpha, beta):
 
 def reference_fig1(alpha, beta):
     params = QubitParams(REF_E_J)
-    rho0 = initial_state(alpha)
     c0 = 2.0 * abs(alpha) / (1.0 + abs(alpha) ** 2)
     rows = []
     for t, g in reference_points(beta):
         delta = suppression_factor(g)
         d_max = max_decoherence_analytic(g)
-        c_t = concurrence(evolve_pair(rho0, params, params, g, g, t))
+        c_t = family_concurrence(alpha, params, params, g, g, t)
         rows.append(
             (t, t / KS_IN_SECONDS, g, g, delta, delta, c_t, c0 * delta * delta, d_max, d_max)
         )
@@ -538,6 +538,28 @@ def test_fig1_bundle_matches_reference_and_single_alpha_runs(tmp_path, beta):
         raw = (bundle / f"fig1_alpha{k}.csv").read_bytes()
         assert raw == single.read_bytes()
         assert raw == reference_fig1(complex(k), beta)
+
+
+@TEMPERATURES
+def test_fig1_concurrence_is_wootters_on_the_evolved_states(tmp_path, beta):
+    # the closed-form column against the general route: Wootters on the
+    # evolve_pair states, here with unequal tunneling energies as well
+    bundle, single = tmp_path / "bundle", tmp_path / "one.csv"
+    conf = tmp_path / "pair.conf"
+    conf.write_text("e_j2 = 1.7e10\n", encoding="utf-8")
+    assert main(sweep_argv("fig1", bundle, beta)) == 0
+    argv = sweep_argv("fig1", single, beta, "--alpha", "0.5+0.25j", "--config", str(conf))
+    assert main(argv) == 0
+    p1 = QubitParams(REF_E_J)
+    tables = [(complex(k), p1, bundle / f"fig1_alpha{k}.csv") for k in (1, 2, 3)]
+    tables.append((0.5 + 0.25j, QubitParams(1.7e10), single))
+    for alpha, p2, path in tables:
+        _, data = read_rows(str(path))
+        rho0 = initial_state(alpha)
+        wootters = [
+            concurrence(evolve_pair(rho0, p1, p2, g, g, t)) for t, g in reference_points(beta)
+        ]
+        np.testing.assert_allclose(data[:, 6], wootters, rtol=0, atol=1e-13)
 
 
 @pytest.mark.parametrize("command", ["gfactor", "evolve", "fig1"])
@@ -709,46 +731,47 @@ def test_importing_the_cli_loads_no_scipy(tmp_path):
     assert out.stdout.splitlines() == ["[]", "0 []", "0 []", "[]"] + ["0 []"] * 4
 
 
-# -- one stacked pair call per table -------------------------------------------------
+# -- one stacked call per table -----------------------------------------------------
 
 
-def counting(monkeypatch, name):
+def counting(monkeypatch, name, module=cli_module):
     calls = []
-    original = getattr(cli_module, name)
+    original = getattr(module, name)
 
     def wrapper(*args):
         calls.append(args)
         return original(*args)
 
-    monkeypatch.setattr(cli_module, name, wrapper)
+    monkeypatch.setattr(module, name, wrapper)
     return calls
 
 
-def test_fig1_bundle_makes_one_pair_call_and_one_concurrence_call_per_table(
+def test_fig1_bundle_makes_one_kernel_call_per_table_and_forms_no_state(
     tmp_path, monkeypatch
 ):
     evolves = counting(monkeypatch, "evolve_pair")
-    concurrences = counting(monkeypatch, "concurrence")
+    kernels = counting(monkeypatch, "family_concurrence")
+    wootters = counting(monkeypatch, "concurrence", entanglement_module)
     assert main(sweep_argv("fig1", tmp_path / "bundle", None)) == 0
-    assert len(evolves) == 3
-    assert len(concurrences) == 3
-    assert all(np.shape(args[0]) == (REF_POINTS, 4, 4) for args in concurrences)
+    assert evolves == [] and wootters == []
+    assert [np.shape(args[-1]) for args in kernels] == [(REF_POINTS,)] * 3
 
 
 def test_evolve_makes_one_pair_call(tmp_path, monkeypatch):
     evolves = counting(monkeypatch, "evolve_pair")
-    concurrences = counting(monkeypatch, "concurrence")
+    kernels = counting(monkeypatch, "family_concurrence")
+    wootters = counting(monkeypatch, "concurrence", entanglement_module)
     assert main(sweep_argv("evolve", tmp_path / "e.csv", 2e-12)) == 0
     assert len(evolves) == 1
     assert np.shape(evolves[0][-1]) == (REF_POINTS,)
-    assert concurrences == []
+    assert kernels == [] and wootters == []
 
 
 def grid_times():
     return [float(t) for t in np.linspace(0.0, REF_T_END_PS * 1e-12, REF_POINTS)]
 
 
-@pytest.mark.parametrize("command", ["evolve", "fig1"])
+@pytest.mark.parametrize("command", ["evolve"])
 def test_failing_pair_evolution_exits_three_with_the_library_message(
     tmp_path, capsys, monkeypatch, command
 ):
@@ -769,25 +792,78 @@ def test_failing_pair_evolution_exits_three_with_the_library_message(
 def test_failing_concurrence_exits_three_with_the_library_message(
     tmp_path, capsys, monkeypatch
 ):
-    # The corner population of the alpha = 2 state grows with G; the fake
-    # validator rejects the stack by its largest corner, as check_pair_state
-    # names the worst defect of a stack.
-    original = cli_module.concurrence
-    times = grid_times()
-    gs = [g for _, g in reference_points(None)]
+    # A floor no state meets makes the kernel's own check reject the table;
+    # the CLI prints the library's message as is.
+    monkeypatch.setattr(entanglement_module, "PAIR_PSD_FLOOR", 1.0)
     p = QubitParams(REF_E_J)
-    corners = [
-        evolve_pair(initial_state(2.0), p, p, g, g, t)[0, 0].real for t, g in zip(times, gs)
-    ]
-    level = 0.5 * (corners[2] + corners[3])
-    assert corners[2] < level < corners[3]
-
-    def fussy(rho):
-        worst = float(np.max(np.asarray(rho)[..., 0, 0].real))
-        if worst > level:
-            raise InvalidState(f"corner {worst:.3e}")
-        return original(rho)
-
-    monkeypatch.setattr(cli_module, "concurrence", fussy)
+    gs = [g for _, g in reference_points(None)]
+    with pytest.raises(InvalidState, match="^negative eigenvalue ") as direct:
+        family_concurrence(2.0, p, p, gs, gs, grid_times())
     assert main(sweep_argv("fig1", tmp_path / "x.csv", None, "--alpha", "2")) == 3
-    assert capsys.readouterr().err == f"numerical failure: corner {max(corners):.3e}\n"
+    assert capsys.readouterr().err == f"numerical failure: {direct.value}\n"
+
+
+# -- one parser tree per process -----------------------------------------------------
+
+
+def test_the_cli_builds_its_parser_on_the_first_main_call_only(tmp_path):
+    # no tree at import, one on the first call, none after
+    src = os.path.dirname(os.path.dirname(os.path.abspath(qubit_dephasing.__file__)))
+    probe = (
+        "import argparse, contextlib, io, sys\n"
+        "built = []\n"
+        "init = argparse.ArgumentParser.__init__\n"
+        "def counted(self, *args, **kwargs):\n"
+        "    built.append(kwargs.get('prog'))\n"
+        "    init(self, *args, **kwargs)\n"
+        "argparse.ArgumentParser.__init__ = counted\n"
+        "import qubit_dephasing.cli as cli\n"
+        "print(len(built))\n"
+        "for _ in range(2):\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        code = cli.main(['gfactor', '--points', '2', '--out', sys.argv[1]])\n"
+        "    print(code, built.count('qubit-dephasing'))\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", probe, str(tmp_path / "g.csv")],
+        env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert out.stdout.splitlines() == ["0", "0 1", "0 1"]
+
+
+def test_build_parser_returns_a_fresh_tree():
+    assert cli_module.build_parser() is not cli_module.build_parser()
+
+
+def test_fig1_bundle_after_a_single_alpha_run_matches_a_fresh_process(tmp_path):
+    assert main(sweep_argv("fig1", tmp_path / "one.csv", None, "--alpha", "2")) == 0
+    again, fresh = tmp_path / "again", tmp_path / "fresh"
+    assert main(sweep_argv("fig1", again, None)) == 0
+    src = os.path.dirname(os.path.dirname(os.path.abspath(qubit_dephasing.__file__)))
+    subprocess.run(
+        [sys.executable, "-m", "qubit_dephasing.cli", *sweep_argv("fig1", fresh, None)],
+        env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True,
+        check=True,
+    )
+    names = [f"fig1_alpha{k}.csv" for k in (1, 2, 3)]
+    assert sorted(os.listdir(again)) == sorted(os.listdir(fresh)) == names
+    for name in names:
+        assert (again / name).read_bytes() == (fresh / name).read_bytes()
+
+
+def test_oracle_check_seed_flag_does_not_outlive_its_call(tmp_path, monkeypatch):
+    seeds = []
+
+    def record(cfg):
+        seeds.append(cfg.seed)
+        return [], []
+
+    monkeypatch.setattr(cli_module, "run_oracle_check", record)
+    out = str(tmp_path / "o.csv")
+    assert main(["oracle-check", "--seed", "3", "--out", out]) == 0
+    assert main(["oracle-check", "--out", out]) == 0
+    assert seeds == [3, OracleCheckConfig().seed]

@@ -1,9 +1,10 @@
 import math
+import re
 
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from qubit_dephasing import entanglement
@@ -15,6 +16,7 @@ from qubit_dephasing.entanglement import (
     analytic_bell_concurrence,
     analytic_bell_state,
     concurrence,
+    family_concurrence,
     initial_state,
     spin_flip,
 )
@@ -378,3 +380,86 @@ def test_real_maximally_entangled_pair_meets_the_product(alpha, g1, g2, e_j, t):
     p = QubitParams(e_j)
     c_t = concurrence(evolve_pair(initial_state(alpha), p, p, g1, g2, t))
     assert abs(c_t - suppression_factor(g1) * suppression_factor(g2)) <= 1e-10
+
+
+# -- closed-form concurrence of the evolved family ---------------------------------
+
+
+@pair_properties
+@given(complex_alphas, exponents, exponents, tunneling, tunneling, times)
+def test_family_concurrence_is_wootters_on_the_evolved_state(alpha, g1, g2, e1, e2, t):
+    assume(g1 != g2 and e1 != e2)
+    p1, p2 = QubitParams(e1), QubitParams(e2)
+    c_t = family_concurrence(alpha, p1, p2, g1, g2, t)
+    assert isinstance(c_t, float)
+    wootters = concurrence(evolve_pair(initial_state(alpha), p1, p2, g1, g2, t))
+    assert abs(c_t - wootters) <= 1e-12
+
+
+@pair_properties
+@given(st.sampled_from([1.0, -1.0]), exponents, exponents, tunneling, times)
+def test_family_concurrence_meets_the_product_at_real_maximal_entanglement(
+    alpha, g1, g2, e_j, t
+):
+    p = QubitParams(e_j)
+    c_t = family_concurrence(alpha, p, p, g1, g2, t)
+    assert abs(c_t - suppression_factor(g1) * suppression_factor(g2)) <= 1e-15
+
+
+def test_family_concurrence_of_a_grid_equals_its_points_bit_for_bit():
+    rng = np.random.default_rng(5)
+    p1, p2 = QubitParams(1e10), QubitParams(1.6e10)
+    ts = np.linspace(0.0, 3e-10, 41)
+    g1, g2 = rng.uniform(0.0, 1.5, size=(2, 41))
+    got = family_concurrence(0.6 - 1.3j, p1, p2, g1, g2, ts)
+    assert got.shape == (41,)
+    points = [family_concurrence(0.6 - 1.3j, p1, p2, *x) for x in zip(g1, g2, ts)]
+    assert got.tobytes() == np.array(points).tobytes()
+
+
+@pytest.mark.parametrize(
+    ("g", "t", "e_j"),
+    [
+        (-0.1, 1e-12, 1e10),
+        (math.nan, 1e-12, 1e10),
+        (0.1, -1e-12, 1e10),
+        (0.1, math.nan, 1e10),
+        (0.1, math.inf, 1e10),
+        (0.1, 1e10, 1e300),  # e_j t overflows
+    ],
+)
+def test_family_concurrence_rejects_bad_exponents_times_and_phases(g, t, e_j):
+    p = QubitParams(e_j)
+    with pytest.raises(ValueError):
+        family_concurrence(2.0, p, p, g, 0.1, t)
+    with pytest.raises(ValueError):
+        family_concurrence(2.0, p, p, [0.1, g], [0.1, 0.1], [0.0, t])
+
+
+@pytest.mark.parametrize("alpha", [complex("nan"), 1e200])
+def test_family_concurrence_rejects_the_alphas_initial_state_rejects(alpha):
+    p = QubitParams(1e10)
+    with pytest.raises(ValueError):
+        family_concurrence(alpha, p, p, 0.1, 0.1, 1e-12)
+
+
+@pytest.mark.parametrize(
+    ("name", "limit", "message"),
+    [("TRACE_TOL", -1.0, "trace differs from one by "), ("PAIR_PSD_FLOOR", 1.0, "negative eigenvalue ")],
+    ids=["trace", "eigenvalue"],
+)
+def test_family_concurrence_validates_every_point_and_names_the_worst(
+    monkeypatch, name, limit, message
+):
+    # limits no state meets: the value in each message is that point's margin
+    monkeypatch.setattr(entanglement, name, limit)
+    p1, p2 = QubitParams(1e10), QubitParams(1.6e10)
+    ts, gs = [2e-10, 1e-10, 0.0], [0.9, 0.3, 0.0]
+    margins = []
+    for g, t in zip(gs, ts):
+        with pytest.raises(InvalidState, match=f"^{message}") as point:
+            family_concurrence(3.0, p1, p2, g, g, t)
+        margins.append(float(str(point.value).rsplit(" ", 1)[1]))
+    worst = max(margins) if name == "TRACE_TOL" else min(margins)
+    with pytest.raises(InvalidState, match=re.escape(f"{message}{worst:.3e}")):
+        family_concurrence(3.0, p1, p2, gs, gs, ts)

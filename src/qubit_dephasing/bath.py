@@ -145,6 +145,15 @@ def g_ohmic(
     ``g_ohmic_closed`` evaluates the same exponent in closed form over a
     whole time grid, and the CLI sweeps run it; this quadrature only
     validates it and is on no run path.
+
+    Trusted window, against 40-digit mpmath over random points: at finite
+    temperature, returned values missed by up to 6.2e-6 relative without
+    raising; 108 of 1,514 exceeded 1e-10, all with ``kappa = 1/(beta
+    omega_c)`` between 1.6e-6 and 1.3e-3. At zero temperature the worst
+    silent miss was 4.4e-9 for ``omega_c t`` up to 1e4, and past about
+    ``omega_c t = 400`` the quadrature raises. Tier-1 compares it with the
+    closed form only for ``beta omega_c <= 20``.
+
     Below ``x = 1e-8`` the integrand is replaced by its analytic limit,
     removing the 0/0 at the origin. ``quad`` bounds are in rad/s and are
     rescaled by the cutoff; an infinite upper bound is truncated where
@@ -275,8 +284,14 @@ def default_quadrature() -> QuadratureSpec:
     )
 
 
-def suppression_factor(g_value: float) -> float:
-    """Coherence survival factor ``exp(-4 G)``, in ``(0, 1]`` for ``G >= 0``."""
-    if not g_value >= 0.0:
+def suppression_factor(g_value):
+    """Coherence survival factor ``exp(-4 G)``, in ``(0, 1]`` for ``G >= 0``.
+
+    A scalar gives a float, an array an array whose entries have the scalar
+    call's bits (numpy's ``exp``); a negative or NaN entry raises ``ValueError``.
+    """
+    g = np.asarray(g_value, dtype=float)
+    if not (g >= 0.0).all():
         raise ValueError("g_value must be nonnegative")
-    return math.exp(-4.0 * g_value)
+    delta = np.exp(-4.0 * g)
+    return delta if g.ndim else float(delta)

@@ -20,13 +20,13 @@ the brute-force cross-check lives in the oracle module.
 
 from __future__ import annotations
 
-import cmath
 import logging
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from .bath import suppression_factor
 from .errors import InvalidState
 
 __all__ = [
@@ -125,26 +125,17 @@ def _times(c, z: np.ndarray) -> np.ndarray:
     return out
 
 
-def _weights(e_j: float, g_value: float, t: float) -> tuple:
-    # up, dn, up * phase and its conjugate partner, as math/cmath scalars,
-    # whose last bits the array np.exp does not always reproduce
-    delta = math.exp(-4.0 * g_value)
-    up = 0.5 * (1.0 + delta)
-    ph = cmath.exp(-1j * e_j * t)
-    return up, 0.5 * (1.0 - delta), up * ph, up * ph.conjugate()
-
-
 def _apply_single(rho: np.ndarray, e_j: float, g_value, t) -> np.ndarray:
     # Linear action on any 2x2 matrix or stack of them; no input validation,
     # so it can serve both state evolution and the process-matrix construction.
-    # Lists g_value and t give one point per leading entry of rho, each with
-    # the bits of the scalar call.
-    if isinstance(g_value, list):
-        shape = (len(g_value),) + (1,) * (rho.ndim - 3)
-        points = zip(*[_weights(e_j, g, s) for g, s in zip(g_value, t)])
-        up, dn, c, c_bar = (np.reshape(w, shape) for w in points)
-    else:
-        up, dn, c, c_bar = _weights(e_j, g_value, t)
+    # Scalars g_value and t give numpy-scalar weights, 1-D arrays one point
+    # per leading entry of rho with the bits of the scalar call (numpy's exp).
+    delta, ph = np.exp(-4.0 * g_value), np.exp(-1j * e_j * t)
+    if np.ndim(delta):
+        shape = (-1,) + (1,) * (rho.ndim - 3)
+        delta, ph = delta.reshape(shape), ph.reshape(shape)
+    up, dn = 0.5 * (1.0 + delta), 0.5 * (1.0 - delta)
+    c, c_bar = up * ph, up * ph.conj()
     out = np.empty(rho.shape, dtype=complex)
     out[..., 0, 0] = up * rho[..., 0, 0] + dn * rho[..., 1, 1]
     out[..., 0, 1] = _times(c, rho[..., 0, 1]) + dn * rho[..., 1, 0]
@@ -219,10 +210,10 @@ def evolve_pair(rho0, p1: QubitParams, p2: QubitParams, g1, g2, t) -> np.ndarray
     a = check_pair_state(rho0)
     if a.ndim != 2:
         raise InvalidState(f"expected a 4x4 matrix, got shape {a.shape}")
-    gs1, gs2, ts = (x.tolist() for x in _pair_points(g1, g2, t))
+    gs1, gs2, ts = _pair_points(g1, g2, t)
     # [point, i2, j2, i1, j1], then [point, i1, j1, i2, j2] for qubit 2
     out = a.reshape(2, 2, 2, 2).transpose(1, 3, 0, 2)
-    out = _apply_single(np.broadcast_to(out, (len(ts),) + out.shape), p1.e_j, gs1, ts)
+    out = _apply_single(np.broadcast_to(out, ts.shape + out.shape), p1.e_j, gs1, ts)
     out = _apply_single(out.transpose(0, 3, 4, 1, 2), p2.e_j, gs2, ts)
     out = out.transpose(0, 1, 3, 2, 4).reshape(-1, 4, 4)
     out = 0.5 * (out + out.conj().swapaxes(-1, -2))
@@ -259,11 +250,12 @@ def lambda_norm(sigma) -> float | np.ndarray:
     return float(norms) if a.ndim == 2 else norms
 
 
-def max_decoherence_analytic(g_value: float) -> float:
-    """Largest deviation norm over initial states: ``(1 - exp(-4 G))/2``."""
-    if not g_value >= 0.0:
-        raise ValueError("g_value must be nonnegative")
-    return 0.5 * (1.0 - math.exp(-4.0 * g_value))
+def max_decoherence_analytic(g_value):
+    """Largest deviation norm over initial states: ``(1 - exp(-4 G))/2``.
+
+    Scalar or array, as ``suppression_factor``, whose bits and errors it keeps.
+    """
+    return 0.5 * (1.0 - suppression_factor(g_value))
 
 
 def max_decoherence_numeric(

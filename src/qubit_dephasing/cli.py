@@ -22,12 +22,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .bath import (
-    OhmicBath,
-    Temperature,
-    g_ohmic_closed,
-    suppression_factor,
-)
+from .bath import OhmicBath, Temperature, g_ohmic_closed, suppression_factor
 from .channel import QubitParams, evolve_pair, max_decoherence_analytic
 from .entanglement import family_concurrence, initial_state
 from .errors import (
@@ -276,7 +271,16 @@ def oracle_config_from_mapping(mapping: dict[str, str]) -> OracleCheckConfig:
 
 
 def serialize_config(cfg: ExperimentConfig) -> str:
-    """Render a config so that parsing it back reproduces ``cfg`` exactly."""
+    """Render a config so that parsing it back reproduces ``cfg`` exactly.
+
+    The format has no escaping: an ``output_path`` that is empty, holds ``#``
+    or a line break, or has surrounding whitespace raises ``ConfigError``.
+    """
+    path = cfg.output_path
+    if path is not None and (
+        path != path.strip() or "#" in path or len(path.splitlines()) != 1
+    ):
+        raise ConfigError(f"output_path {path!r} cannot round-trip a config file")
     lines = ["# angular frequencies in rad/s, time in seconds"]
     for field in fields(cfg):
         value = getattr(cfg, field.name)
@@ -288,7 +292,7 @@ def serialize_config(cfg: ExperimentConfig) -> str:
 
 # -- experiment -------------------------------------------------------------
 
-def _g_sweep(cfg: ExperimentConfig) -> tuple[list[float], list[float]]:
+def _g_sweep(cfg: ExperimentConfig) -> tuple[np.ndarray, np.ndarray]:
     """The time grid and the Ohmic exponent ``G`` at each of its points.
 
     Both qubits see statistically identical baths, so one evaluation per
@@ -296,48 +300,34 @@ def _g_sweep(cfg: ExperimentConfig) -> tuple[list[float], list[float]]:
     holds at every temperature, zero included.
     """
     ohmic = OhmicBath(cfg.eta, cfg.omega_c)
-    times = np.linspace(cfg.t_start, cfg.t_end, cfg.n_points).tolist()
-    return times, g_ohmic_closed(ohmic, Temperature(cfg.beta), times).tolist()
+    times = np.linspace(cfg.t_start, cfg.t_end, cfg.n_points)
+    return times, g_ohmic_closed(ohmic, Temperature(cfg.beta), times)
+
+
+def _rows(times: np.ndarray, *columns) -> list[list[float]]:
+    """Table rows as Python floats: ``t_seconds``, ``t_ks``, then ``columns``."""
+    return np.column_stack((times, times / KS_IN_SECONDS, *columns)).tolist()
 
 
 def _records(cfg: ExperimentConfig, times, gs) -> list[TimeSeriesRecord]:
     """One record per grid point; the reference is ``C(0) * delta1 * delta2``.
 
-    The concurrence column comes from the closed-form X state of the evolved
-    family, one ``family_concurrence`` call per table, with no states formed;
-    Wootters ``concurrence`` of the ``evolve_pair`` states validates it in
-    tier-1.
+    Each column is one array expression over the grid, with the bits of the
+    per-point library calls: ``delta``, ``s_reference`` and ``d`` from
+    numpy's ``exp``, the concurrence from the closed-form X state of the
+    evolved family (one ``family_concurrence`` call per table, no states
+    formed; Wootters on the ``evolve_pair`` states validates it in tier-1).
     """
     c0 = 2.0 * abs(cfg.alpha) / (1.0 + abs(cfg.alpha) ** 2)
     params1, params2 = QubitParams(cfg.e_j1), QubitParams(cfg.e_j2)
     cs = family_concurrence(cfg.alpha, params1, params2, gs, gs, times)
-    records = []
-    for t, g, c_t in zip(times, gs, cs.tolist()):
-        delta = suppression_factor(g)
-        d_max = max_decoherence_analytic(g)
-        records.append(
-            TimeSeriesRecord(
-                t_seconds=t,
-                t_ks=t / KS_IN_SECONDS,
-                g1=g,
-                g2=g,
-                delta1=delta,
-                delta2=delta,
-                concurrence=c_t,
-                s_reference=c0 * delta * delta,
-                d1=d_max,
-                d2=d_max,
-            )
-        )
-    return records
+    delta, d_max = suppression_factor(gs), max_decoherence_analytic(gs)
+    rows = _rows(times, gs, gs, delta, delta, cs, c0 * delta * delta, d_max, d_max)
+    return list(map(TimeSeriesRecord._make, rows))
 
 
 def run_experiment(cfg: ExperimentConfig) -> list[TimeSeriesRecord]:
-    """Sweep the time grid and collect one record per point.
-
-    The concurrence is that of the closed-form X state the family evolves
-    into (``family_concurrence``); Wootters validates it in tier-1.
-    """
+    """Sweep the time grid and collect one record per point (see ``_records``)."""
     return _records(cfg, *_g_sweep(cfg))
 
 
@@ -431,11 +421,8 @@ def _cmd_gfactor(args) -> int:
     cfg = _experiment_config(args)
     times, gs = _g_sweep(cfg)
     path = args.out or cfg.output_path or "gfactor.csv"
-    _write_table(
-        path,
-        "t_seconds,t_ks,g,delta",
-        [(t, t / KS_IN_SECONDS, g, suppression_factor(g)) for t, g in zip(times, gs)],
-    )
+    rows = _rows(times, gs, suppression_factor(gs))
+    _write_table(path, "t_seconds,t_ks,g,delta", rows)
     print(f"wrote {path} ({cfg.n_points} rows)")
     return 0
 
@@ -452,10 +439,9 @@ def _cmd_evolve(args) -> int:
     params1, params2 = QubitParams(cfg.e_j1), QubitParams(cfg.e_j2)
     states = evolve_pair(initial_state(cfg.alpha), params1, params2, gs, gs, times)
     # each state's 16 entries as (re, im) pairs, row-major
-    entries = states.view(float).reshape(len(times), -1)
-    rows = [[t, t / KS_IN_SECONDS, *row] for t, row in zip(times, entries.tolist())]
+    entries = states.view(float).reshape(times.size, -1)
     path = args.out or cfg.output_path or "evolve.csv"
-    _write_table(path, _EVOLVE_CSV_HEADER, rows)
+    _write_table(path, _EVOLVE_CSV_HEADER, _rows(times, entries))
     print(f"wrote {path} ({cfg.n_points} rows)")
     return 0
 

@@ -8,6 +8,7 @@ import math
 
 import numpy as np
 
+from .bath import suppression_factor
 from .errors import InvalidState
 from .channel import (
     PAIR_PSD_FLOOR,
@@ -158,7 +159,7 @@ def family_concurrence(
     if not np.isfinite(phi).all():
         raise ValueError("e_j t must be finite")
     cos, sin = np.cos(phi), np.sin(phi)
-    delta1, delta2 = np.exp(-4.0 * gs1), np.exp(-4.0 * gs2)
+    delta1, delta2 = suppression_factor(gs1), suppression_factor(gs2)
     u1, d1 = 0.5 * (1.0 + delta1), 0.5 * (1.0 - delta1)
     u2, d2 = 0.5 * (1.0 + delta2), 0.5 * (1.0 - delta2)
     uu, dd, ud, du = u1 * u2, d1 * d2, u1 * d2, d1 * u2

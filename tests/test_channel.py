@@ -9,6 +9,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from qubit_dephasing import channel
+from qubit_dephasing.bath import suppression_factor
 from qubit_dephasing.channel import (
     QubitParams,
     check_pair_state,
@@ -169,6 +170,22 @@ def test_max_decoherence_analytic_values():
         0.31606027941427883, rel=1e-15
     )
     assert max_decoherence_analytic(50.0) == pytest.approx(0.5, rel=1e-12)
+
+
+@pytest.mark.parametrize(
+    "function", [suppression_factor, max_decoherence_analytic], ids=lambda f: f.__name__
+)
+def test_exp_rule_takes_an_array_with_the_scalar_bits(function):
+    # one exp(-4 G) rule for the sweep's stacked columns and the per-point calls
+    exponents = [0.0, 1e-12, 0.2, 50.0, 200.0]
+    got = function(np.array(exponents))
+    assert isinstance(got, np.ndarray) and got.shape == (len(exponents),)
+    for g, value in zip(exponents, got.tolist()):
+        scalar = function(g)
+        assert type(scalar) is float and value.hex() == scalar.hex()
+    for bad in (-1e-3, math.nan):
+        with pytest.raises(ValueError, match="^g_value must be nonnegative$"):
+            function(np.array([0.2, bad, 1.0]))
 
 
 def test_max_decoherence_numeric_matches_analytic():
@@ -387,13 +404,13 @@ def test_lambda_norm_of_a_stack_equals_per_matrix_values():
 def test_single_state_evolves_as_scalar_complex_arithmetic():
     # oracle-check writes channel-vs-propagator gaps with 16 digits, so one
     # state must evolve to the bits of the entrywise formula, whatever the
-    # array loops fuse.
+    # array loops fuse; delta is numpy's exp, the sweep's one rule for it.
     rng = np.random.default_rng(13)
     params = QubitParams(1.3e10)
     for _ in range(200):
         rho = random_qubit_state(rng)
         g, t = float(rng.uniform(0.0, 3.0)), float(rng.uniform(0.0, 5e-12))
-        delta = math.exp(-4.0 * g)
+        delta = float(np.exp(-4.0 * g))
         up, dn = 0.5 * (1.0 + delta), 0.5 * (1.0 - delta)
         ph = cmath.exp(-1j * params.e_j * t)
         (r00, r01), (r10, r11) = [[complex(x) for x in row] for row in rho]

@@ -140,6 +140,22 @@ def test_config_round_trip_without_optionals():
     assert again.beta is None
 
 
+@pytest.mark.parametrize(
+    "path",
+    ["runs#1.csv", " a.csv", "a.csv ", "", "a\nb", "a\rb"],
+    ids=["hash", "leading_space", "trailing_space", "empty", "newline", "return"],
+)
+def test_serialize_config_rejects_a_path_the_format_cannot_hold(path):
+    # the format has no escaping: each would read back as another value, or fail
+    with pytest.raises(ConfigError, match="^output_path "):
+        serialize_config(ExperimentConfig(output_path=path))
+
+
+def test_config_round_trip_keeps_inner_spaces_and_equals_signs():
+    cfg = ExperimentConfig(output_path="my runs/a=b.csv")
+    assert config_from_mapping(parse_config_text(serialize_config(cfg))) == cfg
+
+
 def test_oracle_config_from_shared_file():
     text = "eta = 1e-5\noracle_n_max = 6\noracle_seed = 11\n"
     ocfg = oracle_config_from_mapping(parse_config_text(text))
@@ -765,6 +781,20 @@ def test_evolve_makes_one_pair_call(tmp_path, monkeypatch):
     assert len(evolves) == 1
     assert np.shape(evolves[0][-1]) == (REF_POINTS,)
     assert kernels == [] and wootters == []
+
+
+@pytest.mark.parametrize("command", ["gfactor", "fig1"])
+def test_sweep_calls_suppression_factor_per_table_not_per_point(
+    tmp_path, monkeypatch, command
+):
+    calls = counting(monkeypatch, "suppression_factor")
+    counts = []
+    for points in (6, 60):
+        calls.clear()
+        out = tmp_path / f"{command}_{points}"
+        assert main([command, "--out", str(out), "--points", str(points)]) == 0
+        counts.append(len(calls))
+    assert counts[0] == counts[1] > 0
 
 
 def grid_times():

@@ -292,11 +292,16 @@ def cptp_check(p: QubitParams, g_value: float, t: float) -> bool:
     Applies the map to all four matrix units, assembles the corresponding
     state representation (Choi construction), and checks positivity plus
     trace preservation. Returns False with a logged diagnostic when either
-    fails. The exponent is deliberately unconstrained here so nonphysical
-    variants (for example a sign-flipped exponent) can be probed.
+    fails, or when the exponent makes the images non-finite. The exponent is
+    deliberately unconstrained here so nonphysical variants (for example a
+    sign-flipped exponent) can be probed.
     """
     units = np.eye(4, dtype=complex).reshape(2, 2, 2, 2)  # units[i, j] = |i><j|
-    images = _apply_single(units, p.e_j, g_value, t)
+    with np.errstate(over="ignore", invalid="ignore"):
+        images = _apply_single(units, p.e_j, g_value, t)
+    if not np.isfinite(images).all():
+        log.warning("channel images not finite at exponent %r", g_value)
+        return False
     gaps = np.abs(np.trace(images, axis1=-2, axis2=-1) - np.eye(2))
     i, j = np.unravel_index(gaps.argmax(), gaps.shape)
     if gaps[i, j] > 1e-10:

@@ -304,13 +304,13 @@ def _g_sweep(cfg: ExperimentConfig) -> tuple[np.ndarray, np.ndarray]:
     return times, g_ohmic_closed(ohmic, Temperature(cfg.beta), times)
 
 
-def _rows(times: np.ndarray, *columns) -> list[list[float]]:
-    """Table rows as Python floats: ``t_seconds``, ``t_ks``, then ``columns``."""
-    return np.column_stack((times, times / KS_IN_SECONDS, *columns)).tolist()
+def _timed(times: np.ndarray, *columns) -> list[np.ndarray]:
+    """Table columns: ``t_seconds``, ``t_ks``, then ``columns``."""
+    return [times, times / KS_IN_SECONDS, *columns]
 
 
-def _records(cfg: ExperimentConfig, times, gs) -> list[TimeSeriesRecord]:
-    """One record per grid point; the reference is ``C(0) * delta1 * delta2``.
+def _columns(cfg: ExperimentConfig, times, gs) -> list[np.ndarray]:
+    """The ``CSV_HEADER`` columns; the reference is ``C(0) * delta1 * delta2``.
 
     Each column is one array expression over the grid, with the bits of the
     per-point library calls: ``delta``, ``s_reference`` and ``d`` from
@@ -322,21 +322,37 @@ def _records(cfg: ExperimentConfig, times, gs) -> list[TimeSeriesRecord]:
     params1, params2 = QubitParams(cfg.e_j1), QubitParams(cfg.e_j2)
     cs = family_concurrence(cfg.alpha, params1, params2, gs, gs, times)
     delta, d_max = suppression_factor(gs), max_decoherence_analytic(gs)
-    rows = _rows(times, gs, gs, delta, delta, cs, c0 * delta * delta, d_max, d_max)
-    return list(map(TimeSeriesRecord._make, rows))
+    return _timed(times, gs, gs, delta, delta, cs, c0 * delta * delta, d_max, d_max)
 
 
 def run_experiment(cfg: ExperimentConfig) -> list[TimeSeriesRecord]:
-    """Sweep the time grid and collect one record per point (see ``_records``)."""
-    return _records(cfg, *_g_sweep(cfg))
+    """Sweep the time grid and collect one record per point (see ``_columns``)."""
+    columns = _columns(cfg, *_g_sweep(cfg))
+    return list(map(TimeSeriesRecord._make, zip(*(c.tolist() for c in columns))))
 
 
-def _write_table(path: str, header: str, rows) -> None:
-    """Write a CSV table: pinned header, 17-significant-digit floats, LF."""
-    lines = [header] + [",".join(f"{v:.16e}" for v in row) for row in rows]
+def _format_column(column: np.ndarray) -> list[str]:
+    """One column's cells: 17 significant digits, the text of ``f"{v:.16e}"``."""
+    return list(map("%.16e".__mod__, column.tolist()))
+
+
+def _write_table(path: str, header: str, columns, memo: dict | None = None) -> None:
+    """Write float columns as a CSV table under a pinned header, LF line ends.
+
+    A column is formatted once and its cells reused for every later column
+    with the same bits, in this table or any other sharing ``memo``. The key
+    is the column's bytes, not its values: ``0.0`` and ``-0.0`` stay apart.
+    """
+    memo = {} if memo is None else memo
+    cells = []
+    for column in columns:
+        key = column.tobytes()
+        if key not in memo:
+            memo[key] = _format_column(column)
+        cells.append(memo[key])
     try:
         with open(path, "w", encoding="utf-8", newline="") as handle:
-            handle.write("\n".join(lines) + "\n")
+            handle.write("\n".join([header, *map(",".join, zip(*cells))]) + "\n")
     except OSError as exc:
         raise IoError(f"cannot write {path}: {exc}") from exc
 
@@ -345,7 +361,7 @@ def emit_csv(rows: list[TimeSeriesRecord], path: str) -> None:
     """Write records as CSV under ``CSV_HEADER``."""
     if not rows:
         raise ValueError("rows must be non-empty")
-    _write_table(path, CSV_HEADER, rows)
+    _write_table(path, CSV_HEADER, np.array(rows, dtype=float).T)
 
 
 # -- oracle check -----------------------------------------------------------
@@ -421,8 +437,7 @@ def _cmd_gfactor(args) -> int:
     cfg = _experiment_config(args)
     times, gs = _g_sweep(cfg)
     path = args.out or cfg.output_path or "gfactor.csv"
-    rows = _rows(times, gs, suppression_factor(gs))
-    _write_table(path, "t_seconds,t_ks,g,delta", rows)
+    _write_table(path, "t_seconds,t_ks,g,delta", _timed(times, gs, suppression_factor(gs)))
     print(f"wrote {path} ({cfg.n_points} rows)")
     return 0
 
@@ -441,7 +456,7 @@ def _cmd_evolve(args) -> int:
     # each state's 16 entries as (re, im) pairs, row-major
     entries = states.view(float).reshape(times.size, -1)
     path = args.out or cfg.output_path or "evolve.csv"
-    _write_table(path, _EVOLVE_CSV_HEADER, _rows(times, entries))
+    _write_table(path, _EVOLVE_CSV_HEADER, _timed(times, *entries.T))
     print(f"wrote {path} ({cfg.n_points} rows)")
     return 0
 
@@ -461,8 +476,9 @@ def _cmd_fig1(args) -> int:
             for k in (1, 2, 3)
         ]
     times, gs = _g_sweep(cfg)  # G does not depend on alpha: one sweep serves all
+    memo = {}  # the tables share t, G, delta and d: each is formatted once
     for path, table_cfg in tables:
-        emit_csv(_records(table_cfg, times, gs), path)
+        _write_table(path, CSV_HEADER, _columns(table_cfg, times, gs), memo)
         print(f"wrote {path} ({cfg.n_points} rows)")
     return 0
 
@@ -473,7 +489,7 @@ def _cmd_oracle_check(args) -> int:
     )
     rows, violations = run_oracle_check(cfg)
     path = args.out or cfg.output_path or "oracle_check.csv"
-    _write_table(path, ORACLE_CSV_HEADER, rows)
+    _write_table(path, ORACLE_CSV_HEADER, np.array(rows, dtype=float).T)
     label = "zero" if cfg.beta is None else f"beta = {cfg.beta:g} s"
     print(
         f"system: e_j = {cfg.e_j:.3e} rad/s, mode omega = {cfg.omega:.3e} rad/s, "

@@ -210,6 +210,15 @@ def test_cptp_fails_for_negated_exponent():
     assert not cptp_check(QubitParams(1e10), -1.0, 1e-12)
 
 
+@pytest.mark.parametrize("g", [-200.0, -math.inf, math.nan], ids=["overflow", "-inf", "nan"])
+def test_cptp_is_false_with_a_diagnostic_when_the_images_are_not_finite(caplog, g):
+    # exp(-4 G) overflows or is NaN; no numpy warning escapes, and the
+    # logged diagnostic names the exponent
+    with caplog.at_level("WARNING", logger=channel.log.name):
+        assert not cptp_check(QubitParams(1e10), g, 1e-12)
+    assert caplog.messages == [f"channel images not finite at exponent {g!r}"]
+
+
 # Largest entry gap of a pair output to its factorized form, over 3,000
 # random product inputs and Bell points: 2.2e-16.
 FACTORIZED_GAP = 1e-15

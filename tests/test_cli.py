@@ -897,3 +897,93 @@ def test_oracle_check_seed_flag_does_not_outlive_its_call(tmp_path, monkeypatch)
     assert main(["oracle-check", "--seed", "3", "--out", out]) == 0
     assert main(["oracle-check", "--out", out]) == 0
     assert seeds == [3, OracleCheckConfig().seed]
+
+
+# -- one column-wise writer ------------------------------------------------------
+
+
+def other_nan():
+    # a NaN whose payload differs from np.nan's: other bytes, same text
+    bits = np.array([np.nan]).view(np.uint64) | np.uint64(1)
+    return float(bits.view(float)[0])
+
+
+def special_columns():
+    base = np.array([1.5, -2.25e-300, 3.0, 7.0])
+    signed_zero = base.copy()
+    signed_zero[2], base[2] = -0.0, 0.0  # equal by value, not by bits
+    shared = np.array([np.nan, np.inf, -np.inf, 5e-324])
+    payload = shared.copy()
+    payload[0] = other_nan()
+    extremes = np.array([1.7976931348623157e308, -1.7976931348623157e308, 0.1, -5e-324])
+    twin = extremes.copy()  # equal by value, stored apart
+    return [base, signed_zero, shared, payload, shared, extremes, twin, base]
+
+
+def test_writer_matches_the_per_cell_formula_on_special_values(tmp_path):
+    columns = special_columns()
+    header = ",".join(f"c{k}" for k in range(len(columns)))
+    rows = [list(row) for row in zip(*(c.tolist() for c in columns))]
+    out = tmp_path / "special.csv"
+    cli_module._write_table(str(out), header, columns)
+    assert out.read_bytes() == reference_csv(header, rows)
+    assert b"-0.0000000000000000e+00" in out.read_bytes()
+
+
+def test_writer_memo_keeps_signed_zeros_apart_across_tables(tmp_path):
+    memo = {}
+    zero, minus_zero = np.array([0.0, 1.0]), np.array([-0.0, 1.0])
+    first, second = tmp_path / "a.csv", tmp_path / "b.csv"
+    cli_module._write_table(str(first), "x", [zero], memo)
+    cli_module._write_table(str(second), "x,y", [minus_zero, zero], memo)
+    assert first.read_bytes() == reference_csv("x", [[0.0], [1.0]])
+    assert second.read_bytes() == reference_csv("x,y", [[-0.0, 0.0], [1.0, 1.0]])
+    assert len(memo) == 2
+
+
+def test_emit_csv_matches_the_per_cell_formula_on_special_values(tmp_path):
+    columns = special_columns() + special_columns()[:2]
+    rows = [cli_module.TimeSeriesRecord(*row) for row in zip(*(c.tolist() for c in columns))]
+    out = tmp_path / "records.csv"
+    emit_csv(rows, str(out))
+    assert out.read_bytes() == reference_csv(CSV_HEADER, rows)
+
+
+@pytest.mark.parametrize(
+    "columns", [np.empty((4, 0)), np.array([], dtype=float).T], ids=["rows", "columns"]
+)
+def test_a_table_without_rows_is_its_header_line(tmp_path, columns):
+    out = tmp_path / "empty.csv"
+    cli_module._write_table(str(out), cli_module.ORACLE_CSV_HEADER, columns)
+    assert out.read_bytes() == (cli_module.ORACLE_CSV_HEADER + "\n").encode("utf-8")
+
+
+def test_fig1_bundle_formats_each_distinct_column_once(tmp_path, monkeypatch):
+    # t, t_ks, G, delta and d are shared by all three tables and written
+    # twice in each; concurrence and s_reference differ per table: 11 of 30
+    formatted = counting(monkeypatch, "_format_column")
+    bundle = tmp_path / "bundle"
+    assert main(sweep_argv("fig1", bundle, None)) == 0
+    assert len(formatted) == 11
+    for k in (1, 2, 3):
+        assert (bundle / f"fig1_alpha{k}.csv").read_bytes() == reference_fig1(complex(k), None)
+
+
+def test_fig1_bundle_keeps_the_tables_written_before_a_failure(
+    tmp_path, capsys, monkeypatch
+):
+    original = cli_module.family_concurrence
+
+    def fussy(alpha, *args):
+        if alpha == 2:
+            raise InvalidState("alpha 2 refused")
+        return original(alpha, *args)
+
+    monkeypatch.setattr(cli_module, "family_concurrence", fussy)
+    bundle = tmp_path / "bundle"
+    assert main(sweep_argv("fig1", bundle, None)) == 3
+    assert sorted(os.listdir(bundle)) == ["fig1_alpha1.csv"]
+    assert (bundle / "fig1_alpha1.csv").read_bytes() == reference_fig1(1.0 + 0j, None)
+    out, err = capsys.readouterr()
+    assert out == f"wrote {bundle / 'fig1_alpha1.csv'} ({REF_POINTS} rows)\n"
+    assert err == "numerical failure: alpha 2 refused\n"

@@ -309,50 +309,66 @@ def _timed(times: np.ndarray, *columns) -> list[np.ndarray]:
     return [times, times / KS_IN_SECONDS, *columns]
 
 
-def _columns(cfg: ExperimentConfig, times, gs) -> list[np.ndarray]:
-    """The ``CSV_HEADER`` columns; the reference is ``C(0) * delta1 * delta2``.
+def _columns(cfgs, times, gs):
+    """The ``CSV_HEADER`` columns of each config's table in turn.
 
-    Each column is one array expression over the grid, with the bits of the
-    per-point library calls: ``delta``, ``s_reference`` and ``d`` from
-    numpy's ``exp``, the concurrence from the closed-form X state of the
-    evolved family (one ``family_concurrence`` call per table, no states
-    formed; Wootters on the ``evolve_pair`` states validates it in tier-1).
+    The reference is ``C(0) * delta1 * delta2``. Each column is one array
+    expression over the grid, with the bits of the per-point library calls:
+    ``delta``, ``s_reference`` and ``d`` from numpy's ``exp`` (once for all
+    tables), the concurrence from the closed-form X state of the evolved
+    family (one ``family_concurrence`` call per table, no states formed;
+    Wootters on the ``evolve_pair`` states validates it in tier-1).
     """
-    c0 = 2.0 * abs(cfg.alpha) / (1.0 + abs(cfg.alpha) ** 2)
-    params1, params2 = QubitParams(cfg.e_j1), QubitParams(cfg.e_j2)
-    cs = family_concurrence(cfg.alpha, params1, params2, gs, gs, times)
     delta, d_max = suppression_factor(gs), max_decoherence_analytic(gs)
-    return _timed(times, gs, gs, delta, delta, cs, c0 * delta * delta, d_max, d_max)
+    for cfg in cfgs:
+        c0 = 2.0 * abs(cfg.alpha) / (1.0 + abs(cfg.alpha) ** 2)
+        params1, params2 = QubitParams(cfg.e_j1), QubitParams(cfg.e_j2)
+        cs = family_concurrence(cfg.alpha, params1, params2, gs, gs, times)
+        yield _timed(times, gs, gs, delta, delta, cs, c0 * delta * delta, d_max, d_max)
 
 
 def run_experiment(cfg: ExperimentConfig) -> list[TimeSeriesRecord]:
     """Sweep the time grid and collect one record per point (see ``_columns``)."""
-    columns = _columns(cfg, *_g_sweep(cfg))
+    columns = next(_columns([cfg], *_g_sweep(cfg)))
     return list(map(TimeSeriesRecord._make, zip(*(c.tolist() for c in columns))))
 
 
-def _format_column(column: np.ndarray) -> list[str]:
-    """One column's cells: 17 significant digits, the text of ``f"{v:.16e}"``."""
-    return list(map("%.16e".__mod__, column.tolist()))
+# -- CSV output -------------------------------------------------------------
+
+def _cells(columns, memo: dict) -> list[np.ndarray]:
+    """Each column's ``(rows, 24)`` cells, from ``memo`` or else added to it.
+
+    The columns ``memo`` lacks are formatted in one ``celltext.format_cells``
+    call. The key is a column's bytes, not its values: ``0.0`` and ``-0.0``
+    stay apart.
+    """
+    from . import celltext  # deferred: importing the CLI stays cheap
+
+    keys = [column.tobytes() for column in columns]
+    fresh = {key: column for key, column in zip(keys, columns) if key not in memo}
+    if fresh:
+        cells = celltext.format_cells(np.concatenate(list(fresh.values())))
+        memo.update(zip(fresh, cells.reshape(len(fresh), -1, 24)))
+    return [memo[key] for key in keys]
 
 
 def _write_table(path: str, header: str, columns, memo: dict | None = None) -> None:
     """Write float columns as a CSV table under a pinned header, LF line ends.
 
     A column is formatted once and its cells reused for every later column
-    with the same bits, in this table or any other sharing ``memo``. The key
-    is the column's bytes, not its values: ``0.0`` and ``-0.0`` stay apart.
+    with the same bits, in this table or any other sharing ``memo``.
     """
-    memo = {} if memo is None else memo
-    cells = []
-    for column in columns:
-        key = column.tobytes()
-        if key not in memo:
-            memo[key] = _format_column(column)
-        cells.append(memo[key])
+    cells = _cells(columns, {} if memo is None else memo)
+    body = b""
+    if cells:
+        table = np.empty((len(cells[0]), len(cells), 25), np.uint8)
+        np.stack(cells, axis=1, out=table[:, :, :24])
+        table[:, :, 24] = ord(",")
+        table[:, -1, 24] = ord("\n")
+        body = table.tobytes().replace(b"\0", b"")
     try:
-        with open(path, "w", encoding="utf-8", newline="") as handle:
-            handle.write("\n".join([header, *map(",".join, zip(*cells))]) + "\n")
+        with open(path, "wb") as handle:
+            handle.write(header.encode() + b"\n" + body)
     except OSError as exc:
         raise IoError(f"cannot write {path}: {exc}") from exc
 
@@ -464,22 +480,31 @@ def _cmd_evolve(args) -> int:
 def _cmd_fig1(args) -> int:
     cfg = _experiment_config(args)
     if args.alpha is not None:
-        tables = [(args.out or cfg.output_path or "fig1_custom.csv", cfg)]
+        paths, cfgs = [args.out or cfg.output_path or "fig1_custom.csv"], [cfg]
     else:
         outdir = args.out or cfg.output_path or "."
         try:
             os.makedirs(outdir, exist_ok=True)
         except OSError as exc:
             raise IoError(f"cannot create {outdir}: {exc}") from exc
-        tables = [
-            (os.path.join(outdir, f"fig1_alpha{k}.csv"), replace(cfg, alpha=complex(k)))
-            for k in (1, 2, 3)
-        ]
+        paths = [os.path.join(outdir, f"fig1_alpha{k}.csv") for k in (1, 2, 3)]
+        cfgs = [replace(cfg, alpha=complex(k)) for k in (1, 2, 3)]
     times, gs = _g_sweep(cfg)  # G does not depend on alpha: one sweep serves all
-    memo = {}  # the tables share t, G, delta and d: each is formatted once
-    for path, table_cfg in tables:
-        _write_table(path, CSV_HEADER, _columns(table_cfg, times, gs), memo)
+    # the tables up to the first that fails are formatted in one pass (they
+    # share t, G, delta and d), then written and reported before that failure
+    tables, failure = [], None
+    try:
+        for columns in _columns(cfgs, times, gs):
+            tables.append(columns)
+    except Exception as exc:
+        failure = exc
+    memo = {}
+    _cells([column for columns in tables for column in columns], memo)
+    for path, columns in zip(paths, tables):
+        _write_table(path, CSV_HEADER, columns, memo)
         print(f"wrote {path} ({cfg.n_points} rows)")
+    if failure is not None:
+        raise failure
     return 0
 
 

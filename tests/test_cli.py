@@ -3,6 +3,7 @@ import os
 import re
 import subprocess
 import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qubit_dephasing
+import qubit_dephasing.celltext as celltext
 import qubit_dephasing.cli as cli_module
 import qubit_dephasing.entanglement as entanglement_module
 from qubit_dephasing.bath import (
@@ -446,6 +448,25 @@ def test_oracle_check_gates_the_halving_ratio_on_the_qubit_frequency_too(
         "all thresholds met: channel gap for t <= 0.1/omega, "
         "halving ratio for t <= 0.1/|e_j|"
     )
+
+
+@pytest.mark.parametrize("n_max, code", [(1, 3), (2, 0)])
+def test_oracle_check_strong_coupling_needs_more_than_two_levels(
+    tmp_path, capsys, n_max, code
+):
+    # |g|/omega = 0.58: the displaced vacuum does not fit in two levels, so
+    # channel_vs_split at t = 1e-12 s is 7.2e-6 at n_max = 1 (a truncation
+    # gap, not a channel fault) and 9.7e-9 at n_max = 2
+    conf = tmp_path / "oracle.conf"
+    conf.write_text(
+        "oracle_omega = 1e11\noracle_g = 5.8e10\noracle_t = 1e-12\n"
+        f"oracle_n_max = {n_max}\n",
+        encoding="utf-8",
+    )
+    argv = ["oracle-check", "--config", str(conf), "--out", str(tmp_path / "oc.csv")]
+    assert main(argv) == code
+    err = capsys.readouterr().err
+    assert ("channel_vs_split" in err) == (code == 3)
 
 
 def test_load_config_round_trip_through_disk(tmp_path):
@@ -961,10 +982,10 @@ def test_a_table_without_rows_is_its_header_line(tmp_path, columns):
 def test_fig1_bundle_formats_each_distinct_column_once(tmp_path, monkeypatch):
     # t, t_ks, G, delta and d are shared by all three tables and written
     # twice in each; concurrence and s_reference differ per table: 11 of 30
-    formatted = counting(monkeypatch, "_format_column")
+    formatted = counting(monkeypatch, "format_cells", celltext)
     bundle = tmp_path / "bundle"
     assert main(sweep_argv("fig1", bundle, None)) == 0
-    assert len(formatted) == 11
+    assert [args[0].size for args in formatted] == [11 * REF_POINTS]
     for k in (1, 2, 3):
         assert (bundle / f"fig1_alpha{k}.csv").read_bytes() == reference_fig1(complex(k), None)
 
@@ -987,3 +1008,130 @@ def test_fig1_bundle_keeps_the_tables_written_before_a_failure(
     out, err = capsys.readouterr()
     assert out == f"wrote {bundle / 'fig1_alpha1.csv'} ({REF_POINTS} rows)\n"
     assert err == "numerical failure: alpha 2 refused\n"
+
+
+# -- the array formatter against f"{v:.16e}" ---------------------------------
+
+
+def cell_lines(cells):
+    """The text of each row of ``celltext.format_cells``, NUL bytes dropped."""
+    table = np.full((len(cells), 25), ord("\n"), np.uint8)
+    table[:, :24] = cells
+    return table.tobytes().replace(b"\0", b"").decode().splitlines()
+
+
+def misformatted(values):
+    """The first few ``(v, text, f"{v:.16e}")`` on which the two differ."""
+    values = np.asarray(values, dtype=float)
+    got = cell_lines(celltext.format_cells(values))
+    assert len(got) == values.size
+    want = [f"{v:.16e}" for v in values.tolist()]
+    return [(v, g, w) for v, g, w in zip(values.tolist(), got, want) if g != w][:5]
+
+
+def random_bit_patterns(count, seed=20051):
+    rng = np.random.default_rng(seed)
+    return rng.integers(0, 2**64, count, dtype=np.uint64, endpoint=False).view(float)
+
+
+def powers_of_ten_and_neighbours():
+    powers = np.array([float(f"1e{k}") for k in range(-323, 309)])
+    below, above = np.nextafter(powers, 0.0), np.nextafter(powers, np.inf)
+    return np.concatenate([powers, below, above, -below, -above])
+
+
+def seventeen_digit_ties(per_exponent=400, seed=17):
+    """``m / 2**s`` with exactly 18 significant digits, the last a 5."""
+    rng = np.random.default_rng(seed)
+    ties = [131073 / 2**17]
+    for s in range(2, 26):
+        lo, hi = -(-(10**17) // 5**s), (10**18 - 1) // 5**s
+        for m in rng.integers(lo, min(hi, 2**53 - 1), per_exponent).tolist():
+            m |= 1  # odd: m * 5**s ends in 5
+            if m <= hi:
+                ties.append(m / 2**s)
+    ties = np.array(ties)
+    return np.concatenate([ties, -ties])
+
+
+def special_values():
+    return np.array(
+        [0.0, -0.0, np.nan, other_nan(), np.inf, -np.inf, 5e-324, -5e-324,
+         1.7976931348623157e308, -1.7976931348623157e308]
+    )
+
+
+@pytest.mark.parametrize(
+    "values",
+    [
+        random_bit_patterns(200_000),
+        powers_of_ten_and_neighbours(),
+        seventeen_digit_ties(),
+        special_values(),
+    ],
+    ids=["random_bits", "powers_of_ten", "ties", "specials"],
+)
+def test_format_cells_matches_the_per_cell_formula(values):
+    assert misformatted(values) == []
+
+
+def test_ties_are_exact_seventeen_digit_ties():
+    ties = seventeen_digit_ties(per_exponent=20)
+    for v in ties.tolist():
+        digits = format(abs(v), ".17e").split("e")[0].replace(".", "")
+        assert len(digits) == 18 and digits.endswith("5"), v
+        assert float(format(v, ".17e")) == v
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.floats()))
+def test_format_cells_matches_the_per_cell_formula_on_any_floats(values):
+    assert misformatted(values) == []
+
+
+def test_format_cells_per_cell_route_gives_the_same_bytes(tmp_path, monkeypatch):
+    values = np.concatenate([random_bit_patterns(5000, seed=3), special_values()])
+    fast = cell_lines(celltext.format_cells(values))
+    monkeypatch.setattr(celltext, "EXTENDED_SCALING", False)
+    assert cell_lines(celltext.format_cells(values)) == fast
+    assert misformatted(values) == []
+    bundle = tmp_path / "bundle"
+    assert main(sweep_argv("fig1", bundle, 2e-12)) == 0
+    for k in (1, 2, 3):
+        assert (bundle / f"fig1_alpha{k}.csv").read_bytes() == reference_fig1(
+            complex(k), 2e-12
+        )
+
+
+@pytest.mark.skipif(
+    not celltext.EXTENDED_SCALING, reason="the powers are used only with x87 long double"
+)
+def test_scaling_powers_are_within_half_an_ulp_of_ten_to_the_k():
+    powers = celltext.tables()[0]
+    half_ulp = Fraction(1, 2**64)
+    exponents = range(celltext.E_MIN, celltext.E_MAX + 1)
+    assert len(powers) == len(exponents)
+    for e, power in zip(exponents, powers):
+        exact = Fraction(10) ** (16 - e)
+        assert abs(Fraction(*power.as_integer_ratio()) - exact) <= half_ulp * exact, e
+
+
+def test_importing_the_cli_defers_the_cell_formatter(tmp_path):
+    # the formatter module and its tables load with the first table written
+    src = os.path.dirname(os.path.dirname(os.path.abspath(qubit_dephasing.__file__)))
+    probe = (
+        "import contextlib, io, sys, qubit_dephasing.cli as cli\n"
+        "print('qubit_dephasing.celltext' in sys.modules)\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    cli.main(['gfactor', '--points', '3', '--out', sys.argv[1]])\n"
+        "print('qubit_dephasing.celltext' in sys.modules)\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", probe, str(tmp_path / "g.csv")],
+        env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True,
+        text=True,
+        check=True,
+    ).stdout
+    assert out.split() == ["False", "True"]
+

@@ -35,6 +35,7 @@ from .entanglement import (
     analytic_bell_state,
     concurrence,
     family_concurrence,
+    family_concurrence_rows,
     initial_state,
     spin_flip,
 )
@@ -107,6 +108,7 @@ __all__ = [
     "evolve_single",
     "exact_evolve",
     "family_concurrence",
+    "family_concurrence_rows",
     "from_eigenbasis",
     "g_discrete",
     "g_ohmic",

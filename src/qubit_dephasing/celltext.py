@@ -42,17 +42,18 @@ def format_cells(x: np.ndarray) -> np.ndarray:
 
     NUL bytes stand where a byte is absent. The 17 digits are ``scaled =
     |x| * 10**(16 - e)`` in long double, rounded to an integer. A cell is
-    formatted alone by ``"%.16e" % v`` if it is zero, NaN or infinite, if
+    formatted alone by ``"%.16e" % v`` if it is NaN or infinite, if
     that rounding is too near a tie to be proved (``tables``), or if ``e``
     is still off after one correction; without x87 long double, all are.
+    ``±0.0`` is scaled as 1.0, its leading digit set to ``0``.
     """
     text = np.zeros((x.size, 24), np.uint8)
     fast = np.zeros(x.size, bool)
     if EXTENDED_SCALING and x.size:
         powers, exp_texts, quads, margin = tables()
         a = np.abs(x)
-        fast = (a > 0.0) & (a < np.inf)
-        a = np.where(fast, a, 1.0)
+        fast, zero = a < np.inf, a == 0.0
+        a = np.where(fast & ~zero, a, 1.0)
         idx = np.floor(np.log10(a)).astype(np.intp) - E_MIN  # e, estimated
         la = a.astype(np.longdouble)
         scaled = la * powers[idx]
@@ -67,8 +68,8 @@ def format_cells(x: np.ndarray) -> np.ndarray:
         r = whole + (frac > 0.5)
         fast &= (np.abs(frac - 0.5) >= margin) & (r >= 10**16) & (r < 10**17)
         parts = np.stack([r // 10**16, r // 10**12, r // 10**8, r // 10**4, r], axis=1)
-        text[:, 0] = (x < 0.0) * ord("-")
-        text[:, 1] = parts[:, 0] + ord("0")
+        text[:, 0] = np.signbit(x) * ord("-")
+        text[:, 1] = parts[:, 0] + ord("0") - zero
         text[:, 2] = ord(".")
         text[:, 3:19] = quads[parts[:, 1:] - 10000 * parts[:, :-1]].view(np.uint8)
         text[:, 19:] = exp_texts[idx].view(np.uint8).reshape(-1, 5)

@@ -17,14 +17,14 @@ import functools
 import math
 import os
 import sys
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from typing import NamedTuple
 
 import numpy as np
 
 from .bath import OhmicBath, Temperature, g_ohmic_closed, suppression_factor
 from .channel import QubitParams, evolve_pair, max_decoherence_analytic
-from .entanglement import family_concurrence, initial_state
+from .entanglement import _checked_alpha, family_concurrence_rows, initial_state
 from .errors import (
     ConfigError,
     DephasingError,
@@ -103,7 +103,7 @@ class ExperimentConfig:
             if not math.isfinite(self.t_end / self.beta):
                 raise ConfigError("t_end / beta must be finite")
         try:
-            initial_state(self.alpha)
+            _checked_alpha(self.alpha)
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
         if self.t_start < 0.0:
@@ -309,27 +309,30 @@ def _timed(times: np.ndarray, *columns) -> list[np.ndarray]:
     return [times, times / KS_IN_SECONDS, *columns]
 
 
-def _columns(cfgs, times, gs):
-    """The ``CSV_HEADER`` columns of each config's table in turn.
+def _columns(cfg, alphas, times, gs):
+    """The ``CSV_HEADER`` columns of the table of each of ``alphas`` in turn.
 
     The reference is ``C(0) * delta1 * delta2``. Each column is one array
     expression over the grid, with the bits of the per-point library calls:
-    ``delta``, ``s_reference`` and ``d`` from numpy's ``exp`` (once for all
-    tables), the concurrence from the closed-form X state of the evolved
-    family (one ``family_concurrence`` call per table, no states formed;
-    Wootters on the ``evolve_pair`` states validates it in tier-1).
+    ``t_ks``, ``delta``, ``s_reference`` and ``d`` from numpy (``t_ks``,
+    ``delta`` and ``d`` once for all tables), the concurrence from the
+    closed-form X state of the evolved family (one ``family_concurrence_rows``
+    pass for all tables, no states formed; Wootters on the ``evolve_pair``
+    states validates it in tier-1). A table whose rows fail their checks
+    raises when its turn comes.
     """
     delta, d_max = suppression_factor(gs), max_decoherence_analytic(gs)
-    for cfg in cfgs:
-        c0 = 2.0 * abs(cfg.alpha) / (1.0 + abs(cfg.alpha) ** 2)
-        params1, params2 = QubitParams(cfg.e_j1), QubitParams(cfg.e_j2)
-        cs = family_concurrence(cfg.alpha, params1, params2, gs, gs, times)
-        yield _timed(times, gs, gs, delta, delta, cs, c0 * delta * delta, d_max, d_max)
+    t_ks = times / KS_IN_SECONDS
+    params1, params2 = QubitParams(cfg.e_j1), QubitParams(cfg.e_j2)
+    rows = family_concurrence_rows(alphas, params1, params2, gs, gs, times)
+    for alpha, cs in zip(alphas, rows):
+        c0 = 2.0 * abs(alpha) / (1.0 + abs(alpha) ** 2)
+        yield [times, t_ks, gs, gs, delta, delta, cs, c0 * delta * delta, d_max, d_max]
 
 
 def run_experiment(cfg: ExperimentConfig) -> list[TimeSeriesRecord]:
     """Sweep the time grid and collect one record per point (see ``_columns``)."""
-    columns = next(_columns([cfg], *_g_sweep(cfg)))
+    columns = next(_columns(cfg, [cfg.alpha], *_g_sweep(cfg)))
     return list(map(TimeSeriesRecord._make, zip(*(c.tolist() for c in columns))))
 
 
@@ -365,7 +368,7 @@ def _write_table(path: str, header: str, columns, memo: dict | None = None) -> N
         np.stack(cells, axis=1, out=table[:, :, :24])
         table[:, :, 24] = ord(",")
         table[:, -1, 24] = ord("\n")
-        body = table.tobytes().replace(b"\0", b"")
+        body = table.tobytes().translate(None, b"\0")
     try:
         with open(path, "wb") as handle:
             handle.write(header.encode() + b"\n" + body)
@@ -480,7 +483,7 @@ def _cmd_evolve(args) -> int:
 def _cmd_fig1(args) -> int:
     cfg = _experiment_config(args)
     if args.alpha is not None:
-        paths, cfgs = [args.out or cfg.output_path or "fig1_custom.csv"], [cfg]
+        paths, alphas = [args.out or cfg.output_path or "fig1_custom.csv"], [cfg.alpha]
     else:
         outdir = args.out or cfg.output_path or "."
         try:
@@ -488,13 +491,13 @@ def _cmd_fig1(args) -> int:
         except OSError as exc:
             raise IoError(f"cannot create {outdir}: {exc}") from exc
         paths = [os.path.join(outdir, f"fig1_alpha{k}.csv") for k in (1, 2, 3)]
-        cfgs = [replace(cfg, alpha=complex(k)) for k in (1, 2, 3)]
+        alphas = [complex(k) for k in (1, 2, 3)]
     times, gs = _g_sweep(cfg)  # G does not depend on alpha: one sweep serves all
     # the tables up to the first that fails are formatted in one pass (they
     # share t, G, delta and d), then written and reported before that failure
     tables, failure = [], None
     try:
-        for columns in _columns(cfgs, times, gs):
+        for columns in _columns(cfg, alphas, times, gs):
             tables.append(columns)
     except Exception as exc:
         failure = exc

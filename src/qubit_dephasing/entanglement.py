@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import cmath
 import math
+from collections.abc import Iterator
 
 import numpy as np
 
@@ -24,6 +25,7 @@ __all__ = [
     "analytic_bell_state",
     "concurrence",
     "family_concurrence",
+    "family_concurrence_rows",
     "initial_state",
     "spin_flip",
 ]
@@ -126,7 +128,18 @@ def family_concurrence(
     alpha, p1: QubitParams, p2: QubitParams, g1, g2, t
 ) -> float | np.ndarray:
     """Concurrence of ``evolve_pair(initial_state(alpha), p1, p2, g1, g2, t)``
-    in closed form, without forming the states.
+    in closed form, the one-``alpha`` case of ``family_concurrence_rows``:
+    scalar ``g1``, ``g2`` and ``t`` give a float, 1-D arrays an array.
+    """
+    (value,) = family_concurrence_rows([alpha], p1, p2, g1, g2, t)
+    return value if np.ndim(t) else float(value[0])
+
+
+def family_concurrence_rows(
+    alphas, p1: QubitParams, p2: QubitParams, g1, g2, t
+) -> Iterator[np.ndarray]:
+    """The rows of the ``(k, n)`` concurrence of the evolved family at each of
+    the ``k`` values in ``alphas``, in turn, from one pass over the grid.
 
     The evolved family is an X state. With ``delta_k = exp(-4 g_k)``,
     ``u_k = (1 + delta_k)/2``, ``d_k = (1 - delta_k)/2``, ``c_k = u_k
@@ -140,31 +153,34 @@ def family_concurrence(
 
     and the concurrence is ``2 max(0, |rho_12| - sqrt(rho_00 rho_33),
     |rho_03| - sqrt(rho_11 rho_22))``. Both moduli depend on the phases
-    only through ``(E_J1 - E_J2) t``.
+    only through ``(E_J1 - E_J2) t``, so the phases, ``u`` and ``d`` are
+    formed once for all rows, and each row has the bits of its own call.
 
     Every point is validated as ``check_pair_state`` validates a state. An
     X state's spectrum is that of its blocks ``{0, 3}`` and ``{1, 2}``, so a
     trace gap above ``TRACE_TOL``, or a block eigenvalue ``(a + b)/2 -
     hypot((a - b)/2, |c|)`` below ``PAIR_PSD_FLOOR``, raises
-    ``InvalidState`` naming the worst point. ``g1``, ``g2`` and ``t`` are
-    taken as by ``evolve_pair``: scalars give a float, 1-D arrays of one
-    length an array, and negative or NaN values raise ``ValueError``, as
-    does a phase ``E_J t`` that is not finite. Wootters ``concurrence`` of
-    the ``evolve_pair`` states is its tier-1 cross-check.
+    ``InvalidState`` naming that row's worst point, once the rows before it
+    have been yielded. ``g1``, ``g2`` and ``t`` are 1-D arrays of one length
+    or scalars (one point); negative or NaN values raise ``ValueError``, as
+    do a phase ``E_J t`` that is not finite and an ``alpha`` that
+    ``initial_state`` rejects.
     """
-    a, norm_sq = _checked_alpha(alpha)
+    checked = [_checked_alpha(alpha) for alpha in alphas]
     gs1, gs2, ts = _pair_points(g1, g2, t)
     with np.errstate(over="ignore", invalid="ignore"):
         phi = p1.e_j * ts - p2.e_j * ts
     if not np.isfinite(phi).all():
         raise ValueError("e_j t must be finite")
+    # each alpha's scalars in Python floats, as a (k, 1) column
+    p, q, zr, zi = np.array(
+        [(1.0 / n, abs(a) ** 2 / n, a.real / n, -a.imag / n) for a, n in checked]
+    ).reshape(-1, 4).T[..., None]
     cos, sin = np.cos(phi), np.sin(phi)
     delta1, delta2 = suppression_factor(gs1), suppression_factor(gs2)
     u1, d1 = 0.5 * (1.0 + delta1), 0.5 * (1.0 - delta1)
     u2, d2 = 0.5 * (1.0 + delta2), 0.5 * (1.0 - delta2)
     uu, dd, ud, du = u1 * u2, d1 * d2, u1 * d2, d1 * u2
-    p, q = 1.0 / norm_sq, abs(a) ** 2 / norm_sq
-    zr, zi = a.real / norm_sq, -a.imag / norm_sq
     # z exp(-i phi) = w + i v and conj(z) exp(i phi) = w - i v, so that
     # rho_12 = uu (w + i v) + dd conj(z) and exp(i E_J1 t) rho_03 = ud z +
     # du (w - i v)
@@ -173,20 +189,22 @@ def family_concurrence(
     abs_03 = np.hypot(ud * zr + du * w, ud * zi - du * v)
     rho_00, rho_33 = p * ud + q * du, p * du + q * ud
     rho_11, rho_22 = p * uu + q * dd, p * dd + q * uu
-    trace_gap = float(np.abs(rho_00 + rho_11 + rho_22 + rho_33 - 1.0).max())
-    if trace_gap > TRACE_TOL:
-        raise InvalidState(f"trace differs from one by {trace_gap:.3e}")
-    lowest = min(
-        float((0.5 * (x + y) - np.hypot(0.5 * (x - y), c)).min())
-        for x, y, c in ((rho_00, rho_33, abs_03), (rho_11, rho_22, abs_12))
+    trace_gaps = np.abs(rho_00 + rho_11 + rho_22 + rho_33 - 1.0).max(axis=1)
+    lowest = np.min(
+        [0.5 * (x + y) - np.hypot(0.5 * (x - y), c)
+         for x, y, c in ((rho_00, rho_33, abs_03), (rho_11, rho_22, abs_12))],
+        axis=(0, 2),
     )
-    if lowest < PAIR_PSD_FLOOR:
-        raise InvalidState(f"negative eigenvalue {lowest:.3e}")
     value = 2.0 * np.maximum(
         abs_12 - np.sqrt(rho_00 * rho_33), abs_03 - np.sqrt(rho_11 * rho_22)
     )
     value = np.clip(value, 0.0, 1.0)
-    return value if np.ndim(t) else float(value[0])
+    for row, trace_gap, low in zip(value, trace_gaps.tolist(), lowest.tolist()):
+        if trace_gap > TRACE_TOL:
+            raise InvalidState(f"trace differs from one by {trace_gap:.3e}")
+        if low < PAIR_PSD_FLOOR:
+            raise InvalidState(f"negative eigenvalue {low:.3e}")
+        yield row
 
 
 def analytic_bell_state(g1: float, g2: float, e_j_sum: float, t: float) -> np.ndarray:

@@ -213,6 +213,7 @@ def adaptive_quadrature(
     f: Callable[[float], float],
     spec: QuadratureSpec,
     envelope_scale: float | None = None,
+    points=(),
 ) -> float:
     """Integrate ``f`` over ``[spec.lower, spec.upper]``.
 
@@ -225,6 +226,9 @@ def adaptive_quadrature(
     envelope_scale : float, optional
         Required when ``spec.upper`` is infinite; the bound is then
         replaced by :func:`semi_infinite_cutoff` of this scale.
+    points : sequence of float, optional
+        Breakpoints where ``f`` changes scale; those strictly inside the
+        (finite) interval split it before the adaptive subdivision starts.
 
     Returns
     -------
@@ -245,6 +249,7 @@ def adaptive_quadrature(
         upper = semi_infinite_cutoff(envelope_scale, spec.abs_tol)
     import scipy.integrate  # deferred: scipy would dominate the package import
 
+    inside = sorted(x for x in points if spec.lower < x < upper)
     out = scipy.integrate.quad(
         f,
         spec.lower,
@@ -252,6 +257,7 @@ def adaptive_quadrature(
         epsabs=spec.abs_tol,
         epsrel=spec.rel_tol,
         limit=spec.max_subdivisions,
+        points=inside or None,
         full_output=1,
     )
     result, estimate = float(out[0]), float(out[1])

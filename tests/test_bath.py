@@ -13,6 +13,7 @@ from qubit_dephasing.bath import (
     g_ohmic_closed,
     suppression_factor,
 )
+from qubit_dephasing.bath import _DIRECT_UNTIL, _EULER_MACLAURIN
 from qubit_dephasing.errors import ToleranceNotMet
 
 # (eta/2) * ln(1 + (omega_c t)^2) for eta=1e-5, omega_c=1e12
@@ -211,7 +212,7 @@ def test_ohmic_closed_matches_loggamma_where_y_exceeds_z(omega_c, beta):
 @pytest.mark.parametrize("beta", [1e-13, 2e-12, 1e-11])
 def test_ohmic_closed_matches_the_quadrature(omega_c, beta):
     # t from 1e-17 s to omega_c t = 300, where the quadrature still converges;
-    # largest measured gap 1.1e-11, inside its rel_tol of 1e-10
+    # largest measured gap 1.8e-11, inside its rel_tol of 1e-10
     bath = OhmicBath(1e-5, omega_c)
     temp = Temperature(beta)
     quad = default_quadrature()
@@ -219,6 +220,60 @@ def test_ohmic_closed_matches_the_quadrature(omega_c, beta):
     got = g_ohmic_closed(bath, temp, times)
     for t, g in zip(times.tolist(), got):
         assert g == pytest.approx(g_ohmic(bath, temp, t, quad), rel=quad.rel_tol)
+
+
+@pytest.mark.parametrize("omega_c", [5e11, 1e12, 2e12])
+@pytest.mark.parametrize("beta_omega_c", [2.0, 20.0, 1e3, 1e4, 1e5, 1e6])
+def test_ohmic_quadrature_matches_the_closed_form_at_low_temperature(omega_c, beta_omega_c):
+    # kappa = 1/(beta omega_c) down to 1e-6, where coth turns over inside the
+    # quadrature's first subinterval unless a breakpoint splits it there:
+    # without them 90 of the 144 points past beta omega_c = 1e3 missed, by up
+    # to 5.7e-6; with them the largest measured gap is 7.5e-12
+    bath = OhmicBath(1e-5, omega_c)
+    temp = Temperature(beta_omega_c / omega_c)
+    quad = default_quadrature()
+    times = np.logspace(-15, math.log10(300.0 / omega_c), 12)
+    got = g_ohmic_closed(bath, temp, times)
+    for t, g in zip(times.tolist(), got):
+        assert g == pytest.approx(g_ohmic(bath, temp, t, quad), rel=quad.rel_tol)
+
+
+def per_term_g(bath, beta, times):
+    """``g_ohmic_closed``'s finite-temperature sum with its four Euler-Maclaurin
+    brackets formed and subtracted one at a time."""
+    t = np.array(times, dtype=float)
+    a = bath.omega_c * t
+    z = 1.0 + 1.0 / (beta * bath.omega_c)
+    y = t / beta
+    z_n = z + np.arange(math.ceil(_DIRECT_UNTIL - z) if z < _DIRECT_UNTIL else 0)
+    direct = np.log1p((y[:, None] / z_n) ** 2).sum(axis=1)
+    u = z + z_n.size
+    r = y / u
+    log_r = np.log1p(r * r)
+    angle = np.arctan(r)
+    tail = 2.0 * y * angle - u * log_r + 0.5 * log_r
+    for j, weight in enumerate(_EULER_MACLAURIN, 1):
+        m = 2 * j - 1
+        bracket = np.expm1(-0.5 * m * log_r) * np.cos(m * angle)
+        bracket -= 2.0 * np.sin(0.5 * m * angle) ** 2
+        tail -= weight * math.factorial(m - 1) * 2.0 * u**-m * bracket
+    g = bath.eta * (0.5 * np.log1p(a * a) + (direct + tail))
+    g[t == 0.0] = 0.0
+    return g
+
+
+def test_ohmic_closed_one_pass_tail_equals_the_per_term_loop_bit_for_bit():
+    # random finite-temperature grids of every length up to 300, so that the
+    # (4, n) pass meets each vector remainder
+    rng = np.random.default_rng(34)
+    for n in range(1, 301):
+        omega_c = 10.0 ** rng.uniform(9.0, 15.0)
+        beta = 10.0 ** rng.uniform(-3.0, 6.0) / omega_c
+        times = np.sort(10.0 ** rng.uniform(-4.0, 4.0, n)) / omega_c
+        times[0] = 0.0 if n % 3 == 0 else times[0]
+        bath = OhmicBath(10.0 ** rng.uniform(-8.0, 0.0), omega_c)
+        got = g_ohmic_closed(bath, Temperature(beta), times)
+        assert got.tobytes() == per_term_g(bath, beta, times).tobytes(), n
 
 
 def test_ohmic_closed_zero_time_and_zero_temperature():
@@ -326,9 +381,9 @@ def test_non_finite_time_rejected(temp, t):
 
 @TEMPERATURES
 def test_ohmic_quadrature_failure_names_its_time_point(temp):
-    # omega_c t = 500: too many oscillations for the subdivision budget
-    with pytest.raises(ToleranceNotMet, match=r"^at t = 5\.000000e-10 s: ") as info:
-        g_ohmic(OhmicBath(1e-5, 1e12), temp, 5e-10, default_quadrature())
+    # omega_c t = 1000: too many oscillations for the subdivision budget
+    with pytest.raises(ToleranceNotMet, match=r"^at t = 1\.000000e-09 s: ") as info:
+        g_ohmic(OhmicBath(1e-5, 1e12), temp, 1e-9, default_quadrature())
     assert isinstance(info.value.__cause__, ToleranceNotMet)
 
 

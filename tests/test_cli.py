@@ -1,8 +1,11 @@
+import contextlib
+import io
 import math
 import os
 import re
 import subprocess
 import sys
+import tempfile
 from fractions import Fraction
 
 import numpy as np
@@ -469,6 +472,49 @@ def test_oracle_check_strong_coupling_needs_more_than_two_levels(
     assert ("channel_vs_split" in err) == (code == 3)
 
 
+@st.composite
+def oracle_config_lines(draw):
+    """An ``oracle-check`` config over the full ranges: ``omega``, ``|g|/omega``,
+    ``n_max``, ``E_J/omega`` of either sign, ``t omega``, and ``beta omega``
+    for about half the draws (zero temperature for the rest)."""
+    omega = draw(log_uniform(1e8, 1e14))
+    g = draw(log_uniform(1e-3, 1.0)) * omega
+    phase = draw(st.floats(0.0, 2.0 * math.pi))
+    lines = {
+        "oracle_omega": omega,
+        "oracle_g": complex(g * math.cos(phase), g * math.sin(phase)),
+        "oracle_n_max": draw(st.integers(1, 39)),
+        "oracle_e_j": draw(st.sampled_from([1.0, -1.0])) * draw(log_uniform(1e-3, 10.0)) * omega,
+        "oracle_t": draw(log_uniform(0.01, 10.0)) / omega,
+    }
+    if draw(st.booleans()):
+        lines["oracle_beta"] = draw(log_uniform(0.1, 100.0)) / omega
+    return "".join(f"{key} = {value!r}\n" for key, value in lines.items()), lines
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(oracle_config_lines())
+def test_every_oracle_check_config_runs_or_is_rejected_by_name(drawn):
+    # accepted: exit 0 and finite rows; rejected: exit 2 with a config error;
+    # exit 3 only for the documented two-level truncation under strong coupling
+    text, values = drawn
+    with tempfile.TemporaryDirectory() as tmp:
+        conf, out = os.path.join(tmp, "oracle.conf"), os.path.join(tmp, "oc.csv")
+        with open(conf, "w", encoding="utf-8") as handle:
+            handle.write(text)
+        stderr = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
+            code = main(["oracle-check", "--config", conf, "--out", out])
+        if code == 0:
+            _, data = read_rows(out)
+            assert data.shape == (3, 4) and np.all(np.isfinite(data))
+        elif code == 2:
+            assert stderr.getvalue().startswith("config error: ")
+        else:
+            ratio = abs(values["oracle_g"]) / values["oracle_omega"]
+            assert (code, values["oracle_n_max"]) == (3, 1) and ratio >= 0.4, stderr.getvalue()
+
+
 def test_load_config_round_trip_through_disk(tmp_path):
     cfg = ExperimentConfig(alpha=1.5 + 0.5j, beta=3e-12, n_points=21)
     path = tmp_path / "saved.conf"
@@ -783,20 +829,25 @@ def counting(monkeypatch, name, module=cli_module):
     return calls
 
 
-def test_fig1_bundle_makes_one_kernel_call_per_table_and_forms_no_state(
+def test_fig1_bundle_makes_one_stacked_kernel_call_and_forms_no_state(
     tmp_path, monkeypatch
 ):
+    # one pass holds the three alphas; no 4x4 state is formed, not even to
+    # validate the config's alpha
     evolves = counting(monkeypatch, "evolve_pair")
-    kernels = counting(monkeypatch, "family_concurrence")
+    states = counting(monkeypatch, "initial_state")
+    kernels = counting(monkeypatch, "family_concurrence_rows")
     wootters = counting(monkeypatch, "concurrence", entanglement_module)
     assert main(sweep_argv("fig1", tmp_path / "bundle", None)) == 0
-    assert evolves == [] and wootters == []
-    assert [np.shape(args[-1]) for args in kernels] == [(REF_POINTS,)] * 3
+    assert evolves == [] and states == [] and wootters == []
+    assert [(list(args[0]), np.shape(args[-1])) for args in kernels] == [
+        ([1, 2, 3], (REF_POINTS,))
+    ]
 
 
 def test_evolve_makes_one_pair_call(tmp_path, monkeypatch):
     evolves = counting(monkeypatch, "evolve_pair")
-    kernels = counting(monkeypatch, "family_concurrence")
+    kernels = counting(monkeypatch, "family_concurrence_rows")
     wootters = counting(monkeypatch, "concurrence", entanglement_module)
     assert main(sweep_argv("evolve", tmp_path / "e.csv", 2e-12)) == 0
     assert len(evolves) == 1
@@ -990,24 +1041,37 @@ def test_fig1_bundle_formats_each_distinct_column_once(tmp_path, monkeypatch):
         assert (bundle / f"fig1_alpha{k}.csv").read_bytes() == reference_fig1(complex(k), None)
 
 
-def test_fig1_bundle_keeps_the_tables_written_before_a_failure(
-    tmp_path, capsys, monkeypatch
-):
-    original = cli_module.family_concurrence
+def check_tables_written_before_a_failure(tmp_path, capsys, monkeypatch, failing):
+    # the stacked kernel raises a row's failure when that row's turn comes,
+    # after the rows before it; their tables are written and reported first
+    original = cli_module.family_concurrence_rows
 
-    def fussy(alpha, *args):
-        if alpha == 2:
-            raise InvalidState("alpha 2 refused")
-        return original(alpha, *args)
+    def fussy(alphas, *args):
+        for alpha, row in zip(alphas, original(alphas, *args)):
+            if alpha == failing:
+                raise InvalidState(f"alpha {failing} refused")
+            yield row
 
-    monkeypatch.setattr(cli_module, "family_concurrence", fussy)
+    monkeypatch.setattr(cli_module, "family_concurrence_rows", fussy)
     bundle = tmp_path / "bundle"
     assert main(sweep_argv("fig1", bundle, None)) == 3
-    assert sorted(os.listdir(bundle)) == ["fig1_alpha1.csv"]
-    assert (bundle / "fig1_alpha1.csv").read_bytes() == reference_fig1(1.0 + 0j, None)
+    written = [f"fig1_alpha{k}.csv" for k in range(1, failing)]
+    assert sorted(os.listdir(bundle)) == written
+    for k, name in enumerate(written, 1):
+        assert (bundle / name).read_bytes() == reference_fig1(complex(k), None)
     out, err = capsys.readouterr()
-    assert out == f"wrote {bundle / 'fig1_alpha1.csv'} ({REF_POINTS} rows)\n"
-    assert err == "numerical failure: alpha 2 refused\n"
+    assert out == "".join(f"wrote {bundle / name} ({REF_POINTS} rows)\n" for name in written)
+    assert err == f"numerical failure: alpha {failing} refused\n"
+
+
+def test_fig1_bundle_keeps_the_tables_written_before_a_failure(tmp_path, capsys, monkeypatch):
+    check_tables_written_before_a_failure(tmp_path, capsys, monkeypatch, failing=2)
+
+
+def test_fig1_bundle_keeps_both_tables_written_before_the_third_fails(
+    tmp_path, capsys, monkeypatch
+):
+    check_tables_written_before_a_failure(tmp_path, capsys, monkeypatch, failing=3)
 
 
 # -- the array formatter against f"{v:.16e}" ---------------------------------
@@ -1054,6 +1118,15 @@ def seventeen_digit_ties(per_exponent=400, seed=17):
     return np.concatenate([ties, -ties])
 
 
+def zero_heavy(count=4000, seed=34):
+    """Mostly ``0.0`` and ``-0.0``, interleaved and in runs, among other bits."""
+    rng = np.random.default_rng(seed)
+    zeros = np.where(rng.random(count) < 0.5, 0.0, -0.0)
+    mixed = np.where(rng.random(count) < 0.9, zeros, random_bit_patterns(count, seed))
+    runs = np.repeat([0.0, -0.0, 1.0, -0.0, 0.0, -1.0], 37)
+    return np.concatenate([mixed, runs, np.zeros(100), -np.zeros(100)])
+
+
 def special_values():
     return np.array(
         [0.0, -0.0, np.nan, other_nan(), np.inf, -np.inf, 5e-324, -5e-324,
@@ -1068,8 +1141,9 @@ def special_values():
         powers_of_ten_and_neighbours(),
         seventeen_digit_ties(),
         special_values(),
+        zero_heavy(),
     ],
-    ids=["random_bits", "powers_of_ten", "ties", "specials"],
+    ids=["random_bits", "powers_of_ten", "ties", "specials", "zeros"],
 )
 def test_format_cells_matches_the_per_cell_formula(values):
     assert misformatted(values) == []

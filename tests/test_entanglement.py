@@ -8,7 +8,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from qubit_dephasing import entanglement
-from qubit_dephasing.bath import suppression_factor
+from qubit_dephasing.bath import OhmicBath, Temperature, g_ohmic_closed, suppression_factor
 from qubit_dephasing.channel import QubitParams, check_pair_state, evolve_pair
 from qubit_dephasing.entanglement import (
     PSD_SQRT_FLOOR,
@@ -17,6 +17,7 @@ from qubit_dephasing.entanglement import (
     analytic_bell_state,
     concurrence,
     family_concurrence,
+    family_concurrence_rows,
     initial_state,
     spin_flip,
 )
@@ -463,3 +464,41 @@ def test_family_concurrence_validates_every_point_and_names_the_worst(
     worst = max(margins) if name == "TRACE_TOL" else min(margins)
     with pytest.raises(InvalidState, match=re.escape(f"{message}{worst:.3e}")):
         family_concurrence(3.0, p1, p2, gs, gs, ts)
+
+
+# -- the stacked kernel over alpha -------------------------------------------------
+
+
+@pytest.mark.parametrize("beta", [None, 2e-12], ids=["zero", "finite"])
+def test_stacked_rows_equal_the_per_alpha_calls_bit_for_bit(beta):
+    # complex alphas, unequal tunneling energies, and a bath per qubit
+    alphas = [1.0, 2.0, 3.0, 0.6 - 1.3j, -2.5 + 0.4j, 1j]
+    ts = np.linspace(0.0, 2e-11, 57)
+    g1 = g_ohmic_closed(OhmicBath(0.02, 1e12), Temperature(beta), ts)
+    g2 = g_ohmic_closed(OhmicBath(0.05, 4e11), Temperature(beta), ts)
+    p1, p2 = QubitParams(1e10), QubitParams(1.7e10)
+    rows = list(family_concurrence_rows(alphas, p1, p2, g1, g2, ts))
+    assert len(rows) == len(alphas)
+    for alpha, row in zip(alphas, rows):
+        alone = family_concurrence(alpha, p1, p2, g1, g2, ts)
+        assert np.count_nonzero((alone > 0.0) & (alone < 1.0)) > 10
+        assert list(map(float.hex, row.tolist())) == list(map(float.hex, alone.tolist()))
+
+
+def test_stacked_rows_before_a_failing_row_are_yielded_and_it_raises_its_own_margin(
+    monkeypatch,
+):
+    # lowest block eigenvalues 7.354e-02, 4.276e-02 and 8.405e-03 for alpha
+    # 3, 2 and 1: a floor between the first two fails the second row on its
+    # own margin, not on the stack's worst
+    monkeypatch.setattr(entanglement, "PAIR_PSD_FLOOR", 0.05)
+    p1, p2 = QubitParams(1e10), QubitParams(1.6e10)
+    ts, gs = [1e-10, 2e-10], [0.3, 0.9]
+    rows = family_concurrence_rows([3.0, 2.0, 1.0], p1, p2, gs, gs, ts)
+    first = next(rows)
+    assert first.tobytes() == family_concurrence(3.0, p1, p2, gs, gs, ts).tobytes()
+    with pytest.raises(InvalidState) as alone:
+        family_concurrence(2.0, p1, p2, gs, gs, ts)
+    assert str(alone.value) == "negative eigenvalue 4.276e-02"
+    with pytest.raises(InvalidState, match=f"^{re.escape(str(alone.value))}$"):
+        next(rows)

@@ -96,11 +96,19 @@ class OhmicBath:
             raise ValueError("omega_c must be positive")
 
 
-def _check_time(t: float) -> None:
-    if not math.isfinite(t):
-        raise ValueError("t must be finite")
-    if t < 0.0:
+def _check_times(t) -> None:
+    # The one time rule of the package, for a time or an array of times: a
+    # negative t, -inf included, is out of range, and NaN and +inf are not
+    # finite. A Python float, the per-call case, is checked without numpy.
+    if isinstance(t, (int, float)):
+        negative, finite = t < 0.0, t < math.inf
+    else:
+        ts = np.asarray(t, dtype=float)
+        negative, finite = (ts < 0.0).any(), (ts < math.inf).all()
+    if negative:
         raise ValueError("t must be nonnegative")
+    if not finite:
+        raise ValueError("t must be finite")
 
 
 def g_discrete(bath: DiscreteBath, temp: Temperature, t: float) -> float:
@@ -114,7 +122,7 @@ def g_discrete(bath: DiscreteBath, temp: Temperature, t: float) -> float:
     ``|g_k|^2 t^2 / 4``. Raises ``ToleranceNotMet`` naming ``t`` when a
     phase ``omega_k t / 2`` is not finite.
     """
-    _check_time(t)
+    _check_times(t)
     w = np.array([m[0] for m in bath.modes])
     if not math.isfinite(0.5 * float(w.max()) * t):
         raise ToleranceNotMet(f"at t = {t:.6e} s: phase omega_k t / 2 is not finite")
@@ -163,9 +171,9 @@ def g_ohmic(
     Raises ``ToleranceNotMet``, its message starting ``at t = ... s:``,
     when the quadrature misses its tolerance or when the integrand's
     phase ``omega_c t x / 2`` is not finite on the interval. A negative
-    or non-finite ``t`` is an input error and raises ``ValueError``.
+    or non-finite ``t`` raises ``ValueError``, as everywhere in the package.
     """
-    _check_time(t)
+    _check_times(t)
     if t == 0.0:
         return 0.0
     wc = bath.omega_c
@@ -240,10 +248,7 @@ def g_ohmic_closed(bath: OhmicBath, temp: Temperature, times) -> np.ndarray:
     too large for floats is ``inf``, as at zero temperature.
     """
     t = np.array(times, dtype=float, ndmin=1)
-    if not np.all(np.isfinite(t)):
-        raise ValueError("t must be finite")
-    if np.any(t < 0.0):
-        raise ValueError("t must be nonnegative")
+    _check_times(t)
     with np.errstate(over="ignore"):
         a = bath.omega_c * t
     _raise_at_first(t, ~(a < _PHASE_LIMIT), "(omega_c t)^2 is not finite")

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bath import suppression_factor
+from .bath import _check_times, suppression_factor
 from .errors import InvalidState
 
 __all__ = [
@@ -152,16 +152,6 @@ def _evolve_checked(a: np.ndarray, e_j: float, g_value: float, t: float) -> np.n
     out[..., 0, 1], out[..., 1, 0] = 0.5 * (a01 + a10.conj()), 0.5 * (a10 + a01.conj())
     out.imag[..., (0, 1), (0, 1)] = 0.0  # (z + conj(z))/2 is exactly Re z
     return out
-
-
-def _check_times(t) -> None:
-    # As in the oracle, a negative time, -inf included, is out of range and
-    # NaN and +inf are not finite; the bath module calls -inf not finite.
-    ts = np.asarray(t, dtype=float)
-    if (ts < 0.0).any():
-        raise ValueError("t must be nonnegative")
-    if not np.isfinite(ts).all():
-        raise ValueError("t must be finite")
 
 
 def evolve_single(rho0, params: QubitParams, g_value: float, t: float) -> np.ndarray:
@@ -294,8 +284,10 @@ def cptp_check(p: QubitParams, g_value: float, t: float) -> bool:
     trace preservation. Returns False with a logged diagnostic when either
     fails, or when the exponent makes the images non-finite. The exponent is
     deliberately unconstrained here so nonphysical variants (for example a
-    sign-flipped exponent) can be probed.
+    sign-flipped exponent) can be probed; ``t`` is not, and a negative or
+    non-finite one raises ``ValueError``.
     """
+    _check_times(t)
     units = np.eye(4, dtype=complex).reshape(2, 2, 2, 2)  # units[i, j] = |i><j|
     with np.errstate(over="ignore", invalid="ignore"):
         images = _apply_single(units, p.e_j, g_value, t)

@@ -309,8 +309,8 @@ def _timed(times: np.ndarray, *columns) -> list[np.ndarray]:
     return [times, times / KS_IN_SECONDS, *columns]
 
 
-def _columns(cfg, alphas, times, gs):
-    """The ``CSV_HEADER`` columns of the table of each of ``alphas`` in turn.
+def _columns(cfg, alphas, times, gs) -> list[list[np.ndarray]]:
+    """The ``CSV_HEADER`` columns of the table of each of ``alphas``.
 
     The reference is ``C(0) * delta1 * delta2``. Each column is one array
     expression over the grid, with the bits of the per-point library calls:
@@ -318,21 +318,23 @@ def _columns(cfg, alphas, times, gs):
     ``delta`` and ``d`` once for all tables), the concurrence from the
     closed-form X state of the evolved family (one ``family_concurrence_rows``
     pass for all tables, no states formed; Wootters on the ``evolve_pair``
-    states validates it in tier-1). A table whose rows fail their checks
-    raises when its turn comes.
+    states validates it in tier-1). The tables are validated whole: if any
+    row fails its checks, this raises and returns no table.
     """
     delta, d_max = suppression_factor(gs), max_decoherence_analytic(gs)
     t_ks = times / KS_IN_SECONDS
     params1, params2 = QubitParams(cfg.e_j1), QubitParams(cfg.e_j2)
     rows = family_concurrence_rows(alphas, params1, params2, gs, gs, times)
-    for alpha, cs in zip(alphas, rows):
-        c0 = 2.0 * abs(alpha) / (1.0 + abs(alpha) ** 2)
-        yield [times, t_ks, gs, gs, delta, delta, cs, c0 * delta * delta, d_max, d_max]
+    c0s = [2.0 * abs(alpha) / (1.0 + abs(alpha) ** 2) for alpha in alphas]
+    return [
+        [times, t_ks, gs, gs, delta, delta, cs, c0 * delta * delta, d_max, d_max]
+        for c0, cs in zip(c0s, rows)
+    ]
 
 
 def run_experiment(cfg: ExperimentConfig) -> list[TimeSeriesRecord]:
     """Sweep the time grid and collect one record per point (see ``_columns``)."""
-    columns = next(_columns(cfg, [cfg.alpha], *_g_sweep(cfg)))
+    (columns,) = _columns(cfg, [cfg.alpha], *_g_sweep(cfg))
     return list(map(TimeSeriesRecord._make, zip(*(c.tolist() for c in columns))))
 
 
@@ -493,21 +495,15 @@ def _cmd_fig1(args) -> int:
         paths = [os.path.join(outdir, f"fig1_alpha{k}.csv") for k in (1, 2, 3)]
         alphas = [complex(k) for k in (1, 2, 3)]
     times, gs = _g_sweep(cfg)  # G does not depend on alpha: one sweep serves all
-    # the tables up to the first that fails are formatted in one pass (they
-    # share t, G, delta and d), then written and reported before that failure
-    tables, failure = [], None
-    try:
-        for columns in _columns(cfg, alphas, times, gs):
-            tables.append(columns)
-    except Exception as exc:
-        failure = exc
+    # the bundle is validated whole before any table is written; its tables
+    # are then formatted in one pass (they share t, G, delta and d), and
+    # written and reported in turn
+    tables = _columns(cfg, alphas, times, gs)
     memo = {}
     _cells([column for columns in tables for column in columns], memo)
     for path, columns in zip(paths, tables):
         _write_table(path, CSV_HEADER, columns, memo)
         print(f"wrote {path} ({cfg.n_points} rows)")
-    if failure is not None:
-        raise failure
     return 0
 
 
@@ -558,18 +554,16 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument(
         "--beta", type=float, help="inverse temperature, seconds; omit for zero"
     )
-    sweep = argparse.ArgumentParser(add_help=False, parents=[common])
-    sweep.add_argument(
-        "--alpha",
-        type=_parse_complex,
-        help="initial-state weight (gfactor validates it but does not use it)",
-    )
-    sweep.add_argument("--eta", type=float, help="dimensionless bath strength")
-    sweep.add_argument("--omega-c", dest="omega_c", type=float, help="bath cutoff, rad/s")
-    sweep.add_argument(
+    # gfactor's table does not depend on alpha: only evolve and fig1 take it
+    weight = argparse.ArgumentParser(add_help=False)
+    weight.add_argument("--alpha", type=_parse_complex, help="initial-state weight")
+    grid = argparse.ArgumentParser(add_help=False)
+    grid.add_argument("--eta", type=float, help="dimensionless bath strength")
+    grid.add_argument("--omega-c", dest="omega_c", type=float, help="bath cutoff, rad/s")
+    grid.add_argument(
         "--t-end-ps", dest="t_end_ps", type=float, help="final time, picoseconds"
     )
-    sweep.add_argument("--points", type=int, help="number of grid points")
+    grid.add_argument("--points", type=int, help="number of grid points")
 
     parser = argparse.ArgumentParser(
         prog="qubit-dephasing",
@@ -578,13 +572,15 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
     sub.add_parser(
-        "gfactor", parents=[sweep], help="tabulate the exponent G and factor delta"
-    ).set_defaults(func=_cmd_gfactor)
+        "gfactor", parents=[common, grid], help="tabulate the exponent G and factor delta"
+    ).set_defaults(func=_cmd_gfactor, alpha=None)
     sub.add_parser(
-        "evolve", parents=[sweep], help="two-qubit state trajectory as CSV"
+        "evolve", parents=[common, weight, grid], help="two-qubit state trajectory as CSV"
     ).set_defaults(func=_cmd_evolve)
     sub.add_parser(
-        "fig1", parents=[sweep], help="bundled concurrence experiment (three sweeps)"
+        "fig1",
+        parents=[common, weight, grid],
+        help="bundled concurrence experiment (three sweeps)",
     ).set_defaults(func=_cmd_fig1)
     oracle = sub.add_parser(
         "oracle-check", parents=[common], help="brute-force channel validation"

@@ -5,11 +5,10 @@ from __future__ import annotations
 
 import cmath
 import math
-from collections.abc import Iterator
 
 import numpy as np
 
-from .bath import suppression_factor
+from .bath import _check_times, suppression_factor
 from .errors import InvalidState
 from .channel import (
     PAIR_PSD_FLOOR,
@@ -137,9 +136,9 @@ def family_concurrence(
 
 def family_concurrence_rows(
     alphas, p1: QubitParams, p2: QubitParams, g1, g2, t
-) -> Iterator[np.ndarray]:
-    """The rows of the ``(k, n)`` concurrence of the evolved family at each of
-    the ``k`` values in ``alphas``, in turn, from one pass over the grid.
+) -> np.ndarray:
+    """The ``(k, n)`` concurrence of the evolved family at each of the ``k``
+    values in ``alphas``, validated whole, from one pass over the grid.
 
     The evolved family is an X state. With ``delta_k = exp(-4 g_k)``,
     ``u_k = (1 + delta_k)/2``, ``d_k = (1 - delta_k)/2``, ``c_k = u_k
@@ -160,11 +159,11 @@ def family_concurrence_rows(
     X state's spectrum is that of its blocks ``{0, 3}`` and ``{1, 2}``, so a
     trace gap above ``TRACE_TOL``, or a block eigenvalue ``(a + b)/2 -
     hypot((a - b)/2, |c|)`` below ``PAIR_PSD_FLOOR``, raises
-    ``InvalidState`` naming that row's worst point, once the rows before it
-    have been yielded. ``g1``, ``g2`` and ``t`` are 1-D arrays of one length
-    or scalars (one point); negative or NaN values raise ``ValueError``, as
-    do a phase ``E_J t`` that is not finite and an ``alpha`` that
-    ``initial_state`` rejects.
+    ``InvalidState`` naming the worst point of the first row that fails, so
+    that each row fails as its own call would. ``g1``, ``g2`` and ``t`` are
+    1-D arrays of one length or scalars (one point); negative or NaN values
+    raise ``ValueError``, as do a phase ``E_J t`` that is not finite and an
+    ``alpha`` that ``initial_state`` rejects.
     """
     checked = [_checked_alpha(alpha) for alpha in alphas]
     gs1, gs2, ts = _pair_points(g1, g2, t)
@@ -198,13 +197,12 @@ def family_concurrence_rows(
     value = 2.0 * np.maximum(
         abs_12 - np.sqrt(rho_00 * rho_33), abs_03 - np.sqrt(rho_11 * rho_22)
     )
-    value = np.clip(value, 0.0, 1.0)
-    for row, trace_gap, low in zip(value, trace_gaps.tolist(), lowest.tolist()):
+    for trace_gap, low in zip(trace_gaps.tolist(), lowest.tolist()):
         if trace_gap > TRACE_TOL:
             raise InvalidState(f"trace differs from one by {trace_gap:.3e}")
         if low < PAIR_PSD_FLOOR:
             raise InvalidState(f"negative eigenvalue {low:.3e}")
-        yield row
+    return np.clip(value, 0.0, 1.0)
 
 
 def analytic_bell_state(g1: float, g2: float, e_j_sum: float, t: float) -> np.ndarray:
@@ -215,10 +213,11 @@ def analytic_bell_state(g1: float, g2: float, e_j_sum: float, t: float) -> np.nd
     ``exp(-i t e_j_sum / 2)`` (``e_j_sum`` is the sum of both tunneling
     energies), while the inner block carries ``B = (1 + x)/4``. Matches
     ``evolve_pair`` on the ``alpha = 1`` input when both qubits share one
-    tunneling energy.
+    tunneling energy. The exponents and ``t`` are checked as there.
     """
     if not g1 >= 0.0 or not g2 >= 0.0:
         raise ValueError("exponents must be nonnegative")
+    _check_times(t)
     x = math.exp(-4.0 * (g1 + g2))
     corner = 1.0 - x
     inner = 1.0 + x

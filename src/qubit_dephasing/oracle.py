@@ -23,7 +23,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .bath import DiscreteBath, Temperature, g_discrete
+from .bath import DiscreteBath, Temperature, _check_times, g_discrete
 from .channel import QubitParams, _evolve_checked, check_qubit_state
 from .errors import DimensionTooLarge, NonHermitian
 from .qmath import (
@@ -310,12 +310,6 @@ def from_eigenbasis(rho: np.ndarray) -> np.ndarray:
     return _EIGENBASIS @ np.asarray(rho, dtype=complex) @ _EIGENBASIS.conj().T
 
 
-def _check_time(t: float) -> None:
-    # a non-finite t fails where its first phases are built
-    if t < 0.0:
-        raise ValueError("t must be nonnegative")
-
-
 def _memoized(memo: dict, size: int, key, build):
     # build()'s parts, kept read-only in memo under key; the oldest of size
     # entries goes first. A build that raises is not kept.
@@ -470,7 +464,7 @@ def exact_evolve(
     vectors and ``O(B^2)`` work, and no propagator; ``sys`` keeps the last
     few maps it built.
     """
-    _check_time(t)
+    _check_times(t)
     return _exact_step(sys, check_qubit_state(rho_qubit0), temp, t)
 
 
@@ -491,7 +485,7 @@ def split_evolve(
     per mode and temperature. Takes one qubit state or a stack ``(..., 2,
     2)``, and keeps its map in ``sys``, like :func:`exact_evolve`.
     """
-    _check_time(t)
+    _check_times(t)
     return _split_step(sys, check_qubit_state(rho_qubit0), temp, t)
 
 
@@ -499,14 +493,15 @@ def split_evolve(
 def _sample_pure_states(samples: int, seed: int) -> np.ndarray:
     # one draw of the same numbers, in the same order, as a per-sample loop
     # of normal(size=2) for the real and then the imaginary parts; kept,
-    # read-only, because every measurement of a halving grid asks again
+    # read-only and checked, because every measurement of a halving grid
+    # asks again and a kept stack cannot change
     draws = np.random.default_rng(seed).normal(size=(samples, 2, 2))
     vecs = draws[:, 0] + 1j * draws[:, 1]
     # np.linalg.norm per vector: its BLAS dot gives the loop's exact bits
     vecs /= np.array([np.linalg.norm(vec) for vec in vecs])[:, None]
     states = vecs[:, :, None] * vecs[:, None, :].conj()
     states.flags.writeable = False
-    return states
+    return check_qubit_state(states)
 
 
 def split_deviation(
@@ -520,8 +515,8 @@ def split_deviation(
     """
     if samples < 1:
         raise ValueError("need at least one sample")
-    _check_time(t)
-    rho0 = check_qubit_state(_sample_pure_states(samples, seed))
+    _check_times(t)
+    rho0 = _sample_pure_states(samples, seed)
     gaps = np.abs(_split_step(sys, rho0, temp, t) - _exact_step(sys, rho0, temp, t))
     return float(gaps.max())
 
@@ -539,16 +534,16 @@ def channel_discrepancy(
     """
     if samples < 4:
         raise ValueError("need at least 4 samples")
+    _check_times(t)
     if sys.modes:
         bath = DiscreteBath(tuple((m.omega, m.g) for m in sys.modes))
         g_value = g_discrete(bath, temp, t)
     else:
         g_value = 0.0
     params = QubitParams(e_j=sys.e_j)
-    _check_time(t)
-    rho0 = check_qubit_state(_sample_pure_states(samples, seed))
+    rho0 = _sample_pure_states(samples, seed)
     via_split = to_eigenbasis(_split_step(sys, rho0, temp, t))
-    # g_discrete's exponent is nonnegative, and a t the split map accepts is
-    # finite and nonnegative: evolve_single would check nothing new
+    # the stack was checked when drawn, g_discrete's exponent is nonnegative
+    # and t has passed the time rule: evolve_single would check nothing new
     via_channel = _evolve_checked(to_eigenbasis(rho0), params.e_j, g_value, t)
     return float(np.abs(via_split - via_channel).max())

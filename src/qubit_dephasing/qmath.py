@@ -142,16 +142,13 @@ def spectral_phases(w: np.ndarray, t: float) -> np.ndarray:
     return np.exp(-1j * w * t)
 
 
-def spectral_propagator(spectrum, t: float, columns=None) -> np.ndarray:
+def spectral_propagator(spectrum, t: float) -> np.ndarray:
     """Propagator ``exp(-i m t)`` from ``spectrum = hermitian_spectrum(m)``.
 
-    With ``columns`` (indices), only those columns of the propagator are
-    built: ``O(n^2 r)`` work for ``r`` columns instead of ``O(n^3)``.
     Checks ``t`` as :func:`spectral_phases` does.
     """
     w, v = spectrum
-    rows = v if columns is None else v[columns]
-    return (v * spectral_phases(w, t)) @ rows.conj().T
+    return (v * spectral_phases(w, t)) @ v.conj().T
 
 
 def matrix_exponential(m, t: float) -> np.ndarray:

@@ -289,7 +289,7 @@ def test_negative_arguments_rejected():
         max_decoherence_analytic(-1.0)
 
 
-# (call, exact message); times follow the rule of the bath and oracle modules
+# (call, exact message); every time follows the bath module's one time rule
 BAD_ARGUMENTS = [
     (
         lambda p, half: evolve_single(half, p, math.nan, 1e-12),
@@ -325,6 +325,21 @@ BAD_ARGUMENTS = [
         "t must be nonnegative",
     ),
     (lambda p, half: max_decoherence_numeric(p, 0.1, math.inf, 8), "t must be finite"),
+    # cptp_check leaves its exponent unconstrained, not its time
+    (lambda p, half: cptp_check(p, 0.1, math.nan), "t must be finite"),
+    (lambda p, half: cptp_check(p, 0.1, math.inf), "t must be finite"),
+    (lambda p, half: cptp_check(p, 0.1, -math.inf), "t must be nonnegative"),
+    (lambda p, half: cptp_check(p, 0.1, -1e-12), "t must be nonnegative"),
+    (lambda p, half: analytic_bell_state(0.1, 0.1, 2e10, math.nan), "t must be finite"),
+    (lambda p, half: analytic_bell_state(0.1, 0.1, 2e10, math.inf), "t must be finite"),
+    (
+        lambda p, half: analytic_bell_state(0.1, 0.1, 2e10, -math.inf),
+        "t must be nonnegative",
+    ),
+    (
+        lambda p, half: analytic_bell_state(0.1, 0.1, 2e10, -1e-12),
+        "t must be nonnegative",
+    ),
 ]
 
 

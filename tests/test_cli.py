@@ -689,6 +689,7 @@ def exit_code(argv):
         ["fig1", "--alpha", "1e200"],
         ["evolve", "--alpha", "1e200"],
         ["gfactor", "--alpha", "1e200"],
+        ["gfactor", "--alpha", "2"],
         ["oracle-check", "--beta", "1e-11"],
         ["oracle-check", "--seed", "-1"],
     ],
@@ -1041,37 +1042,26 @@ def test_fig1_bundle_formats_each_distinct_column_once(tmp_path, monkeypatch):
         assert (bundle / f"fig1_alpha{k}.csv").read_bytes() == reference_fig1(complex(k), None)
 
 
-def check_tables_written_before_a_failure(tmp_path, capsys, monkeypatch, failing):
-    # the stacked kernel raises a row's failure when that row's turn comes,
-    # after the rows before it; their tables are written and reported first
+@pytest.mark.parametrize("failing", [2, 3], ids=["table2", "table3"])
+def test_fig1_bundle_that_fails_writes_no_table(tmp_path, capsys, monkeypatch, failing):
+    # the bundle is validated whole before anything is written: a kernel that
+    # refuses the second or the third table leaves the first ones unwritten
+    # too, and its message reaches stderr unchanged
     original = cli_module.family_concurrence_rows
 
     def fussy(alphas, *args):
-        for alpha, row in zip(alphas, original(alphas, *args)):
-            if alpha == failing:
-                raise InvalidState(f"alpha {failing} refused")
-            yield row
+        rows = original(alphas, *args)
+        if failing in alphas:
+            raise InvalidState(f"alpha {failing} refused")
+        return rows
 
     monkeypatch.setattr(cli_module, "family_concurrence_rows", fussy)
     bundle = tmp_path / "bundle"
     assert main(sweep_argv("fig1", bundle, None)) == 3
-    written = [f"fig1_alpha{k}.csv" for k in range(1, failing)]
-    assert sorted(os.listdir(bundle)) == written
-    for k, name in enumerate(written, 1):
-        assert (bundle / name).read_bytes() == reference_fig1(complex(k), None)
+    assert os.listdir(bundle) == []
     out, err = capsys.readouterr()
-    assert out == "".join(f"wrote {bundle / name} ({REF_POINTS} rows)\n" for name in written)
+    assert out == ""
     assert err == f"numerical failure: alpha {failing} refused\n"
-
-
-def test_fig1_bundle_keeps_the_tables_written_before_a_failure(tmp_path, capsys, monkeypatch):
-    check_tables_written_before_a_failure(tmp_path, capsys, monkeypatch, failing=2)
-
-
-def test_fig1_bundle_keeps_both_tables_written_before_the_third_fails(
-    tmp_path, capsys, monkeypatch
-):
-    check_tables_written_before_a_failure(tmp_path, capsys, monkeypatch, failing=3)
 
 
 # -- the array formatter against f"{v:.16e}" ---------------------------------

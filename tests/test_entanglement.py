@@ -477,28 +477,25 @@ def test_stacked_rows_equal_the_per_alpha_calls_bit_for_bit(beta):
     g1 = g_ohmic_closed(OhmicBath(0.02, 1e12), Temperature(beta), ts)
     g2 = g_ohmic_closed(OhmicBath(0.05, 4e11), Temperature(beta), ts)
     p1, p2 = QubitParams(1e10), QubitParams(1.7e10)
-    rows = list(family_concurrence_rows(alphas, p1, p2, g1, g2, ts))
-    assert len(rows) == len(alphas)
+    rows = family_concurrence_rows(alphas, p1, p2, g1, g2, ts)
+    assert isinstance(rows, np.ndarray) and rows.shape == (len(alphas), ts.size)
     for alpha, row in zip(alphas, rows):
         alone = family_concurrence(alpha, p1, p2, g1, g2, ts)
         assert np.count_nonzero((alone > 0.0) & (alone < 1.0)) > 10
         assert list(map(float.hex, row.tolist())) == list(map(float.hex, alone.tolist()))
 
 
-def test_stacked_rows_before_a_failing_row_are_yielded_and_it_raises_its_own_margin(
-    monkeypatch,
-):
+def test_stacked_rows_raise_the_first_failing_rows_own_margin(monkeypatch):
     # lowest block eigenvalues 7.354e-02, 4.276e-02 and 8.405e-03 for alpha
-    # 3, 2 and 1: a floor between the first two fails the second row on its
-    # own margin, not on the stack's worst
+    # 3, 2 and 1: a floor between the first two fails the second and third
+    # rows, and the stacked call raises the second's own margin, the text of
+    # its single-alpha call, not the stack's worst
     monkeypatch.setattr(entanglement, "PAIR_PSD_FLOOR", 0.05)
     p1, p2 = QubitParams(1e10), QubitParams(1.6e10)
     ts, gs = [1e-10, 2e-10], [0.3, 0.9]
-    rows = family_concurrence_rows([3.0, 2.0, 1.0], p1, p2, gs, gs, ts)
-    first = next(rows)
-    assert first.tobytes() == family_concurrence(3.0, p1, p2, gs, gs, ts).tobytes()
+    family_concurrence(3.0, p1, p2, gs, gs, ts)
     with pytest.raises(InvalidState) as alone:
         family_concurrence(2.0, p1, p2, gs, gs, ts)
     assert str(alone.value) == "negative eigenvalue 4.276e-02"
     with pytest.raises(InvalidState, match=f"^{re.escape(str(alone.value))}$"):
-        next(rows)
+        family_concurrence_rows([3.0, 2.0, 1.0], p1, p2, gs, gs, ts)

@@ -429,7 +429,9 @@ def test_measurements_equal_the_public_composition(modes, temp):
 
 
 @pytest.mark.parametrize("measure", [split_deviation, channel_discrepancy])
-def test_each_measurement_checks_its_sample_stack_once(monkeypatch, measure):
+def test_a_sample_stack_is_checked_when_drawn_and_not_by_the_measurements(
+    monkeypatch, measure
+):
     checked = []
     original = oracle.check_qubit_state
 
@@ -438,18 +440,21 @@ def test_each_measurement_checks_its_sample_stack_once(monkeypatch, measure):
         return original(rho)
 
     monkeypatch.setattr(oracle, "check_qubit_state", counted)
+    oracle._sample_pure_states.cache_clear()
     system = reference_system(4)
-    for _ in range(2):  # cold, then on the maps the first call kept
-        checked.clear()
-        measure(system, Temperature.zero(), 2e-13, 6)
-        assert len(checked) == 1
-        assert checked[0] is oracle._sample_pure_states(6, 7)
+    measure(system, Temperature.zero(), 2e-13, 6)  # the draw checks its stack
+    assert len(checked) == 1
+    assert checked[0] is oracle._sample_pure_states(6, 7)
+    checked.clear()
+    for t in (2e-13, 1e-13):  # warm, on a kept map and on a new one
+        measure(system, Temperature.zero(), t, 6)
+    assert checked == []
 
 
 @settings(derandomize=True, max_examples=60, deadline=None)
 @given(st.integers(1, 200), st.integers(0, 2**32 - 1))
 def test_sampled_stacks_pass_the_state_check(samples, seed):
-    # the measurements check the stack once, outside the sampling cache
+    # the draw checks each stack it keeps; the measurements check none
     states = oracle._sample_pure_states(samples, seed)
     assert check_qubit_state(states) is states
 
@@ -692,7 +697,6 @@ def mode_propagators(system, t):
     ids=["one_mode", "two_modes"],
 )
 def test_column_and_block_propagators_match_the_dense_exponential(modes, block_atol):
-    # columns come from the same generator as the block's full propagator.
     # The sector-basis assembly of the two gauged parity-block propagators,
     # and the kron of the one-mode propagators, come from other eigh calls
     # than the dense exponential's, and each eigh-built propagator is unitary
@@ -706,10 +710,6 @@ def test_column_and_block_propagators_match_the_dense_exponential(modes, block_a
     d = gauge_phases(modes)
     for t in (0.0, 1e-13, 3e-13, 2e-12):
         blocks = [spectral_propagator(s, t) for s in system._block_spectra]
-        for spectrum, u in zip(system._block_spectra, blocks):
-            for columns in ([0], [2, 3], list(range(b))):
-                got = spectral_propagator(spectrum, t, columns)
-                np.testing.assert_allclose(got, u[:, columns], rtol=0.0, atol=1e-15)
         blocks = [d[:, None] * u * d.conj() for u in blocks]  # D U D^dag
         assembled = sectors @ np.block([[blocks[0], zero], [zero, blocks[1]]])
         assembled = assembled @ sectors.conj().T / 2.0
@@ -718,11 +718,7 @@ def test_column_and_block_propagators_match_the_dense_exponential(modes, block_a
         dense = matrix_exponential(interaction_generator(gauged(modes)), t)
         for p in range(2):
             block = np.eye(1, dtype=complex)
-            pairs = mode_propagators(system, t)
-            for spectrum, pair in zip(system._mode_spectra, pairs):
-                columns = spectral_propagator(spectrum, t, [0, 3])
-                expect = pair[0][:, [0, 3]]
-                np.testing.assert_allclose(columns, expect, rtol=0.0, atol=1e-15)
+            for pair in mode_propagators(system, t):
                 block = np.kron(block, pair[p])
             expect = dense[p * b : (p + 1) * b, p * b : (p + 1) * b]
             np.testing.assert_allclose(block, expect, rtol=0.0, atol=block_atol)
@@ -1131,9 +1127,7 @@ def test_evolution_names_t_when_a_phase_overflows(evolve, temp):
         evolve(reference_system(), PLUS, temp, 1e300)
 
 
-@EVOLVES
-@pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
-@pytest.mark.parametrize(
+BAD_TIMES = pytest.mark.parametrize(
     "t,message",
     [
         (math.nan, "t must be finite"),
@@ -1143,12 +1137,25 @@ def test_evolution_names_t_when_a_phase_overflows(evolve, temp):
     ],
     ids=["nan", "inf", "negative", "minus_inf"],
 )
+
+
+@EVOLVES
+@pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
+@BAD_TIMES
 def test_evolution_rejects_bad_times(evolve, warm, t, message):
     system = reference_system(4)
     if warm:
         evolve(system, PLUS, Temperature.zero(), 1e-13)
     with pytest.raises(ValueError, match=message):
         evolve(system, PLUS, Temperature.zero(), t)
+
+
+@pytest.mark.parametrize("measure", [split_deviation, channel_discrepancy])
+@BAD_TIMES
+def test_measurements_reject_bad_times(measure, t, message):
+    # no mode, so that no g_discrete call checks t on the measurement's behalf
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        measure(OracleSystem(E_J, ()), Temperature.zero(), t, 6)
 
 
 @EVOLVES

@@ -110,18 +110,6 @@ def test_matrix_exponential_is_the_spectral_propagator_bit_for_bit():
         assert np.array_equal(matrix_exponential(h, t), spectral_propagator(spectrum, t))
 
 
-def test_column_propagator_matches_the_full_propagator_columns():
-    rng = np.random.default_rng(6)
-    a = rng.normal(size=(9, 9)) + 1j * rng.normal(size=(9, 9))
-    spectrum = hermitian_spectrum(a + a.conj().T)
-    for t in (0.0, 0.3, -1.7, 25.0):
-        full = matrix_exponential(a + a.conj().T, t)
-        for columns in ([0], [4, 1, 8], list(range(9))):
-            got = spectral_propagator(spectrum, t, columns)
-            assert got.shape == (9, len(columns))
-            np.testing.assert_allclose(got, full[:, columns], rtol=0.0, atol=1e-15)
-
-
 def test_non_hermitian_generator_has_no_spectrum_and_goes_through_expm(monkeypatch):
     import scipy.linalg
 
@@ -161,8 +149,6 @@ def test_spectral_propagator_rejects_non_finite_times(t):
     with pytest.raises(ValueError, match="t must be finite"):
         spectral_propagator(hermitian_spectrum(SIGMA_X), t)
     with pytest.raises(ValueError, match="t must be finite"):
-        spectral_propagator(hermitian_spectrum(SIGMA_X), t, [1])
-    with pytest.raises(ValueError, match="t must be finite"):
         matrix_exponential(SIGMA_X, t)
 
 
@@ -172,8 +158,6 @@ def test_spectral_propagator_names_t_when_a_phase_overflows():
     message = r"^at t = 1\.000000e\+308 s: phase w t is not finite$"
     with pytest.raises(ToleranceNotMet, match=message):
         spectral_propagator(spectrum, 1e308)
-    with pytest.raises(ToleranceNotMet, match=message):
-        spectral_propagator(spectrum, 1e308, [1])
     with pytest.raises(ToleranceNotMet, match=message):
         matrix_exponential(2.0 * SIGMA_X, 1e308)
     assert np.isfinite(spectral_propagator(spectrum, 5e307)).all()
@@ -225,9 +209,6 @@ def test_propagator_from_a_real_spectrum_equals_the_complex_one():
         got = spectral_propagator(real, t)
         np.testing.assert_allclose(
             got, spectral_propagator(complex_, t), rtol=0.0, atol=1e-15
-        )
-        np.testing.assert_allclose(
-            spectral_propagator(real, t, [4, 0]), got[:, [4, 0]], rtol=0.0, atol=1e-15
         )
     dense = real_symmetric(9, 44) / 9.0
     real = hermitian_spectrum(dense)

@@ -18,7 +18,7 @@ import math
 import os
 import sys
 from dataclasses import dataclass, fields
-from typing import NamedTuple
+from typing import NamedTuple, get_args, get_type_hints
 
 import numpy as np
 
@@ -141,7 +141,7 @@ class OracleCheckConfig:
     g: complex = 1e10 * cmath.exp(1j * math.pi / 7)
     n_max: int = 8
     beta: float | None = None
-    t_base: float = 4e-13
+    t: float = 4e-13
     samples: int = 6
     seed: int = 7
     output_path: str | None = None
@@ -157,20 +157,15 @@ class OracleCheckConfig:
             raise ConfigError(f"oracle_n_max = {self.n_max}: {exc}") from None
         if self.beta is not None and not self.beta > 0.0:
             raise ConfigError("oracle_beta must be positive when given")
-        if not self.t_base > 0.0:
+        if not self.t > 0.0:
             raise ConfigError("oracle_t must be positive")
         if self.samples < 1:
             raise ConfigError("oracle_samples must be at least 1")
         if self.seed < 0:
             raise ConfigError("oracle_seed must be nonnegative")
-        for key, value in (
-            ("oracle_e_j", self.e_j),
-            ("oracle_omega", self.omega),
-            ("oracle_g", self.g),
-            ("oracle_t", self.t_base),
-        ):
-            if not cmath.isfinite(value):
-                raise ConfigError(f"{key} must be finite")
+        for name in ("e_j", "omega", "g", "t"):  # each key is oracle_ + field
+            if not cmath.isfinite(getattr(self, name)):
+                raise ConfigError(f"oracle_{name} must be finite")
         if self.beta is not None:
             try:
                 check_thermal_tail(self.beta, self.omega, self.n_max)
@@ -192,32 +187,23 @@ ORACLE_CSV_HEADER = ",".join(OracleRow._fields)
 
 # -- configuration files ----------------------------------------------------
 
-_EXPERIMENT_CASTS = {
-    "eta": ("eta", float),
-    "omega_c": ("omega_c", float),
-    "beta": ("beta", float),
-    "e_j1": ("e_j1", float),
-    "e_j2": ("e_j2", float),
-    "alpha": ("alpha", complex),
-    "t_start": ("t_start", float),
-    "t_end": ("t_end", float),
-    "n_points": ("n_points", int),
-    "output_path": ("output_path", str),
+def _key_table(cls, prefix: str) -> dict[str, tuple[str, type]]:
+    """``{key: (field, cast)}`` of ``cls``; an ``X | None`` field casts as ``X``."""
+    hints = get_type_hints(cls)
+    return {
+        prefix + f.name: (f.name, (get_args(hints[f.name]) or [hints[f.name]])[0])
+        for f in fields(cls)
+    }
+
+
+# each field of a config class is a key of the config file; built once, at
+# import, so that no command pays for the type-hint pass
+_KEYS = {
+    ExperimentConfig: _key_table(ExperimentConfig, ""),
+    OracleCheckConfig: _key_table(OracleCheckConfig, "oracle_"),
 }
 
-_ORACLE_CASTS = {
-    "oracle_e_j": ("e_j", float),
-    "oracle_omega": ("omega", float),
-    "oracle_g": ("g", complex),
-    "oracle_n_max": ("n_max", int),
-    "oracle_beta": ("beta", float),
-    "oracle_t": ("t_base", float),
-    "oracle_samples": ("samples", int),
-    "oracle_seed": ("seed", int),
-    "oracle_output_path": ("output_path", str),
-}
-
-KNOWN_KEYS = frozenset(_EXPERIMENT_CASTS) | frozenset(_ORACLE_CASTS)
+KNOWN_KEYS = frozenset().union(*_KEYS.values())
 
 
 def parse_config_text(text: str) -> dict[str, str]:
@@ -263,30 +249,31 @@ def _cast(mapping, casts) -> dict:
 
 
 def config_from_mapping(mapping: dict[str, str]) -> ExperimentConfig:
-    return ExperimentConfig(**_cast(mapping, _EXPERIMENT_CASTS))
+    return ExperimentConfig(**_cast(mapping, _KEYS[ExperimentConfig]))
 
 
 def oracle_config_from_mapping(mapping: dict[str, str]) -> OracleCheckConfig:
-    return OracleCheckConfig(**_cast(mapping, _ORACLE_CASTS))
+    return OracleCheckConfig(**_cast(mapping, _KEYS[OracleCheckConfig]))
 
 
-def serialize_config(cfg: ExperimentConfig) -> str:
+def serialize_config(cfg: ExperimentConfig | OracleCheckConfig) -> str:
     """Render a config so that parsing it back reproduces ``cfg`` exactly.
 
-    The format has no escaping: an ``output_path`` that is empty, holds ``#``
-    or a line break, or has surrounding whitespace raises ``ConfigError``.
+    The format has no escaping: a string value (an output path) that is
+    empty, holds ``#`` or a line break, or has surrounding whitespace raises
+    ``ConfigError``.
     """
-    path = cfg.output_path
-    if path is not None and (
-        path != path.strip() or "#" in path or len(path.splitlines()) != 1
-    ):
-        raise ConfigError(f"output_path {path!r} cannot round-trip a config file")
     lines = ["# angular frequencies in rad/s, time in seconds"]
-    for field in fields(cfg):
-        value = getattr(cfg, field.name)
-        if value is not None:  # an omitted key parses back to None
-            text = value if field.name == "output_path" else repr(value)
-            lines.append(f"{field.name} = {text}")
+    for key, (name, cast) in _KEYS[type(cfg)].items():
+        value = getattr(cfg, name)
+        if value is None:
+            continue  # an omitted key parses back to None
+        if cast is str:
+            if value != value.strip() or "#" in value or len(value.splitlines()) != 1:
+                raise ConfigError(f"{key} {value!r} cannot round-trip a config file")
+        else:
+            value = repr(value)
+        lines.append(f"{key} = {value}")
     return "\n".join(lines) + "\n"
 
 
@@ -400,7 +387,7 @@ def run_oracle_check(cfg: OracleCheckConfig) -> tuple[list[OracleRow], list[str]
     """
     system = OracleSystem(cfg.e_j, (FockMode(cfg.omega, cfg.g, cfg.n_max),))
     temp = Temperature(cfg.beta)
-    times = [cfg.t_base / 2.0**k for k in range(3)]
+    times = [cfg.t / 2.0**k for k in range(3)]
     deviations = {}
     for t in times + [times[-1] / 2.0]:
         deviations[t] = split_deviation(system, temp, t, cfg.samples, cfg.seed)
@@ -429,33 +416,29 @@ def run_oracle_check(cfg: OracleCheckConfig) -> tuple[list[OracleRow], list[str]
 
 # -- subcommands ------------------------------------------------------------
 
-def _configure(args, factory, casts, **flags):
+# the flags whose argparse dest is not the name of the field they set
+_FLAG_DESTS = {"t_end": "t_end_ps", "n_points": "points"}
+
+
+def _configure(args, cls):
     """The ``--config`` file's values with the flags given laid over them.
 
-    The config is built once, from the merged values, so only the values
-    that take effect are validated and a flag can replace a bad file value.
+    Each field takes the flag whose dest is its name, or its ``_FLAG_DESTS``
+    entry; ``--t-end-ps`` is in picoseconds. The config is built once, from
+    the merged values, so only the values that take effect are validated
+    and a flag can replace a bad file value.
     """
-    values = _cast(load_config(args.config), casts) if args.config else {}
-    values.update((k, v) for k, v in flags.items() if v is not None)
-    return factory(**values)
-
-
-def _experiment_config(args) -> ExperimentConfig:
-    return _configure(
-        args,
-        ExperimentConfig,
-        _EXPERIMENT_CASTS,
-        alpha=args.alpha,
-        eta=args.eta,
-        omega_c=args.omega_c,
-        beta=args.beta,
-        t_end=None if args.t_end_ps is None else args.t_end_ps * 1e-12,
-        n_points=args.points,
-    )
+    keys = _KEYS[cls]
+    values = _cast(load_config(args.config), keys) if args.config else {}
+    for name, _ in keys.values():
+        flag = getattr(args, _FLAG_DESTS.get(name, name), None)
+        if flag is not None:
+            values[name] = flag * 1e-12 if name == "t_end" else flag
+    return cls(**values)
 
 
 def _cmd_gfactor(args) -> int:
-    cfg = _experiment_config(args)
+    cfg = _configure(args, ExperimentConfig)
     times, gs = _g_sweep(cfg)
     path = args.out or cfg.output_path or "gfactor.csv"
     _write_table(path, "t_seconds,t_ks,g,delta", _timed(times, gs, suppression_factor(gs)))
@@ -470,7 +453,7 @@ _EVOLVE_CSV_HEADER = "t_seconds,t_ks," + ",".join(
 
 
 def _cmd_evolve(args) -> int:
-    cfg = _experiment_config(args)
+    cfg = _configure(args, ExperimentConfig)
     times, gs = _g_sweep(cfg)
     params1, params2 = QubitParams(cfg.e_j1), QubitParams(cfg.e_j2)
     states = evolve_pair(initial_state(cfg.alpha), params1, params2, gs, gs, times)
@@ -483,7 +466,7 @@ def _cmd_evolve(args) -> int:
 
 
 def _cmd_fig1(args) -> int:
-    cfg = _experiment_config(args)
+    cfg = _configure(args, ExperimentConfig)
     if args.alpha is not None:
         paths, alphas = [args.out or cfg.output_path or "fig1_custom.csv"], [cfg.alpha]
     else:
@@ -508,9 +491,7 @@ def _cmd_fig1(args) -> int:
 
 
 def _cmd_oracle_check(args) -> int:
-    cfg = _configure(
-        args, OracleCheckConfig, _ORACLE_CASTS, beta=args.beta, seed=args.seed
-    )
+    cfg = _configure(args, OracleCheckConfig)
     rows, violations = run_oracle_check(cfg)
     path = args.out or cfg.output_path or "oracle_check.csv"
     _write_table(path, ORACLE_CSV_HEADER, np.array(rows, dtype=float).T)
@@ -613,6 +594,9 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:
         print(f"io error: {exc}", file=sys.stderr)
         return 4
+    except MemoryError as exc:  # only n_points and oracle_samples size arrays
+        print(f"config error: {exc or 'not enough memory'}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

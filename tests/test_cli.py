@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import io
 import math
 import os
@@ -10,7 +11,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import qubit_dephasing
@@ -154,6 +155,8 @@ def test_serialize_config_rejects_a_path_the_format_cannot_hold(path):
     # the format has no escaping: each would read back as another value, or fail
     with pytest.raises(ConfigError, match="^output_path "):
         serialize_config(ExperimentConfig(output_path=path))
+    with pytest.raises(ConfigError, match="^oracle_output_path "):
+        serialize_config(OracleCheckConfig(output_path=path))
 
 
 def test_config_round_trip_keeps_inner_spaces_and_equals_signs():
@@ -167,6 +170,86 @@ def test_oracle_config_from_shared_file():
     assert ocfg.n_max == 6
     assert ocfg.seed == 11
     assert ocfg.e_j == 1e10  # default untouched by experiment keys
+
+
+def test_config_keys_are_pinned():
+    # the keys are the config fields' names: renaming a field must not
+    # silently rename a key that existing config files use
+    assert cli_module.KNOWN_KEYS == {
+        "eta",
+        "omega_c",
+        "beta",
+        "e_j1",
+        "e_j2",
+        "alpha",
+        "t_start",
+        "t_end",
+        "n_points",
+        "output_path",
+        "oracle_e_j",
+        "oracle_omega",
+        "oracle_g",
+        "oracle_n_max",
+        "oracle_beta",
+        "oracle_t",
+        "oracle_samples",
+        "oracle_seed",
+        "oracle_output_path",
+    }
+
+
+# an output path the format can hold: one line, no "#", no surrounding space
+ROUND_TRIP_PATHS = st.none() | st.text(min_size=1).filter(
+    lambda s: s == s.strip() and "#" not in s and len(s.splitlines()) == 1
+)
+
+
+@st.composite
+def valid_config(draw, cls, **strategies):
+    """A ``cls`` built from drawn field values; draws it rejects are discarded."""
+    values = {name: draw(strategy) for name, strategy in strategies.items()}
+    try:
+        return cls(**values)
+    except ConfigError:
+        assume(False)
+
+
+EXPERIMENT_CONFIGS = valid_config(
+    ExperimentConfig,
+    eta=st.floats(1e-300, 1e300),
+    omega_c=st.floats(1e-150, 1e150),
+    beta=st.none() | st.floats(1e-150, 1e150),
+    e_j1=st.floats(-1e15, 1e15),
+    e_j2=st.floats(-1e15, 1e15),
+    alpha=st.complex_numbers(max_magnitude=1e150, allow_nan=False, allow_infinity=False),
+    t_start=st.floats(0.0, 1e-6),
+    t_end=st.floats(1e-6, 1.0),
+    n_points=st.integers(2, 2**62),
+    output_path=ROUND_TRIP_PATHS,
+)
+
+ORACLE_CONFIGS = valid_config(
+    OracleCheckConfig,
+    e_j=st.floats(-1e300, 1e300),
+    omega=st.floats(1e-300, 1e300),
+    g=st.complex_numbers(max_magnitude=1e300, allow_nan=False, allow_infinity=False),
+    n_max=st.integers(1, 1023),
+    beta=st.none() | st.floats(1e-300, 1e300),
+    t=st.floats(1e-300, 1e300),
+    samples=st.integers(1, 2**62),
+    seed=st.integers(0, 2**62),
+    output_path=ROUND_TRIP_PATHS,
+)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(EXPERIMENT_CONFIGS, ORACLE_CONFIGS)
+def test_both_configs_round_trip_alone_and_in_one_file(cfg, ocfg):
+    assert config_from_mapping(parse_config_text(serialize_config(cfg))) == cfg
+    assert oracle_config_from_mapping(parse_config_text(serialize_config(ocfg))) == ocfg
+    shared = parse_config_text(serialize_config(cfg) + serialize_config(ocfg))
+    assert config_from_mapping(shared) == cfg
+    assert oracle_config_from_mapping(shared) == ocfg
 
 
 def test_run_experiment_first_row_is_pristine():
@@ -397,6 +480,78 @@ def test_flags_override_an_invalid_config_file_value(
     assert main(argv + flags) == 0
     _, data = read_rows(str(out))
     assert data.shape == (rows, 4)
+
+
+# flag: (config key, file value, flag value, field value the flag gives)
+SWEEP_FLAGS = {
+    "--eta": ("eta", "2e-5", "3e-5", 3e-5),
+    "--omega-c": ("omega_c", "5e11", "7e11", 7e11),
+    "--beta": ("beta", "1e-12", "2e-12", 2e-12),
+    "--t-end-ps": ("t_end", "6e-12", "4", 4.0 * 1e-12),
+    "--points": ("n_points", "16", "9", 9),
+    "--alpha": ("alpha", "2+0j", "3+1j", 3 + 1j),
+}
+ORACLE_FLAGS = {
+    "--beta": ("oracle_beta", "1e-10", "5e-11", 5e-11),
+    "--seed": ("oracle_seed", "11", "12", 12),
+}
+
+
+class Configured(Exception):
+    """Raised in place of a command's run, once it has built its config."""
+
+
+@pytest.mark.parametrize(
+    "command, flag",
+    [("gfactor", flag) for flag in SWEEP_FLAGS if flag != "--alpha"]
+    + [(command, flag) for command in ("evolve", "fig1") for flag in SWEEP_FLAGS]
+    + [("oracle-check", flag) for flag in ORACLE_FLAGS],
+)
+def test_each_flag_overrides_its_config_key(tmp_path, monkeypatch, command, flag):
+    if command == "oracle-check":
+        flags, from_mapping, run = ORACLE_FLAGS, oracle_config_from_mapping, "run_oracle_check"
+    else:
+        flags, from_mapping, run = SWEEP_FLAGS, config_from_mapping, "_g_sweep"
+    key, file_value, flag_value, field_value = flags[flag]
+    built = []
+
+    def spy(cfg):
+        built.append(cfg)
+        raise Configured
+
+    monkeypatch.setattr(cli_module, run, spy)
+    conf = tmp_path / "run.conf"
+    conf.write_text(f"{key} = {file_value}\n", encoding="utf-8")
+    argv = [command, "--config", str(conf), "--out", str(tmp_path / "out")]
+    for extra in ([], [flag, flag_value]):
+        with pytest.raises(Configured):
+            main(argv + extra)
+    from_file, from_flag = built
+    assert from_file == from_mapping({key: file_value})
+    field = key.removeprefix("oracle_")
+    assert getattr(from_file, field) != field_value
+    assert from_flag == dataclasses.replace(from_file, **{field: field_value})
+
+
+@pytest.mark.parametrize(
+    "argv, text",
+    [
+        (["gfactor", "--points", "1000000000000000"], ""),
+        (["oracle-check"], "oracle_samples = 1000000000000000\n"),
+    ],
+    ids=["points", "oracle_samples"],
+)
+def test_main_exit_two_on_a_config_too_large_for_memory(tmp_path, capsys, argv, text):
+    # the arrays of 10**15 rows these size lie beyond a 64-bit process's
+    # address space, so the allocation fails at once and takes no memory
+    conf = tmp_path / "big.conf"
+    conf.write_text(text, encoding="utf-8")
+    out = tmp_path / "x.csv"
+    assert main(argv + ["--config", str(conf), "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("config error: ") and captured.err.count("\n") == 1
+    assert not out.exists()
 
 
 def test_main_exit_three_on_tolerance_failure(tmp_path):

@@ -129,14 +129,14 @@ def g_discrete(bath: DiscreteBath, temp: Temperature, t: float) -> float:
     g_abs = np.array([abs(m[1]) for m in bath.modes])
     x = 0.5 * w * t
     sinc = np.divide(np.sin(x), x, out=np.ones_like(x), where=x != 0.0)
-    terms = (g_abs * (0.5 * t * sinc)) ** 2
-    if temp.beta is not None:
-        # an overflowed beta * w gives tanh = 1, an underflowed one tanh = 0,
-        # which leaves a zero summand zero
-        with np.errstate(over="ignore"):
+    # a G too large for floats is inf; an overflowed beta * w gives tanh = 1,
+    # an underflowed one tanh = 0, which leaves a zero summand zero
+    with np.errstate(over="ignore"):
+        terms = (g_abs * (0.5 * t * sinc)) ** 2
+        if temp.beta is not None:
             tanh = np.tanh(0.5 * temp.beta * w)
-        terms = np.divide(terms, tanh, out=terms, where=terms != 0.0)
-    return float(2.0 * terms.sum())
+            terms = np.divide(terms, tanh, out=terms, where=terms != 0.0)
+        return float(2.0 * terms.sum())
 
 
 def g_ohmic(
@@ -253,7 +253,8 @@ def g_ohmic_closed(bath: OhmicBath, temp: Temperature, times) -> np.ndarray:
         a = bath.omega_c * t
     _raise_at_first(t, ~(a < _PHASE_LIMIT), "(omega_c t)^2 is not finite")
     if temp.beta is None:
-        return 0.5 * bath.eta * np.log1p(a * a)
+        with np.errstate(over="ignore"):  # a G too large for floats is inf
+            return 0.5 * bath.eta * np.log1p(a * a)
     # past float range (1/(beta omega_c) or t / beta overflowing) the terms
     # turn NaN, and the check below names the time
     with np.errstate(over="ignore", invalid="ignore"):
@@ -306,5 +307,6 @@ def suppression_factor(g_value):
     g = np.asarray(g_value, dtype=float)
     if not (g >= 0.0).all():
         raise ValueError("g_value must be nonnegative")
-    delta = np.exp(-4.0 * g)
+    with np.errstate(over="ignore"):  # -4 G past float range: delta = 0
+        delta = np.exp(-4.0 * g)
     return delta if g.ndim else float(delta)

@@ -203,8 +203,9 @@ def evolve_pair(rho0, p1: QubitParams, p2: QubitParams, g1, g2, t) -> np.ndarray
     gs1, gs2, ts = _pair_points(g1, g2, t)
     # [point, i2, j2, i1, j1], then [point, i1, j1, i2, j2] for qubit 2
     out = a.reshape(2, 2, 2, 2).transpose(1, 3, 0, 2)
-    out = _apply_single(np.broadcast_to(out, ts.shape + out.shape), p1.e_j, gs1, ts)
-    out = _apply_single(out.transpose(0, 3, 4, 1, 2), p2.e_j, gs2, ts)
+    with np.errstate(over="ignore"):  # -4 G past float range: delta = 0
+        out = _apply_single(np.broadcast_to(out, ts.shape + out.shape), p1.e_j, gs1, ts)
+        out = _apply_single(out.transpose(0, 3, 4, 1, 2), p2.e_j, gs2, ts)
     out = out.transpose(0, 1, 3, 2, 4).reshape(-1, 4, 4)
     out = 0.5 * (out + out.conj().swapaxes(-1, -2))
     return out if np.ndim(t) else out[0]

@@ -22,7 +22,7 @@ from typing import NamedTuple, get_args, get_type_hints
 
 import numpy as np
 
-from .bath import OhmicBath, Temperature, g_ohmic_closed, suppression_factor
+from .bath import _PHASE_LIMIT, OhmicBath, Temperature, g_ohmic_closed, suppression_factor
 from .channel import QubitParams, evolve_pair, max_decoherence_analytic
 from .entanglement import _checked_alpha, family_concurrence_rows, initial_state
 from .errors import (
@@ -64,6 +64,10 @@ KS_IN_SECONDS = 1.51929e-9  # 1 ks = 1519.29 ps
 CHANNEL_GAP_LIMIT = 1e-6
 RATIO_WINDOW = (6.0, 10.0)
 RATIO_FLOOR = 1e-12  # below this the split error is rounding noise
+# Largest grid or sample count. Every array one sizes takes under 1 KiB per
+# entry, so up to this bound a count too large for memory fails numpy's
+# allocation with a MemoryError; past it numpy's sizing fails first.
+_MAX_COUNT = sys.maxsize // 1024
 
 
 @dataclass(frozen=True)
@@ -110,8 +114,17 @@ class ExperimentConfig:
             raise ConfigError("t_start must be nonnegative")
         if not self.t_end > self.t_start:
             raise ConfigError("t_end must exceed t_start")
+        # each grid quantity is largest in magnitude at the last point, t_end
+        if not math.isfinite(self.e_j1 * self.t_end - self.e_j2 * self.t_end):
+            raise ConfigError("e_j1 * t_end - e_j2 * t_end must be finite")
+        if not self.omega_c * self.t_end < _PHASE_LIMIT:  # g_ohmic_closed's bound
+            raise ConfigError("(omega_c * t_end)**2 must be finite")
+        if not math.isfinite(self.t_end / KS_IN_SECONDS):  # the t_ks column
+            raise ConfigError("t_end / KS_IN_SECONDS must be finite")
         if self.n_points < 2:
             raise ConfigError("n_points must be at least 2")
+        if self.n_points > _MAX_COUNT:
+            raise ConfigError(f"n_points must be at most {_MAX_COUNT}")
 
 
 class TimeSeriesRecord(NamedTuple):
@@ -161,6 +174,8 @@ class OracleCheckConfig:
             raise ConfigError("oracle_t must be positive")
         if self.samples < 1:
             raise ConfigError("oracle_samples must be at least 1")
+        if self.samples > _MAX_COUNT:
+            raise ConfigError(f"oracle_samples must be at most {_MAX_COUNT}")
         if self.seed < 0:
             raise ConfigError("oracle_seed must be nonnegative")
         for name in ("e_j", "omega", "g", "t"):  # each key is oracle_ + field
@@ -231,6 +246,8 @@ def load_config(path: str) -> dict[str, str]:
             text = handle.read()
     except OSError as exc:
         raise IoError(f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path} is not UTF-8 text: {exc}") from None
     return parse_config_text(text)
 
 
@@ -327,49 +344,44 @@ def run_experiment(cfg: ExperimentConfig) -> list[TimeSeriesRecord]:
 
 # -- CSV output -------------------------------------------------------------
 
-def _cells(columns, memo: dict) -> list[np.ndarray]:
-    """Each column's ``(rows, 24)`` cells, from ``memo`` or else added to it.
+def _write_tables(tables):
+    """Write each ``(path, header, columns)`` of ``tables`` as CSV, in order.
 
-    The columns ``memo`` lacks are formatted in one ``celltext.format_cells``
-    call. The key is a column's bytes, not its values: ``0.0`` and ``-0.0``
-    stay apart.
+    A generator: it yields each path once its table is on disk, so a write
+    error on one table comes after the paths of the tables before it. Float
+    columns, all of one length, go under a pinned header with LF line ends.
+    Each bit-distinct column of all the tables is formatted once, in one
+    ``celltext.format_cells`` call; the key is a column's bytes, not its
+    values, so ``0.0`` and ``-0.0`` stay apart.
     """
     from . import celltext  # deferred: importing the CLI stays cheap
 
-    keys = [column.tobytes() for column in columns]
-    fresh = {key: column for key, column in zip(keys, columns) if key not in memo}
-    if fresh:
-        cells = celltext.format_cells(np.concatenate(list(fresh.values())))
-        memo.update(zip(fresh, cells.reshape(len(fresh), -1, 24)))
-    return [memo[key] for key in keys]
-
-
-def _write_table(path: str, header: str, columns, memo: dict | None = None) -> None:
-    """Write float columns as a CSV table under a pinned header, LF line ends.
-
-    A column is formatted once and its cells reused for every later column
-    with the same bits, in this table or any other sharing ``memo``.
-    """
-    cells = _cells(columns, {} if memo is None else memo)
-    body = b""
-    if cells:
-        table = np.empty((len(cells[0]), len(cells), 25), np.uint8)
-        np.stack(cells, axis=1, out=table[:, :, :24])
-        table[:, :, 24] = ord(",")
-        table[:, -1, 24] = ord("\n")
-        body = table.tobytes().translate(None, b"\0")
-    try:
-        with open(path, "wb") as handle:
-            handle.write(header.encode() + b"\n" + body)
-    except OSError as exc:
-        raise IoError(f"cannot write {path}: {exc}") from exc
+    distinct = {c.tobytes(): c for _, _, columns in tables for c in columns}
+    cells = {}
+    if distinct:
+        text = celltext.format_cells(np.concatenate(list(distinct.values())))
+        cells = dict(zip(distinct, text.reshape(len(distinct), -1, 24)))
+    for path, header, columns in tables:
+        body = b""
+        if len(columns):
+            table = np.empty((len(columns[0]), len(columns), 25), np.uint8)
+            np.stack([cells[c.tobytes()] for c in columns], axis=1, out=table[:, :, :24])
+            table[:, :, 24] = ord(",")
+            table[:, -1, 24] = ord("\n")
+            body = table.tobytes().translate(None, b"\0")
+        try:
+            with open(path, "wb") as handle:
+                handle.write(header.encode() + b"\n" + body)
+        except OSError as exc:
+            raise IoError(f"cannot write {path}: {exc}") from exc
+        yield path
 
 
 def emit_csv(rows: list[TimeSeriesRecord], path: str) -> None:
     """Write records as CSV under ``CSV_HEADER``."""
     if not rows:
         raise ValueError("rows must be non-empty")
-    _write_table(path, CSV_HEADER, np.array(rows, dtype=float).T)
+    (_,) = _write_tables([(path, CSV_HEADER, np.array(rows, dtype=float).T)])
 
 
 # -- oracle check -----------------------------------------------------------
@@ -437,13 +449,19 @@ def _configure(args, cls):
     return cls(**values)
 
 
-def _cmd_gfactor(args) -> int:
+def _cmd_sweep(args) -> int:
+    """``gfactor``, ``evolve`` and ``fig1``: configure, build the tables of
+    the subcommand's builder (``args.tables``), then write and report each."""
     cfg = _configure(args, ExperimentConfig)
+    for path in _write_tables(args.tables(args, cfg)):
+        print(f"wrote {path} ({cfg.n_points} rows)")
+    return 0
+
+
+def _gfactor_tables(args, cfg):
     times, gs = _g_sweep(cfg)
     path = args.out or cfg.output_path or "gfactor.csv"
-    _write_table(path, "t_seconds,t_ks,g,delta", _timed(times, gs, suppression_factor(gs)))
-    print(f"wrote {path} ({cfg.n_points} rows)")
-    return 0
+    return [(path, "t_seconds,t_ks,g,delta", _timed(times, gs, suppression_factor(gs)))]
 
 
 _BASIS_LABELS = ("00", "01", "10", "11")
@@ -452,21 +470,17 @@ _EVOLVE_CSV_HEADER = "t_seconds,t_ks," + ",".join(
 )
 
 
-def _cmd_evolve(args) -> int:
-    cfg = _configure(args, ExperimentConfig)
+def _evolve_tables(args, cfg):
     times, gs = _g_sweep(cfg)
     params1, params2 = QubitParams(cfg.e_j1), QubitParams(cfg.e_j2)
     states = evolve_pair(initial_state(cfg.alpha), params1, params2, gs, gs, times)
     # each state's 16 entries as (re, im) pairs, row-major
     entries = states.view(float).reshape(times.size, -1)
     path = args.out or cfg.output_path or "evolve.csv"
-    _write_table(path, _EVOLVE_CSV_HEADER, _timed(times, *entries.T))
-    print(f"wrote {path} ({cfg.n_points} rows)")
-    return 0
+    return [(path, _EVOLVE_CSV_HEADER, _timed(times, *entries.T))]
 
 
-def _cmd_fig1(args) -> int:
-    cfg = _configure(args, ExperimentConfig)
+def _fig1_tables(args, cfg):
     if args.alpha is not None:
         paths, alphas = [args.out or cfg.output_path or "fig1_custom.csv"], [cfg.alpha]
     else:
@@ -477,24 +491,17 @@ def _cmd_fig1(args) -> int:
             raise IoError(f"cannot create {outdir}: {exc}") from exc
         paths = [os.path.join(outdir, f"fig1_alpha{k}.csv") for k in (1, 2, 3)]
         alphas = [complex(k) for k in (1, 2, 3)]
-    times, gs = _g_sweep(cfg)  # G does not depend on alpha: one sweep serves all
-    # the bundle is validated whole before any table is written; its tables
-    # are then formatted in one pass (they share t, G, delta and d), and
-    # written and reported in turn
-    tables = _columns(cfg, alphas, times, gs)
-    memo = {}
-    _cells([column for columns in tables for column in columns], memo)
-    for path, columns in zip(paths, tables):
-        _write_table(path, CSV_HEADER, columns, memo)
-        print(f"wrote {path} ({cfg.n_points} rows)")
-    return 0
+    # G does not depend on alpha: one sweep serves all; the bundle is
+    # validated whole here, before any table is written
+    tables = _columns(cfg, alphas, *_g_sweep(cfg))
+    return [(path, CSV_HEADER, columns) for path, columns in zip(paths, tables)]
 
 
 def _cmd_oracle_check(args) -> int:
     cfg = _configure(args, OracleCheckConfig)
     rows, violations = run_oracle_check(cfg)
     path = args.out or cfg.output_path or "oracle_check.csv"
-    _write_table(path, ORACLE_CSV_HEADER, np.array(rows, dtype=float).T)
+    (path,) = _write_tables([(path, ORACLE_CSV_HEADER, np.array(rows, dtype=float).T)])
     label = "zero" if cfg.beta is None else f"beta = {cfg.beta:g} s"
     print(
         f"system: e_j = {cfg.e_j:.3e} rad/s, mode omega = {cfg.omega:.3e} rad/s, "
@@ -554,15 +561,15 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     sub.add_parser(
         "gfactor", parents=[common, grid], help="tabulate the exponent G and factor delta"
-    ).set_defaults(func=_cmd_gfactor, alpha=None)
+    ).set_defaults(func=_cmd_sweep, tables=_gfactor_tables, alpha=None)
     sub.add_parser(
         "evolve", parents=[common, weight, grid], help="two-qubit state trajectory as CSV"
-    ).set_defaults(func=_cmd_evolve)
+    ).set_defaults(func=_cmd_sweep, tables=_evolve_tables)
     sub.add_parser(
         "fig1",
         parents=[common, weight, grid],
         help="bundled concurrence experiment (three sweeps)",
-    ).set_defaults(func=_cmd_fig1)
+    ).set_defaults(func=_cmd_sweep, tables=_fig1_tables)
     oracle = sub.add_parser(
         "oracle-check", parents=[common], help="brute-force channel validation"
     )

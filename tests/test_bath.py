@@ -436,3 +436,17 @@ def test_discrete_phase_overflow_names_its_time_point(temp):
     ):
         g_discrete(bath, temp, 1e300)
     assert math.isfinite(g_discrete(bath, temp, 1e297))
+
+
+@TEMPERATURES
+def test_an_exponent_past_float_range_is_inf_without_a_warning(temp):
+    # the documented result: G = inf, and delta = exp(-4 G) = 0; warnings
+    # are errors in this suite, so an overflow warning fails here
+    t = [0.0, 1e-12, 1e-11]
+    g = g_ohmic_closed(OhmicBath(1e308, 1e12), temp, t)
+    assert g[0] == 0.0 and g[-1] == math.inf
+    assert g_discrete(DiscreteBath(((1e11, 1e200),)), temp, 1e-12) == math.inf
+    # two summands of about 1e308 each: the sum overflows, not a square
+    assert g_discrete(DiscreteBath(((1e11, 2e166), (1e11, 2e166))), temp, 1e-12) == math.inf
+    assert suppression_factor(1e308) == 0.0
+    assert suppression_factor(g).tolist() == [1.0, 0.0, 0.0]

@@ -855,3 +855,16 @@ def test_bloch_scan_has_the_matrix_bits(monkeypatch, grid, g, t):
     assert len(checked) == 3
     for seen, want in zip(checked, states):
         assert same_bits(seen, want)
+
+
+def test_an_exponent_past_float_range_dephases_fully_without_a_warning():
+    # -4 G overflows for G above 4.5e307: delta = exp(-inf) = 0, the result of
+    # G = inf (full dephasing), with no overflow warning (an error here)
+    plus = np.full((2, 2), 0.5, dtype=complex)
+    params = QubitParams(1e10)
+    full = evolve_single(plus, params, math.inf, 1e-12)
+    assert np.array_equal(evolve_single(plus, params, 1e308, 1e-12), full)
+    assert max_decoherence_analytic(1e308) == 0.5
+    bell, ts = initial_state(1.0), np.array([0.0, 1e-12])
+    states = evolve_pair(bell, params, params, np.array([0.0, 1e308]), np.array([0.0, 1e308]), ts)
+    assert np.array_equal(states[1], evolve_pair(bell, params, params, math.inf, math.inf, 1e-12))

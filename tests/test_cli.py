@@ -538,12 +538,17 @@ def test_each_flag_overrides_its_config_key(tmp_path, monkeypatch, command, flag
     [
         (["gfactor", "--points", "1000000000000000"], ""),
         (["oracle-check"], "oracle_samples = 1000000000000000\n"),
+        (["gfactor", "--points", str(2**60)], ""),
+        (["gfactor", "--points", str(2**63 - 1)], ""),
+        (["oracle-check"], "oracle_samples = 1000000000000000000\n"),
     ],
-    ids=["points", "oracle_samples"],
+    ids=["points", "oracle_samples", "points_2_60", "points_max", "oracle_samples_1e18"],
 )
 def test_main_exit_two_on_a_config_too_large_for_memory(tmp_path, capsys, argv, text):
     # the arrays of 10**15 rows these size lie beyond a 64-bit process's
-    # address space, so the allocation fails at once and takes no memory
+    # address space, so the allocation fails at once and takes no memory;
+    # a count past sys.maxsize // 1024, where numpy's sizing would fail
+    # before allocating, is rejected by name first
     conf = tmp_path / "big.conf"
     conf.write_text(text, encoding="utf-8")
     out = tmp_path / "x.csv"
@@ -551,6 +556,35 @@ def test_main_exit_two_on_a_config_too_large_for_memory(tmp_path, capsys, argv, 
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("config error: ") and captured.err.count("\n") == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv, text, named",
+    [
+        # a config file that is not UTF-8
+        (["gfactor"], b"eta = 1e-5 # \xff\n", "is not UTF-8 text"),
+        (["oracle-check"], b"oracle_t = 1e-13\xe9\n", "is not UTF-8 text"),
+        # grids the rules used to admit, on which the sweep failed or warned
+        (["fig1"], b"e_j1 = 1e308\ne_j2 = -1e308\nt_end = 1\n", "e_j1 * t_end - e_j2"),
+        (["evolve"], b"e_j1 = 1e308\ne_j2 = -1e308\nt_end = 1\n", "e_j1 * t_end - e_j2"),
+        (
+            ["gfactor"],
+            b"omega_c = 1e-200\ne_j1 = 1e-10\ne_j2 = 1e-10\nt_end = 1e300\n",
+            "t_end / KS_IN_SECONDS",
+        ),
+    ],
+    ids=["sweep_not_utf8", "oracle_not_utf8", "fig1_phase_gap", "evolve_phase_gap", "t_ks"],
+)
+def test_main_exit_two_on_input_it_cannot_take(tmp_path, capsys, argv, text, named):
+    conf = tmp_path / "run.conf"
+    conf.write_bytes(text)
+    out = tmp_path / "out"
+    assert main(argv + ["--config", str(conf), "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    (line,) = captured.err.splitlines()
+    assert line.startswith("config error: ") and named in line
     assert not out.exists()
 
 
@@ -668,6 +702,55 @@ def test_every_oracle_check_config_runs_or_is_rejected_by_name(drawn):
         else:
             ratio = abs(values["oracle_g"]) / values["oracle_omega"]
             assert (code, values["oracle_n_max"]) == (3, 1) and ratio >= 0.4, stderr.getvalue()
+
+
+@st.composite
+def sweep_config_lines(draw):
+    """A sweep config with every scale log-uniform on 1e-300..1e300: ``eta``,
+    ``omega_c``, ``t_end``, each ``E_J`` of either sign, ``beta`` for about
+    half the draws, a complex ``alpha`` of any modulus, and a few points."""
+    wide = log_uniform(1e-300, 1e300)
+    sign = st.sampled_from([1.0, -1.0])
+    phase = draw(st.floats(0.0, 2.0 * math.pi))
+    modulus = draw(wide)
+    lines = {
+        "eta": draw(wide),
+        "omega_c": draw(wide),
+        "e_j1": draw(sign) * draw(wide),
+        "e_j2": draw(sign) * draw(wide),
+        "alpha": complex(modulus * math.cos(phase), modulus * math.sin(phase)),
+        "t_end": draw(wide),
+        "n_points": draw(st.integers(2, 6)),
+    }
+    if draw(st.booleans()):
+        lines["beta"] = draw(wide)
+    return "".join(f"{key} = {value!r}\n" for key, value in lines.items()), lines
+
+
+@settings(derandomize=True, max_examples=120, deadline=None)
+@given(sweep_config_lines(), st.sampled_from(["gfactor", "evolve", "fig1"]))
+def test_every_sweep_config_runs_or_is_rejected_by_name(drawn, command):
+    # accepted: exit 0, nothing on stderr (no numpy warning either) and
+    # n_points rows per table; rejected: exit 2 with one config error line
+    text, values = drawn
+    with tempfile.TemporaryDirectory() as tmp:
+        conf, out = os.path.join(tmp, "sweep.conf"), os.path.join(tmp, "out")
+        with open(conf, "w", encoding="utf-8") as handle:
+            handle.write(text)
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            code = main([command, "--config", conf, "--out", out])
+        if code == 0:
+            assert stderr.getvalue() == ""
+            paths = [line.split()[1] for line in stdout.getvalue().splitlines()]
+            assert len(paths) == (3 if command == "fig1" else 1)
+            for path in paths:
+                _, data = read_rows(path)
+                assert data.shape[0] == values["n_points"]
+        else:
+            assert code == 2, stderr.getvalue()
+            (line,) = stderr.getvalue().splitlines()
+            assert line.startswith("config error: ")
 
 
 def test_load_config_round_trip_through_disk(tmp_path):
@@ -812,12 +895,14 @@ def test_sweep_runs_where_omega_c_t_reaches_500(tmp_path, command):
 
 
 @pytest.mark.parametrize("beta", [[], ["--beta", "2e-12"]], ids=["zero", "finite"])
-def test_sweep_exits_three_naming_t_when_omega_c_t_squared_overflows(
-    tmp_path, capsys, beta
-):
-    argv = ["gfactor", "--t-end-ps", "1e308", "--points", "2", *beta]
-    assert main(argv + ["--out", str(tmp_path / "x")]) == 3
-    assert capsys.readouterr().err.startswith("numerical failure: at t = 1.000000e+296 s: ")
+def test_sweep_rejects_a_grid_whose_omega_c_t_squared_overflows(tmp_path, capsys, beta):
+    # a config rule now, at either temperature; g_ohmic_closed still raises
+    # ToleranceNotMet naming t for such a grid when called directly
+    for grid in (["--t-end-ps", "1e308"], ["--omega-c", "1e300"]):
+        argv = ["gfactor", *grid, "--points", "2", *beta]
+        assert main(argv + ["--out", str(tmp_path / "x")]) == 2
+        err = capsys.readouterr().err
+        assert err == "config error: (omega_c * t_end)**2 must be finite\n"
 
 
 def exit_code(argv):
@@ -1153,20 +1238,22 @@ def test_writer_matches_the_per_cell_formula_on_special_values(tmp_path):
     header = ",".join(f"c{k}" for k in range(len(columns)))
     rows = [list(row) for row in zip(*(c.tolist() for c in columns))]
     out = tmp_path / "special.csv"
-    cli_module._write_table(str(out), header, columns)
+    assert list(cli_module._write_tables([(str(out), header, columns)])) == [str(out)]
     assert out.read_bytes() == reference_csv(header, rows)
     assert b"-0.0000000000000000e+00" in out.read_bytes()
 
 
-def test_writer_memo_keeps_signed_zeros_apart_across_tables(tmp_path):
-    memo = {}
+def test_writer_memo_keeps_signed_zeros_apart_across_tables(tmp_path, monkeypatch):
+    # one call writes both tables: the two distinct columns (by bytes, so
+    # 0.0 and -0.0 apart) are formatted once, together, for all three uses
+    formatted = counting(monkeypatch, "format_cells", celltext)
     zero, minus_zero = np.array([0.0, 1.0]), np.array([-0.0, 1.0])
     first, second = tmp_path / "a.csv", tmp_path / "b.csv"
-    cli_module._write_table(str(first), "x", [zero], memo)
-    cli_module._write_table(str(second), "x,y", [minus_zero, zero], memo)
+    tables = [(str(first), "x", [zero]), (str(second), "x,y", [minus_zero, zero])]
+    assert list(cli_module._write_tables(tables)) == [str(first), str(second)]
     assert first.read_bytes() == reference_csv("x", [[0.0], [1.0]])
     assert second.read_bytes() == reference_csv("x,y", [[-0.0, 0.0], [1.0, 1.0]])
-    assert len(memo) == 2
+    assert [args[0].size for args in formatted] == [4]
 
 
 def test_emit_csv_matches_the_per_cell_formula_on_special_values(tmp_path):
@@ -1182,7 +1269,8 @@ def test_emit_csv_matches_the_per_cell_formula_on_special_values(tmp_path):
 )
 def test_a_table_without_rows_is_its_header_line(tmp_path, columns):
     out = tmp_path / "empty.csv"
-    cli_module._write_table(str(out), cli_module.ORACLE_CSV_HEADER, columns)
+    (written,) = cli_module._write_tables([(str(out), cli_module.ORACLE_CSV_HEADER, columns)])
+    assert written == str(out)
     assert out.read_bytes() == (cli_module.ORACLE_CSV_HEADER + "\n").encode("utf-8")
 
 
@@ -1195,6 +1283,26 @@ def test_fig1_bundle_formats_each_distinct_column_once(tmp_path, monkeypatch):
     assert [args[0].size for args in formatted] == [11 * REF_POINTS]
     for k in (1, 2, 3):
         assert (bundle / f"fig1_alpha{k}.csv").read_bytes() == reference_fig1(complex(k), None)
+
+
+def test_fig1_bundle_reports_the_tables_written_before_a_write_error(tmp_path, capsys):
+    # the tables are written in turn: a second table that cannot be written
+    # leaves the first on disk and its wrote line on stdout, then exits 4
+    bundle = tmp_path / "bundle"
+    (bundle / "fig1_alpha2.csv").mkdir(parents=True)
+    assert main(sweep_argv("fig1", bundle, None)) == 4
+    out, err = capsys.readouterr()
+    assert out == f"wrote {bundle / 'fig1_alpha1.csv'} ({REF_POINTS} rows)\n"
+    assert err.startswith(f"io error: cannot write {bundle / 'fig1_alpha2.csv'}: ")
+    assert sorted(os.listdir(bundle)) == ["fig1_alpha1.csv", "fig1_alpha2.csv"]
+
+
+@pytest.mark.parametrize("command", ["gfactor", "evolve", "fig1"])
+def test_a_sweep_whose_g_overflows_runs_silently(tmp_path, capsys, command):
+    # eta = 1e308: G past float range is inf, and -4 G past it gives delta = 0,
+    # with no numpy warning (an error in this suite)
+    assert main([command, "--eta", "1e308", "--points", "5", "--out", str(tmp_path / "o")]) == 0
+    assert capsys.readouterr().err == ""
 
 
 @pytest.mark.parametrize("failing", [2, 3], ids=["table2", "table3"])

@@ -12,6 +12,7 @@ therefore carries seconds.
 
 from __future__ import annotations
 
+import cmath
 import math
 import sys
 from dataclasses import dataclass
@@ -67,8 +68,8 @@ class Temperature:
 class DiscreteBath:
     """Finite list of bath modes ``(omega_k, g_k)``.
 
-    Frequencies are strictly positive; couplings are complex, but only
-    ``|g_k|^2`` enters the exponent.
+    Frequencies are strictly positive and couplings finite; couplings are
+    complex, but only ``|g_k|^2`` enters the exponent.
     """
 
     modes: tuple[tuple[float, complex], ...]
@@ -79,6 +80,8 @@ class DiscreteBath:
             raise ValueError("mode list must be non-empty")
         if any(w <= 0.0 for w, _ in modes):
             raise ValueError("mode frequencies must be strictly positive")
+        if not all(math.isfinite(w) and cmath.isfinite(g) for w, g in modes):
+            raise ValueError("mode frequencies and couplings must be finite")
         object.__setattr__(self, "modes", modes)
 
 

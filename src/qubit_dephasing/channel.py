@@ -166,7 +166,8 @@ def evolve_single(rho0, params: QubitParams, g_value: float, t: float) -> np.nda
     if not g_value >= 0.0:
         raise ValueError("g_value must be nonnegative")
     _check_times(t)
-    return _evolve_checked(a, params.e_j, g_value, t)
+    # a Python float's -4 G overflows to -inf silently, a numpy scalar's warns
+    return _evolve_checked(a, params.e_j, float(g_value), t)
 
 
 def _pair_points(g1, g2, t) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -227,6 +228,8 @@ def lambda_norm(sigma) -> float | np.ndarray:
     a = np.asarray(sigma, dtype=complex)
     if a.ndim < 2 or a.shape[-2:] != (2, 2) or a.size == 0:
         raise InvalidState(f"expected a 2x2 matrix, got shape {a.shape}")
+    if not np.isfinite(a).all():
+        raise InvalidState("deviation entries must be finite")
     margins = _qubit_margins(a, trace=0.0)
     defect = next(margins)
     if defect > HERMITICITY_TOL:

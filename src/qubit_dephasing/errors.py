@@ -1,5 +1,16 @@
 """Exception types shared across the library."""
 
+__all__ = [
+    "ConfigError",
+    "DephasingError",
+    "DimensionTooLarge",
+    "InvalidState",
+    "IoError",
+    "NoConvergence",
+    "NonHermitian",
+    "ToleranceNotMet",
+]
+
 
 class DephasingError(Exception):
     """Base class for all library-specific errors."""

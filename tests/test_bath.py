@@ -345,6 +345,11 @@ def test_discrete_bath_validation():
         DiscreteBath(((0.0, 1.0),))
     with pytest.raises(ValueError):
         DiscreteBath(((-1e10, 1.0),))
+    # non-finite modes are bad input, not a numerical failure in g_discrete
+    for mode in ((math.nan, 1.0), (math.inf, 1.0), (1e11, math.nan),
+                 (1e11, math.inf), (1e11, complex(1e10, -math.inf))):
+        with pytest.raises(ValueError, match="^mode frequencies and couplings must be finite$"):
+            DiscreteBath(((1e10, 1e9), mode))
 
 
 def test_ohmic_bath_validation():

@@ -732,6 +732,8 @@ def reference_hermitize(out):
 
 def reference_lambda_norm(sigma):
     a = np.asarray(sigma, dtype=complex)
+    if not np.isfinite(a).all():
+        raise InvalidState("deviation entries must be finite")
     defect = float(np.abs(a - a.conj().swapaxes(-1, -2)).max())
     if defect > channel.HERMITICITY_TOL:
         raise InvalidState(f"deviation not Hermitian, defect {defect:.3e}")
@@ -811,9 +813,12 @@ def test_entrywise_lambda_norm_has_the_matrix_bits(stack, g, t):
         lambda s: s.__setitem__((5, 1, 0), s[5, 1, 0] - 4e-10j),
         lambda s: s.__setitem__((2, 1, 1), s[2, 1, 1] + 1e-9),
         lambda s: s.__setitem__((slice(None), 0, 0), s[:, 0, 0] + 5e-12 - 1e-13j),
+        lambda s: s.__setitem__((4, 1, 0), complex(math.nan, 0.0)),
+        lambda s: s.__setitem__((6, 0, 0), math.inf),
+        lambda s: s.__setitem__((1, 0, 1), complex(0.0, -math.inf)),
     ],
     ids=["diagonal_imaginary", "off_diagonal_real", "off_diagonal_imaginary",
-         "traceful", "traceful_everywhere"],
+         "traceful", "traceful_everywhere", "nan", "inf", "imaginary_minus_inf"],
 )
 def test_entrywise_lambda_norm_rejects_with_the_matrix_messages(spoil):
     rng = np.random.default_rng(32)
@@ -863,7 +868,13 @@ def test_an_exponent_past_float_range_dephases_fully_without_a_warning():
     plus = np.full((2, 2), 0.5, dtype=complex)
     params = QubitParams(1e10)
     full = evolve_single(plus, params, math.inf, 1e-12)
-    assert np.array_equal(evolve_single(plus, params, 1e308, 1e-12), full)
+    past_range = evolve_single(plus, params, 1e308, 1e-12)
+    assert np.array_equal(past_range, full)
+    # a numpy scalar exponent gives the Python float's bits, as silently
+    assert same_bits(evolve_single(plus, params, np.float64(1e308), 1e-12), past_range)
+    assert max_decoherence_numeric(params, np.float64(1e308), 1e-12, 8) == (
+        max_decoherence_numeric(params, 1e308, 1e-12, 8)
+    )
     assert max_decoherence_analytic(1e308) == 0.5
     bell, ts = initial_state(1.0), np.array([0.0, 1e-12])
     states = evolve_pair(bell, params, params, np.array([0.0, 1e308]), np.array([0.0, 1e308]), ts)

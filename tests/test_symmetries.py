@@ -9,15 +9,17 @@ import contextlib
 import io
 import math
 import os
+import re
 import tempfile
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qubit_dephasing.channel import QubitParams, evolve_pair
-from qubit_dephasing.cli import main
+from qubit_dephasing.cli import OracleCheckConfig, main, run_oracle_check
 from qubit_dephasing.entanglement import family_concurrence
+from qubit_dephasing.errors import ConfigError
 
 EPS = np.finfo(float).eps
 SWAP = np.eye(4)[[0, 2, 1, 3]]  # |q1 q2> -> |q2 q1>
@@ -58,14 +60,14 @@ def scalable_configs(draw):
 FREQUENCIES, TIMES = ("omega_c", "e_j1", "e_j2"), ("t_start", "t_end", "beta")
 
 
-def scaled(values, m):
+def scaled(values, m, frequencies=FREQUENCIES, times=TIMES):
     """``values`` with every frequency times ``2**m`` and every time over it."""
     out = dict(values)
-    for key in FREQUENCIES:
-        out[key] = math.ldexp(values[key], m)
-    for key in TIMES:
+    for key in frequencies:
+        out[key] = values[key] * 2.0**m
+    for key in times:
         if key in values:
-            out[key] = math.ldexp(values[key], -m)
+            out[key] = values[key] * 2.0**-m
     return out
 
 
@@ -170,3 +172,85 @@ def test_the_sign_of_alpha_leaves_the_concurrence_bit_identical(alpha, point):
     p1, p2, g1, g2, t = point
     c = family_concurrence(alpha, p1, p2, g1, g2, t)
     assert family_concurrence(-alpha, p1, p2, g1, g2, t) == c
+
+
+# -- dimensionless scaling of oracle-check -------------------------------------
+
+# Both deviations are the largest entrywise gap between two qubit states,
+# whose entries are at most 1: their rounding noise is absolute, ten times
+# the 1e-15 that oracle-check reads at its defaults, whatever their size.
+DEVIATION_NOISE = 1e-14
+SCALING_REL_TOL = 1e-12
+ORACLE_FREQUENCIES, ORACLE_TIMES = ("omega", "g", "e_j"), ("t", "beta")
+
+
+@st.composite
+def oracle_configs(draw):
+    """An ``oracle-check`` config over the ranges of the CLI property:
+    ``omega`` within 1e8..1e14 rad/s and every dimensionless product
+    (``|g|/omega``, ``E_J/omega``, ``omega t``, ``beta omega``) within
+    1e-3..1e2, couplings far past the truncation included, so each value
+    scaled by up to 2**8 either way stays far inside float range, where
+    scaling by a power of two is exact."""
+    omega = draw(log_uniform(1e8, 1e14))
+    phase = draw(st.floats(0.0, 2.0 * math.pi))
+    g = draw(log_uniform(1e-3, 30.0)) * omega
+    values = {
+        "omega": omega,
+        "g": complex(g * math.cos(phase), g * math.sin(phase)),
+        "n_max": draw(st.integers(2, 12)),
+        "e_j": draw(st.sampled_from([1.0, -1.0])) * draw(log_uniform(1e-3, 10.0)) * omega,
+        "t": draw(log_uniform(0.01, 10.0)) / omega,
+    }
+    if draw(st.booleans()):
+        values["beta"] = draw(log_uniform(0.1, 100.0)) / omega
+    return values
+
+
+def run_oracle(values):
+    try:
+        return run_oracle_check(OracleCheckConfig(**values))
+    except ConfigError as exc:
+        return str(exc)
+
+
+def agree(a, b, noise):
+    return (math.isnan(a) and math.isnan(b)) or abs(b - a) <= SCALING_REL_TOL * abs(a) + noise
+
+
+def without_numbers(message):
+    return re.sub(r"-?\d+\.\d+(e[-+]\d+)?", "#", message)
+
+
+# a coupling 20 times omega: the halving-ratio gate fires (ratio 2.95)
+OVERSIZED_COUPLING = {"omega": 1e11, "g": 2e12 + 0j, "n_max": 8, "e_j": 1e10, "t": 4e-13}
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(oracle_configs(), st.integers(-8, 8))
+@example(OVERSIZED_COUPLING, 5)
+@example(OVERSIZED_COUPLING, -7)
+def test_scaling_oracle_frequencies_up_and_times_down_keeps_the_check(values, m):
+    # the propagators depend on omega t, g t, E_J t and beta omega: with
+    # omega, g and E_J times 2**m and t and beta over it, t_seconds scales
+    # exactly, the same gates fire, and the other columns agree within a
+    # relative 1e-12 over the deviations' absolute rounding noise (LAPACK's
+    # eigh is not promised to be scale-equivariant; here they are bit-equal)
+    base = run_oracle(values)
+    other = run_oracle(scaled(values, m, ORACLE_FREQUENCIES, ORACLE_TIMES))
+    if isinstance(base, str):  # a rejected config is rejected alike
+        assert other == base
+        return
+    (rows, violations), (scaled_rows, scaled_violations) = base, other
+    assert [without_numbers(v) for v in scaled_violations] == [
+        without_numbers(v) for v in violations
+    ]
+    assert len(scaled_rows) == len(rows)
+    for row, scaled_row in zip(rows, scaled_rows):
+        assert scaled_row.t_seconds == row.t_seconds * 2.0**-m
+        dev, ratio = row.split_vs_exact, row.ratio_at_half_t
+        assert agree(dev, scaled_row.split_vs_exact, DEVIATION_NOISE)
+        assert agree(row.channel_vs_split, scaled_row.channel_vs_split, DEVIATION_NOISE)
+        # dev / half_dev, with half_dev = dev / ratio, carries both noises
+        noise = DEVIATION_NOISE * (1.0 + ratio) * ratio / dev if dev > 0.0 else math.inf
+        assert agree(ratio, scaled_row.ratio_at_half_t, noise)

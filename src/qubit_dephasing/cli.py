@@ -28,7 +28,6 @@ from .entanglement import _checked_alpha, family_concurrence_rows, initial_state
 from .errors import (
     ConfigError,
     DephasingError,
-    DimensionTooLarge,
     IoError,
     ToleranceNotMet,
 )
@@ -39,6 +38,7 @@ from .oracle import (
     check_thermal_tail,
     split_deviation,
 )
+from .qmath import MAX_EXPONENTIAL_DIM
 
 __all__ = [
     "CSV_HEADER",
@@ -164,10 +164,12 @@ class OracleCheckConfig:
             raise ConfigError("oracle_omega must be positive")
         if self.n_max < 1:
             raise ConfigError("oracle_n_max must be at least 1")
-        try:
-            OracleSystem(self.e_j, (FockMode(self.omega, self.g, self.n_max),))
-        except DimensionTooLarge as exc:
-            raise ConfigError(f"oracle_n_max = {self.n_max}: {exc}") from None
+        # the one mode's levels are the bath dimension that OracleSystem caps
+        if self.n_max + 1 > MAX_EXPONENTIAL_DIM:
+            raise ConfigError(
+                f"oracle_n_max = {self.n_max}: bath dimension {self.n_max + 1} "
+                f"exceeds cap {MAX_EXPONENTIAL_DIM}"
+            )
         if self.beta is not None and not self.beta > 0.0:
             raise ConfigError("oracle_beta must be positive when given")
         if not self.t > 0.0:

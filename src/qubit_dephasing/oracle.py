@@ -8,15 +8,21 @@ generator with couplings ``|g_k|`` to the one with ``g_k`` and commutes
 with every bath state used here, so the reduced maps come from real
 symmetric spectra. Each map is a sum over Bohr frequencies, ``sum_{m,n}
 exp(-i (w[m] - w'[n]) t) K[m, n]``, whose real kernels ``K`` are built once
-per system and temperature; no evolve forms a propagator larger than the
-qubit's. Reduced qubit states enter and leave in the computational
-(sigma_z) basis; :func:`to_eigenbasis` converts to the
-energy eigenbasis used by the channel module, with the higher-energy
-eigenstate ``(|0> - |1>)/sqrt(2)`` first.
+per system and temperature. When the bath state occupies one level, its
+vacuum (at zero temperature, or where the excited Gibbs weights underflow),
+no kernel is built: the maps need only the propagator columns ``U[:, 0] =
+V (e o V[0])``, and the system keeps the vacuum rows ``V[0]``. No evolve
+forms a propagator larger than the qubit's. Each system builds its
+spectra, the stacked eigenvalues of its two parity blocks, its bath
+parities and dimension and its ``DiscreteBath`` once. Reduced qubit
+states enter and leave in the computational (sigma_z) basis;
+:func:`to_eigenbasis` converts to the energy eigenbasis used by the channel
+module, with the higher-energy eigenstate ``(|0> - |1>)/sqrt(2)`` first.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache
@@ -24,7 +30,7 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from .bath import DiscreteBath, Temperature, _check_times, g_discrete
-from .channel import QubitParams, _evolve_checked, check_qubit_state
+from .channel import _evolve_checked, check_qubit_state
 from .errors import DimensionTooLarge, NonHermitian
 from .qmath import (
     MAX_EXPONENTIAL_DIM,
@@ -81,9 +87,13 @@ class FockMode:
     def __post_init__(self):
         if not self.omega > 0.0:
             raise ValueError("omega must be positive")
+        if not math.isfinite(self.omega):
+            raise ValueError("omega must be finite")
         if self.n_max < 1:
             raise ValueError("n_max must be at least 1")
         object.__setattr__(self, "g", complex(self.g))
+        if not cmath.isfinite(self.g):
+            raise ValueError("g must be finite")
 
     @property
     def levels(self) -> int:
@@ -98,6 +108,8 @@ class OracleSystem:
     modes: tuple[FockMode, ...]
 
     def __post_init__(self):
+        if not math.isfinite(self.e_j):
+            raise ValueError("e_j must be finite")
         object.__setattr__(self, "modes", tuple(self.modes))
         # no evolve builds a matrix larger than the bath space
         if self.bath_dim > MAX_EXPONENTIAL_DIM:
@@ -105,7 +117,7 @@ class OracleSystem:
                 f"bath dimension {self.bath_dim} exceeds cap {MAX_EXPONENTIAL_DIM}"
             )
 
-    @property
+    @cached_property
     def bath_dim(self) -> int:
         return math.prod(mode.levels for mode in self.modes)
 
@@ -113,9 +125,14 @@ class OracleSystem:
     def total_dim(self) -> int:
         return 2 * self.bath_dim
 
-    # Spectra of the time-independent generators, diagonalized on first use
-    # and kept as long as the system: an evolve call only rebuilds exp(-i w t).
-    # A build that raises is not cached.
+    # Spectra of the time-independent generators, and the constants derived
+    # from the system alone, built on first use and kept as long as the
+    # system: an evolve call only rebuilds exp(-i w t). A build that raises
+    # is not cached.
+
+    @cached_property
+    def _parity(self) -> np.ndarray:
+        return _read_only(_bath_parity(self.modes))
 
     @cached_property
     def _block_spectra(self):
@@ -123,8 +140,14 @@ class OracleSystem:
         # sectors |s;b> = (|0,b> + s pi_b |1,b>)/sqrt(2), s = +-1, the
         # Hamiltonian is H_B + V - s (E_J/2) diag(pi), real in the gauge
         h = _real_bath_generator(self.modes)
-        tunneling = np.diag(0.5 * self.e_j * _bath_parity(self.modes))
+        tunneling = np.diag(0.5 * self.e_j * self._parity)
         return _frozen_spectrum(h - tunneling), _frozen_spectrum(h + tunneling)
+
+    @cached_property
+    def _block_eigenvalues(self) -> np.ndarray:
+        # both blocks' eigenvalues as the columns of one (B, 2) array, so
+        # that one spectral_phases call serves a time
+        return _read_only(np.stack([w for w, _ in self._block_spectra], axis=1))
 
     @cached_property
     def _qubit_spectrum(self):
@@ -138,9 +161,15 @@ class OracleSystem:
         return tuple(_frozen_spectrum(_real_bath_generator((m,))) for m in self.modes)
 
     @cached_property
+    def _discrete_bath(self) -> DiscreteBath:
+        # the modes as the analytic channel's bath; only a system with modes
+        # asks for it
+        return DiscreteBath(tuple((m.omega, m.g) for m in self.modes))
+
+    @cached_property
     def _kernels(self) -> dict:
         # (kernel builder, temp) -> that step's read-only Bohr-sum kernels,
-        # oldest first; see _kernel
+        # or vacuum rows, oldest first; see _kernel
         return {}
 
     @cached_property
@@ -150,12 +179,17 @@ class OracleSystem:
         return {}
 
 
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
 def _frozen_spectrum(h: np.ndarray):
     spectrum = hermitian_spectrum(h)
     if spectrum is None:
         raise NonHermitian("oracle generator is not Hermitian")
     for part in spectrum:
-        part.flags.writeable = False
+        _read_only(part)
     return spectrum
 
 
@@ -316,7 +350,7 @@ def _memoized(memo: dict, size: int, key, build):
     if key not in memo:
         parts = build()
         for part in parts:
-            part.flags.writeable = False
+            _read_only(part)
         if len(memo) >= size:
             del memo[next(iter(memo))]
         memo[key] = parts
@@ -339,6 +373,11 @@ def _real_matmul(a: np.ndarray, z: np.ndarray) -> np.ndarray:
     # a @ z for a real matrix a and a complex 2-D z, as one real product over
     # z's interleaved real and imaginary parts: no complex copy of a
     return (a @ np.ascontiguousarray(z).view(float)).view(complex)
+
+
+def _vacuum_column(v: np.ndarray, phases: np.ndarray, row: np.ndarray) -> np.ndarray:
+    # U[:, 0] = V (e o V[0]) of U = V diag(e) V^T, from the kept row V[0]
+    return _real_matmul(v, (phases * row)[:, None])[:, 0]
 
 
 # Dense exact-step kernels, in the order _exact_kernels stacks them: for
@@ -366,20 +405,25 @@ _SECTOR_COEFFICIENTS = _sector_coefficients()
 
 
 def _exact_kernels(sys: OracleSystem, temp: Temperature):
-    # K = (V_s^T Pi^x V_s') o (V_s^T diag(p) Pi^y V_s') for the sectors of
-    # _DENSE_SECTORS, stacked; where the overlap is the identity, each level
-    # pairs with itself at Bohr frequency 0 and T^{0y}_{ss} is the constant
-    # tr(diag(p) Pi^y), kept for y = 0, 1. When every occupied level is even,
-    # zero temperature included, diag(p) Pi = diag(p): only the y = 0 kernels
-    # are built, and they serve y = 1 as well.
+    # The traces tr(diag(p) Pi^y), y = 0, 1: where the overlap is the
+    # identity, each level pairs with itself at Bohr frequency 0 and
+    # T^{0y}_{ss} is that constant. With one occupied bath level, the bath
+    # sits in its vacuum (level 0 has Gibbs weight one in every mode, and
+    # even parity), so T needs only the columns U_s[:, 0]: the kept part is
+    # the rows V_s[0] of both blocks. Otherwise an odd level is occupied
+    # too, and the kept part is the dense kernels K = (V_s^T Pi^x V_s') o
+    # (V_s^T diag(p) Pi^y V_s') of _DENSE_SECTORS, formed from the occupied
+    # levels.
     weights = _bath_weights(sys, temp)
-    parity = _bath_parity(sys.modes)
+    parity = sys._parity
+    traces = np.array([weights.sum(), weights @ parity])
     occupied = np.flatnonzero(weights)
-    ys = (0, 1) if (parity[occupied] < 0.0).any() else (0,)
-    scales = [(weights * parity**y)[occupied] for y in ys]
     vecs = [v for _, v in sys._block_spectra]
+    if occupied.size == 1:
+        return np.stack([v[occupied[0]] for v in vecs]), traces
+    scales = [(weights * parity**y)[occupied] for y in (0, 1)]
     b = sys.bath_dim
-    dense = np.empty((len(ys), _DENSE_SECTORS.shape[1] // 2, b, b))
+    dense = np.empty((2, _DENSE_SECTORS.shape[1] // 2, b, b))
     slots = iter(dense.swapaxes(0, 1))
     for s, s2, xs in _DENSE_PAIRS:
         left, right = vecs[s], vecs[s2]
@@ -388,20 +432,27 @@ def _exact_kernels(sys: OracleSystem, temp: Temperature):
         for x in xs:
             overlap = left.T @ (right * parity[:, None]) if x else left.T @ right
             np.multiply(overlap, weighted, out=next(slots))
-    return dense.reshape(-1, b, b), np.array([weights.sum(), weights @ parity])
+    return dense.reshape(-1, b, b), traces
 
 
 def _exact_map(sys: OracleSystem, temp: Temperature, t: float):
-    dense, traces = _kernel(sys, _exact_kernels, temp)
-    s, s2, x, y = _DENSE_SECTORS
-    n = len(dense)  # 4 when only the y = 0 kernels were built
-    phases = np.stack([spectral_phases(w, t) for w, _ in sys._block_spectra], axis=1)
-    # K e_s'^* for both s' at once, then e_s^T of the column each kernel needs
-    right = _real_matmul(dense.reshape(-1, sys.bath_dim), phases.conj())
-    right = right.reshape(n, sys.bath_dim, 2)[np.arange(n), :, s2[:n]]
+    kept, traces = _kernel(sys, _exact_kernels, temp)
+    phases = spectral_phases(sys._block_eigenvalues, t)
     sums = np.empty((2, 2, 2, 2), dtype=complex)
-    values = np.einsum("bn,nb->n", phases[:, s[:n]], right)
-    sums[s, s2, x, y] = np.resize(values, len(s))  # y = 0 sums repeat for y = 1
+    if kept.ndim == 2:
+        # the vacuum rows: T^{xy}_{ss'} = sum_b pi_b^x psi_s[b] conj(psi_s'[b])
+        # for both y, with the columns psi_s = U_s[:, 0]
+        vecs = [v for _, v in sys._block_spectra]
+        psi = np.stack([_vacuum_column(vecs[s], phases[:, s], kept[s]) for s in (0, 1)])
+        conj = psi.conj().T
+        sums[:, :, 0] = (psi @ conj)[..., None]
+        sums[:, :, 1] = ((psi * sys._parity) @ conj)[..., None]
+    else:
+        s, s2, x, y = _DENSE_SECTORS
+        # K e_s'^* for both s' at once, then e_s^T of the column each kernel needs
+        right = _real_matmul(kept.reshape(-1, sys.bath_dim), phases.conj())
+        right = right.reshape(len(kept), sys.bath_dim, 2)[np.arange(len(kept)), :, s2]
+        sums[s, s2, x, y] = np.einsum("bn,nb->n", phases[:, s], right)
     for sector in range(2):  # T_ss is real; T_-+ is the conjugate of T_+-
         sums[sector, sector, 0] = traces
         sums[sector, sector, 1] = sums[sector, sector, 1].real
@@ -416,12 +467,17 @@ def _exact_step(sys: OracleSystem, rho: np.ndarray, temp: Temperature, t: float)
 
 def _split_kernels(sys: OracleSystem, temp: Temperature):
     # F_k = tr(u_+ theta_k u_-^dag) for mode k, with u_+ = V e V^T and
-    # u_- = P u_+ P, is e^T K e^* with K = (V^T P V) o (V^T theta_k P V)
+    # u_- = P u_+ P, is e^T K e^* with K = (V^T P V) o (V^T theta_k P V).
+    # With theta_k the vacuum it is sum_b pi_b |u_+[b, 0]|^2 instead, and
+    # the kept part is the row V[0].
     kernels = []
     for mode, (_, v) in zip(sys.modes, sys._mode_spectra):
         weights = _mode_weights(mode, temp)
-        parity = (-1.0) ** np.arange(mode.levels)
         occupied = np.flatnonzero(weights)
+        if occupied.size == 1:
+            kernels.append(v[occupied[0]])
+            continue
+        parity = (-1.0) ** np.arange(mode.levels)
         rows = v[occupied]
         weighted = (rows.T * (weights * parity)[occupied]) @ rows
         kernels.append((v.T @ (v * parity[:, None])) * weighted)
@@ -431,9 +487,13 @@ def _split_kernels(sys: OracleSystem, temp: Temperature):
 def _split_map(sys: OracleSystem, temp: Temperature, t: float):
     factor = 1.0
     kernels = _kernel(sys, _split_kernels, temp)
-    for (w, _), kernel in zip(sys._mode_spectra, kernels):
+    for (w, v), kernel in zip(sys._mode_spectra, kernels):
         phases = spectral_phases(w, t)
-        factor *= phases @ _real_matmul(kernel, phases.conj()[:, None])[:, 0]
+        if kernel.ndim == 1:  # the vacuum row
+            weights = np.abs(_vacuum_column(v, phases, kernel)) ** 2
+            factor *= weights[::2].sum() - weights[1::2].sum()
+        else:
+            factor *= phases @ _real_matmul(kernel, phases.conj()[:, None])[:, 0]
     coherence = np.array([[1.0, factor], [np.conj(factor), 1.0]], dtype=complex)
     half = spectral_propagator(sys._qubit_spectrum, 0.5 * t)
     return half, half.conj().T, coherence
@@ -460,9 +520,13 @@ def exact_evolve(
     sums ``T^{xy}_{ss'} = tr(Pi^x U_s diag(p) Pi^y U_s'^dag)``; each is a
     Bohr-frequency sum ``e_s^T K e_s'^*`` over the phases ``e_s = exp(-i
     w_s t)`` of the block spectra, with real kernels ``K`` that ``sys``
-    builds once per temperature. So a new ``(temp, t)`` costs two phase
-    vectors and ``O(B^2)`` work, and no propagator; ``sys`` keeps the last
-    few maps it built.
+    builds once per temperature. When the bath state occupies one level,
+    the vacuum, ``sys`` keeps only the two rows ``V_s[0]`` instead, and
+    each sum is ``T^{xy}_{ss'} = sum_b pi_b^x psi_s[b] conj(psi_s'[b])``
+    over the columns ``psi_s = U_s[:, 0] = V_s (e_s o V_s[0])``, for both
+    ``y``. So a new ``(temp, t)`` costs one phase array over both blocks'
+    kept eigenvalues and ``O(B^2)`` work, and no propagator; ``sys`` keeps
+    the last few maps it built.
     """
     _check_times(t)
     return _exact_step(sys, check_qubit_state(rho_qubit0), temp, t)
@@ -482,8 +546,10 @@ def split_evolve(
     ``h_k +- v_k``. ``F[0, 0] = F[1, 1] = 1``, and ``F[0, 1] =
     conj(F[1, 0])`` is the product over modes of the Bohr-frequency sums
     ``e_k^T K_k e_k^*``, from one real spectrum per mode and one kernel
-    per mode and temperature. Takes one qubit state or a stack ``(..., 2,
-    2)``, and keeps its map in ``sys``, like :func:`exact_evolve`.
+    per mode and temperature. A mode left in its vacuum keeps the row
+    ``V_k[0]`` instead, and its factor is ``sum_b pi_b |psi_{k,b}|^2`` with
+    ``psi_k = V_k (e_k o V_k[0])``. Takes one qubit state or a stack
+    ``(..., 2, 2)``, and keeps its map in ``sys``, like :func:`exact_evolve`.
     """
     _check_times(t)
     return _split_step(sys, check_qubit_state(rho_qubit0), temp, t)
@@ -500,8 +566,14 @@ def _sample_pure_states(samples: int, seed: int) -> np.ndarray:
     # np.linalg.norm per vector: its BLAS dot gives the loop's exact bits
     vecs /= np.array([np.linalg.norm(vec) for vec in vecs])[:, None]
     states = vecs[:, :, None] * vecs[:, None, :].conj()
-    states.flags.writeable = False
-    return check_qubit_state(states)
+    return check_qubit_state(_read_only(states))
+
+
+@lru_cache(maxsize=16)
+def _sample_eigen_states(samples: int, seed: int) -> np.ndarray:
+    # the same draw in the energy eigenbasis, for the channel's side of
+    # channel_discrepancy; kept, read-only, beside the draw
+    return _read_only(to_eigenbasis(_sample_pure_states(samples, seed)))
 
 
 def split_deviation(
@@ -535,15 +607,12 @@ def channel_discrepancy(
     if samples < 4:
         raise ValueError("need at least 4 samples")
     _check_times(t)
-    if sys.modes:
-        bath = DiscreteBath(tuple((m.omega, m.g) for m in sys.modes))
-        g_value = g_discrete(bath, temp, t)
-    else:
-        g_value = 0.0
-    params = QubitParams(e_j=sys.e_j)
+    g_value = g_discrete(sys._discrete_bath, temp, t) if sys.modes else 0.0
     rho0 = _sample_pure_states(samples, seed)
     via_split = to_eigenbasis(_split_step(sys, rho0, temp, t))
-    # the stack was checked when drawn, g_discrete's exponent is nonnegative
-    # and t has passed the time rule: evolve_single would check nothing new
-    via_channel = _evolve_checked(to_eigenbasis(rho0), params.e_j, g_value, t)
+    # the stack was checked when drawn, g_discrete's exponent is nonnegative,
+    # t has passed the time rule and the system's e_j is finite:
+    # evolve_single would check nothing new
+    rho0_eigen = _sample_eigen_states(samples, seed)
+    via_channel = _evolve_checked(rho0_eigen, sys.e_j, g_value, t)
     return float(np.abs(via_split - via_channel).max())

@@ -960,6 +960,29 @@ def test_oracle_check_exit_two_on_unusable_config_values(tmp_path, capsys, line)
     assert capsys.readouterr().err.startswith("config error: ")
 
 
+@pytest.mark.parametrize(
+    "values,message",
+    [
+        ({"omega": math.nan}, "oracle_omega must be positive"),
+        ({"omega": math.inf}, "oracle_omega must be finite"),
+        ({"e_j": math.inf}, "oracle_e_j must be finite"),
+        ({"g": complex(0.0, math.nan)}, "oracle_g must be finite"),
+        # the dimension rule runs before the finiteness rule
+        (
+            {"e_j": math.inf, "n_max": 1024},
+            "oracle_n_max = 1024: bath dimension 1025 exceeds cap 1024",
+        ),
+        ({"e_j": math.nan, "t": -1.0}, "oracle_t must be positive"),
+    ],
+    ids=["nan_omega", "inf_omega", "inf_e_j", "nan_g", "n_max_first", "t_first"],
+)
+def test_oracle_config_names_the_first_rule_it_breaks(values, message):
+    # a value the oracle's own types would reject reaches no OracleSystem:
+    # the config names its key
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+        OracleCheckConfig(**values)
+
+
 def test_oracle_check_caps_the_bath_dimension_not_the_total(tmp_path, capsys):
     # no evolve builds a matrix larger than the bath: B = 601, 2B = 1202
     ocfg = oracle_config_from_mapping(parse_config_text("oracle_n_max = 600\n"))

@@ -9,7 +9,12 @@ from hypothesis import strategies as st
 from qubit_dephasing import oracle
 from qubit_dephasing.bath import DiscreteBath, Temperature, g_discrete
 from qubit_dephasing.channel import QubitParams, check_qubit_state, evolve_single
-from qubit_dephasing.errors import DimensionTooLarge, InvalidState, ToleranceNotMet
+from qubit_dephasing.errors import (
+    DimensionTooLarge,
+    InvalidState,
+    NoConvergence,
+    ToleranceNotMet,
+)
 from qubit_dephasing.oracle import (
     FockMode,
     OracleSystem,
@@ -271,6 +276,11 @@ def test_fock_mode_validation():
         FockMode(0.0, 1.0, 4)
     with pytest.raises(ValueError):
         FockMode(OMEGA, 1.0, 0)
+    with pytest.raises(ValueError, match="^omega must be finite$"):
+        FockMode(math.inf, 1e10, 2)
+    for g in (math.inf, math.nan, complex(0.0, math.inf)):
+        with pytest.raises(ValueError, match="^g must be finite$"):
+            FockMode(OMEGA, g, 2)
 
 
 def test_bath_operators_without_modes_are_scalars():
@@ -763,6 +773,43 @@ def test_reduced_map_matches_the_dense_reference(states, t, system, temp):
         check_qubit_state(got)
 
 
+def log_uniform(lo, hi):
+    return st.floats(math.log10(lo), math.log10(hi)).map(lambda e: 10.0**e)
+
+
+fock_modes = st.builds(
+    lambda omega, ratio, angle, n_max: FockMode(
+        omega, ratio * omega * cmath.exp(1j * angle), n_max
+    ),
+    log_uniform(1e10, 1e12),
+    log_uniform(1e-2, 1.0),
+    st.floats(-math.pi, math.pi),
+    st.integers(1, 12),
+)
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(
+    st.lists(fock_modes, min_size=1, max_size=2),
+    log_uniform(1e9, 1e12),
+    st.floats(0.0, 1.0),
+    st.lists(qubit_states, min_size=1, max_size=3),
+)
+def test_the_vacuum_route_matches_the_dense_reference(modes, e_j, fraction, states):
+    # zero temperature on drawn one- and two-mode systems, couplings up to
+    # omega and t <= 0.1 / omega: both evolves keep only the vacuum rows and
+    # still agree with the dense construction (the largest gap over 300
+    # wider draws, n_max up to 24 for one mode, was 3.0e-15)
+    system = OracleSystem(e_j, tuple(modes))
+    t = fraction * 0.1 / max(mode.omega for mode in modes)
+    stack = np.array(states)
+    for split, evolve in ((True, split_evolve), (False, exact_evolve)):
+        got = evolve(system, stack, Temperature.zero(), t)
+        expect = reference_evolve(system, stack, Temperature.zero(), t, split)
+        np.testing.assert_allclose(got, expect, rtol=0.0, atol=1e-14)
+        check_qubit_state(got)
+
+
 @settings(derandomize=True, max_examples=30, deadline=None)
 @given(
     st.lists(qubit_states, min_size=1, max_size=3),
@@ -1031,7 +1078,8 @@ def test_kept_kernels_are_read_only_and_bounded(oracle_counts):
         split_deviation(system, temp, 2e-13, 4)
     assert len(system._kernels) == 4
     for parts in system._kernels.values():
-        assert len(parts) == 2  # the exact step's dense stack and traces, or two modes
+        # the exact step's kernels or vacuum rows and its traces, or two modes
+        assert len(parts) == 2
         for part in parts:
             with pytest.raises(ValueError):
                 part[(0,) * part.ndim] = 0.0
@@ -1068,14 +1116,14 @@ def test_an_equal_new_system_builds_its_own_maps(oracle_counts, map_builds):
 @SYSTEMS
 @TEMPERATURES
 def test_evolves_build_only_the_occupied_propagator_columns(monkeypatch, modes, temp):
-    # zero temperature occupies the bath vacuum alone, finite all levels. No
-    # evolve builds a bath propagator: the only one is the qubit's 2 x 2
-    # half-step. The exact step keeps nothing larger than the bath (8 B x B
-    # kernels, or the 4 with y = 0 when every occupied level is even: at zero
-    # temperature and without modes), the split step nothing larger than one
-    # mode's levels, and each kernel reads only the occupied levels: it
-    # equals the product (V_s^T Pi^x V_s') o (V_s^T diag(p) Pi^y V_s') over
-    # all B levels, for y = 1 too where the y = 0 kernel serves both
+    # zero temperature occupies the bath vacuum alone, finite all levels (a
+    # bath without modes has one level at both). No evolve builds a bath
+    # propagator: the only one is the qubit's 2 x 2 half-step. At one
+    # occupied level the exact step keeps the two blocks' vacuum rows V_s[0]
+    # and nothing of size B x B, and the split step one row V_k[0] per mode.
+    # Otherwise the exact step keeps 8 B x B kernels, the split step one per
+    # mode, and each kernel reads only the occupied levels: it equals the
+    # product (V_s^T Pi^x V_s') o (V_s^T diag(p) Pi^y V_s') over all B levels
     system = OracleSystem(E_J, modes)
     b = system.bath_dim
     shapes = []
@@ -1091,27 +1139,59 @@ def test_evolves_build_only_the_occupied_propagator_columns(monkeypatch, modes, 
     assert shapes == []
     split_evolve(system, PLUS, temp, 1e-13)
     assert shapes == [(2, 2)]
-    dense, traces = system._kernels[oracle._exact_kernels, temp]
-    odd_occupied = temp.beta is not None and bool(modes)
-    assert dense.shape == (8 if odd_occupied else 4, b, b) and traces.shape == (2,)
+    kept, traces = system._kernels[oracle._exact_kernels, temp]
     weights = thermal_bath_state(system, temp).real
     parity = bath_parity(modes).real
-    vecs = [v for _, v in system._block_spectra]
-    for k, (s, s2, x, y) in enumerate(oracle._DENSE_SECTORS.T):
-        kernel = dense[k % len(dense)]
-        overlap = vecs[s].T @ np.linalg.matrix_power(parity, x) @ vecs[s2]
-        weighted = vecs[s].T @ weights @ np.linalg.matrix_power(parity, y) @ vecs[s2]
-        np.testing.assert_allclose(kernel, overlap * weighted, rtol=0.0, atol=1e-15)
     np.testing.assert_allclose(
         traces, [np.trace(weights), np.trace(weights @ parity)], rtol=0.0, atol=1e-15
     )
+    vecs = [v for _, v in system._block_spectra]
     kernels = system._kernels[oracle._split_kernels, temp]
+    if temp.beta is None or not modes:
+        assert kept.shape == (2, b) and traces.shape == (2,)
+        assert not kept.flags.writeable
+        assert np.array_equal(kept, [v[0] for v in vecs])
+        assert [k.shape for k in kernels] == [(m.levels,) for m in modes]
+        for (_, v), row in zip(system._mode_spectra, kernels):
+            assert np.array_equal(row, v[0]) and not row.flags.writeable
+        return
+    assert kept.shape == (8, b, b) and traces.shape == (2,)
+    for k, (s, s2, x, y) in enumerate(oracle._DENSE_SECTORS.T):
+        overlap = vecs[s].T @ np.linalg.matrix_power(parity, x) @ vecs[s2]
+        weighted = vecs[s].T @ weights @ np.linalg.matrix_power(parity, y) @ vecs[s2]
+        np.testing.assert_allclose(kept[k], overlap * weighted, rtol=0.0, atol=1e-15)
     assert [k.shape for k in kernels] == [(m.levels, m.levels) for m in modes]
     for mode, (_, v), kernel in zip(modes, system._mode_spectra, kernels):
         weights = np.diag(oracle._mode_weights(mode, temp))
         p = np.diag((-1.0) ** np.arange(mode.levels))
         expect = (v.T @ p @ v) * (v.T @ weights @ p @ v)
         np.testing.assert_allclose(kernel, expect, rtol=0.0, atol=1e-15)
+
+
+@pytest.mark.parametrize(
+    "modes", [(FockMode(OMEGA, COUPLING, 8),), TWO_MODES], ids=["one_mode", "two_modes"]
+)
+def test_the_route_follows_the_bath_state_not_the_temperature(modes):
+    # beta omega >= 1e5: every excited Gibbs weight underflows to 0, so the
+    # finite temperature leaves the bath in its vacuum. Both steps keep the
+    # vacuum rows, and every evolve and measurement has the bits of zero
+    # temperature
+    system = OracleSystem(E_J, modes)
+    cold, zero = Temperature.finite(1e-6), Temperature.zero()
+    assert np.array_equal(
+        oracle._bath_weights(system, cold), oracle._bath_weights(system, zero)
+    )
+    stack = random_pure_states((3,), 35)
+    for t in (1e-13, 4e-13):
+        for evolve in EVOLVE_PAIR:
+            got = evolve(system, stack, cold, t)
+            assert np.array_equal(got, evolve(system, stack, zero, t))
+        for measure in (split_deviation, channel_discrepancy):
+            assert measure(system, cold, t, 6) == measure(system, zero, t, 6)
+    kept, _ = system._kernels[oracle._exact_kernels, cold]
+    assert kept.shape == (2, system.bath_dim)
+    rows = system._kernels[oracle._split_kernels, cold]
+    assert [row.shape for row in rows] == [(m.levels,) for m in modes]
 
 
 EVOLVES = pytest.mark.parametrize("evolve", [split_evolve, exact_evolve])
@@ -1159,18 +1239,35 @@ def test_measurements_reject_bad_times(measure, t, message):
 
 
 @EVOLVES
-@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
 @pytest.mark.parametrize(
-    "system",
+    "build,message",
     [
-        OracleSystem(math.nan, (FockMode(OMEGA, COUPLING, 4),)),
-        OracleSystem(math.inf, (FockMode(OMEGA, COUPLING, 4),)),
-        OracleSystem(E_J, (FockMode(OMEGA, complex(math.nan, 0.0), 4),)),
-        OracleSystem(E_J, (FockMode(OMEGA, math.inf, 4),)),
+        (lambda: OracleSystem(math.nan, (FockMode(OMEGA, COUPLING, 4),)), "e_j"),
+        (lambda: OracleSystem(math.inf, (FockMode(OMEGA, COUPLING, 4),)), "e_j"),
+        (lambda: FockMode(OMEGA, complex(math.nan, 0.0), 4), "g"),
+        (lambda: FockMode(OMEGA, math.inf, 4), "g"),
     ],
     ids=["nan_e_j", "inf_e_j", "nan_g", "inf_g"],
 )
-def test_non_finite_systems_fail_on_every_call(evolve, system):
-    for _ in range(2):  # a failed spectrum is not kept
-        with pytest.raises(ValueError, match="matrix entries must be finite"):
-            evolve(system, PLUS, Temperature.zero(), 1e-13)
+def test_non_finite_systems_fail_on_every_call(monkeypatch, evolve, build, message):
+    # a non-finite field is rejected when the system is built, by name
+    for _ in range(2):
+        with pytest.raises(ValueError, match=f"^{message} must be finite$"):
+            build()
+    # a failed spectrum is not kept: after an eigensolver failure the next
+    # call diagonalizes again, and gets the bits of a system that never failed
+    system = reference_system(4)
+    original = oracle.hermitian_spectrum
+    failures = [NoConvergence("eigh did not converge")]
+
+    def failing_once(h):
+        if failures:
+            raise failures.pop()
+        return original(h)
+
+    monkeypatch.setattr(oracle, "hermitian_spectrum", failing_once)
+    with pytest.raises(NoConvergence):
+        evolve(system, PLUS, Temperature.zero(), 1e-13)
+    got = evolve(system, PLUS, Temperature.zero(), 1e-13)
+    expect = evolve(reference_system(4), PLUS, Temperature.zero(), 1e-13)
+    assert np.array_equal(got, expect)

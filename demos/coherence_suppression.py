@@ -20,7 +20,6 @@ import numpy as np
 from qubit_dephasing import (
     OhmicBath,
     Temperature,
-    default_quadrature,
     g_ohmic,
     g_ohmic_closed,
     suppression_factor,
@@ -31,7 +30,6 @@ KS_IN_SECONDS = 1.51929e-9
 bath = OhmicBath(eta=1e-5, omega_c=1e12)
 cold = Temperature.zero()
 warm = Temperature.finite(1e-12)  # beta in 1/(rad/s), k_B = hbar = 1
-quad = default_quadrature()
 
 times = np.linspace(0.0, 12.0e-12, 7)
 
@@ -41,8 +39,8 @@ print(f"{'t [s]':>12} {'t [ks]':>10} {'G cold':>12} {'G warm':>12} "
       f"{'delta cold':>12} {'delta warm':>12}")
 worst = worst_warm = 0.0
 for t, warm_closed in zip(times, g_ohmic_closed(bath, warm, times)):
-    g_cold = g_ohmic(bath, cold, float(t), quad)
-    g_warm = g_ohmic(bath, warm, float(t), quad)
+    g_cold = g_ohmic(bath, cold, float(t))
+    g_warm = g_ohmic(bath, warm, float(t))
     closed = 0.5 * bath.eta * math.log1p((bath.omega_c * t) ** 2)
     if closed > 0.0:
         worst = max(worst, abs(g_cold - closed) / closed)

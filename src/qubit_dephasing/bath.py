@@ -20,13 +20,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ToleranceNotMet
-from .qmath import QuadratureSpec, adaptive_quadrature, semi_infinite_cutoff
+from .qmath import QuadratureSpec, adaptive_quadrature
 
 __all__ = [
     "DiscreteBath",
     "OhmicBath",
     "Temperature",
-    "default_quadrature",
     "g_discrete",
     "g_ohmic",
     "g_ohmic_closed",
@@ -43,6 +42,16 @@ _PHASE_LIMIT = math.sqrt(sys.float_info.max)
 # Euler-Maclaurin tail; B_2j / (2j)! for j = 1..4 weight its corrections.
 _DIRECT_UNTIL = 32.0
 _EULER_MACLAURIN = (1.0 / 12.0, -1.0 / 720.0, 1.0 / 30240.0, -1.0 / 1209600.0)
+
+# g_ohmic's rule over x = omega / omega_c: past ln(1 / abs_tol) + 40 the
+# exp(-x) envelope leaves a negligible tail
+_OHMIC_QUADRATURE = QuadratureSpec(
+    lower=0.0,
+    upper=math.log(1.0 / 1e-30) + 40.0,
+    rel_tol=1e-10,
+    abs_tol=1e-30,
+    max_subdivisions=500,
+)
 
 
 @dataclass(frozen=True)
@@ -142,9 +151,7 @@ def g_discrete(bath: DiscreteBath, temp: Temperature, t: float) -> float:
         return float(2.0 * terms.sum())
 
 
-def g_ohmic(
-    bath: OhmicBath, temp: Temperature, t: float, quad: QuadratureSpec
-) -> float:
+def g_ohmic(bath: OhmicBath, temp: Temperature, t: float) -> float:
     """Decoherence exponent of an Ohmic bath at time ``t``.
 
     Evaluates, over the dimensionless variable ``x = omega / omega_c``,
@@ -157,19 +164,20 @@ def g_ohmic(
     whole time grid, and the CLI sweeps run it; this quadrature only
     validates it and is on no run path.
 
-    At finite temperature ``quad`` splits at ``x = 2 kappa · {1, 10, 100,
-    1000}`` (``kappa = 1/(beta omega_c)``, where ``coth`` turns over) and
-    ``x = pi/(omega_c t) · {1, 10}``; without them, ``kappa`` in 1e-6..1e-3
-    missed by up to 6.2e-6 without raising. Trusted window, against the
-    closed form: with them, random points with ``beta omega_c`` 0.05..1e6
-    miss 1e-10 about 1 in 750, by up to 1.2e-8, all past ``omega_c t =
-    19``; at zero temperature, by up to 4.4e-9 for ``omega_c t`` up to 1e4.
-    From ``omega_c t`` of about 340 (600 when hot) the quadrature raises.
+    The rule integrates ``x`` from 0 to ``ln(1e30) + 40``, past which the
+    ``exp(-x)`` envelope is negligible, to a relative tolerance of 1e-10
+    (absolute 1e-30) in at most 500 subintervals. At finite temperature it
+    splits at ``x = 2 kappa · {1, 10, 100, 1000}`` (``kappa = 1/(beta
+    omega_c)``, where ``coth`` turns over) and ``x = pi/(omega_c t) · {1,
+    10}``; without them, ``kappa`` in 1e-6..1e-3 missed by up to 6.2e-6
+    without raising. Trusted window, against the closed form: with them,
+    random points with ``beta omega_c`` 0.05..1e6 miss 1e-10 about 1 in
+    750, by up to 1.2e-8, all past ``omega_c t = 19``; at zero temperature,
+    by up to 4.4e-9 for ``omega_c t`` up to 1e4. From ``omega_c t`` of
+    about 340 (600 when hot) the quadrature raises.
 
     Below ``x = 1e-8`` the integrand is replaced by its analytic limit,
-    removing the 0/0 at the origin. ``quad`` bounds are in rad/s and are
-    rescaled by the cutoff; an infinite upper bound is truncated where
-    the ``exp(-x)`` envelope falls below ``quad.abs_tol``.
+    removing the 0/0 at the origin.
 
     Raises ``ToleranceNotMet``, its message starting ``at t = ... s:``,
     when the quadrature misses its tolerance or when the integrand's
@@ -209,21 +217,12 @@ def g_ohmic(
                 return math.exp(-x) * x * half_wct * half_wct
             return math.exp(-x) * math.sin(half_wct * x) ** 2 / x
 
-    upper = quad.upper / wc if math.isfinite(quad.upper) else math.inf
-    spec_x = QuadratureSpec(
-        lower=quad.lower / wc,
-        upper=upper,
-        rel_tol=quad.rel_tol,
-        abs_tol=quad.abs_tol,
-        max_subdivisions=quad.max_subdivisions,
-    )
-    x_max = upper if math.isfinite(upper) else semi_infinite_cutoff(1.0, quad.abs_tol)
-    if not math.isfinite(half_wct * x_max):
+    if not math.isfinite(half_wct * _OHMIC_QUADRATURE.upper):
         raise ToleranceNotMet(
             f"at t = {t:.6e} s: integrand phase omega_c t x / 2 is not finite"
         )
     try:
-        value = adaptive_quadrature(integrand, spec_x, envelope_scale=1.0, points=points)
+        value = adaptive_quadrature(integrand, _OHMIC_QUADRATURE, points=points)
     except ToleranceNotMet as exc:
         raise ToleranceNotMet(f"at t = {t:.6e} s: {exc}") from exc
     return max(0.0, 2.0 * bath.eta * value)
@@ -288,17 +287,6 @@ def g_ohmic_closed(bath: OhmicBath, temp: Temperature, times) -> np.ndarray:
 def _raise_at_first(t: np.ndarray, bad: np.ndarray, what: str) -> None:
     if bad.any():
         raise ToleranceNotMet(f"at t = {t[np.argmax(bad)]:.6e} s: {what}")
-
-
-def default_quadrature() -> QuadratureSpec:
-    """Quadrature request suited to the Ohmic exponent at short times."""
-    return QuadratureSpec(
-        lower=0.0,
-        upper=math.inf,
-        rel_tol=1e-10,
-        abs_tol=1e-30,
-        max_subdivisions=500,
-    )
 
 
 def suppression_factor(g_value):

@@ -34,6 +34,7 @@ from .errors import (
 from .oracle import (
     FockMode,
     OracleSystem,
+    _check_ladder,
     channel_discrepancy,
     check_thermal_tail,
     split_deviation,
@@ -183,11 +184,12 @@ class OracleCheckConfig:
         for name in ("e_j", "omega", "g", "t"):  # each key is oracle_ + field
             if not cmath.isfinite(getattr(self, name)):
                 raise ConfigError(f"oracle_{name} must be finite")
-        if self.beta is not None:
-            try:
+        try:  # the rules of FockMode, under the keys' names
+            _check_ladder(self.omega, complex(self.g), self.n_max, "oracle_")
+            if self.beta is not None:
                 check_thermal_tail(self.beta, self.omega, self.n_max)
-            except ValueError as exc:
-                raise ConfigError(str(exc)) from None
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
 
 
 class OracleRow(NamedTuple):

@@ -31,7 +31,7 @@ import numpy as np
 
 from .bath import DiscreteBath, Temperature, _check_times, g_discrete
 from .channel import _evolve_checked, check_qubit_state
-from .errors import DimensionTooLarge, NonHermitian
+from .errors import DimensionTooLarge
 from .qmath import (
     MAX_EXPONENTIAL_DIM,
     hermitian_spectrum,
@@ -76,6 +76,18 @@ _MAP_MEMO_SIZE = 8
 _KERNEL_MEMO_SIZE = 4
 
 
+def _check_ladder(omega: float, g: complex, n_max: int, prefix: str = "") -> None:
+    # Raise ValueError, naming the field as prefix + name, when the largest
+    # entry a mode puts in its generators is not finite. Each entry is
+    # computed as the generators compute it: omega sqrt(n)**2 on the
+    # diagonal, |g| sqrt(n) beside it.
+    top = math.sqrt(n_max)
+    if not math.isfinite(omega * top**2):
+        raise ValueError(f"{prefix}omega * {prefix}n_max must be finite")
+    if not math.isfinite(math.hypot(g.real, g.imag) * top):
+        raise ValueError(f"|{prefix}g| * sqrt({prefix}n_max) must be finite")
+
+
 @dataclass(frozen=True)
 class FockMode:
     """One bath mode with a truncated Fock ladder of ``n_max + 1`` levels."""
@@ -94,6 +106,7 @@ class FockMode:
         object.__setattr__(self, "g", complex(self.g))
         if not cmath.isfinite(self.g):
             raise ValueError("g must be finite")
+        _check_ladder(self.omega, self.g, self.n_max)
 
     @property
     def levels(self) -> int:
@@ -186,8 +199,6 @@ def _read_only(a: np.ndarray) -> np.ndarray:
 
 def _frozen_spectrum(h: np.ndarray):
     spectrum = hermitian_spectrum(h)
-    if spectrum is None:
-        raise NonHermitian("oracle generator is not Hermitian")
     for part in spectrum:
         _read_only(part)
     return spectrum

@@ -26,7 +26,6 @@ __all__ = [
     "hermitian_eigenvalues",
     "hermitian_spectrum",
     "matrix_exponential",
-    "semi_infinite_cutoff",
     "spectral_phases",
     "spectral_propagator",
 ]
@@ -49,38 +48,22 @@ def _as_square(m, stack: bool = False, dtype=complex) -> np.ndarray:
     return a
 
 
-def _hermiticity_defect(a: np.ndarray) -> float:
-    return float(np.abs(a - a.conj().T).max()) if a.size else 0.0
+def _check_hermitian(a: np.ndarray, limit: float) -> None:
+    # NonHermitian, naming the defect max|a - a^dagger|, when it exceeds limit
+    defect = float(np.abs(a - a.conj().T).max()) if a.size else 0.0
+    if defect > limit:
+        raise NonHermitian(f"hermiticity defect {defect:.3e} exceeds tolerance {limit:.3e}")
 
 
-def hermitian_eigenvalues(m, tol: float = 1e-10) -> np.ndarray:
+def hermitian_eigenvalues(m) -> np.ndarray:
     """Eigenvalues of a Hermitian matrix, ascending.
 
-    Parameters
-    ----------
-    m : array_like
-        Square matrix with ``max|m - m^dagger| <= tol``.
-    tol : float
-        Allowed Hermiticity defect of the input.
-
-    Returns
-    -------
-    ndarray of float
-        All eigenvalues in ascending order.
-
-    Raises
-    ------
-    NonHermitian
-        If the symmetry precondition fails.
-    NoConvergence
-        If the underlying solver does not converge.
+    Raises ``NonHermitian`` when the Hermiticity defect ``max|m -
+    m^dagger|`` exceeds 1e-10, and ``NoConvergence`` when the solver does
+    not converge.
     """
     a = _as_square(m)
-    defect = _hermiticity_defect(a)
-    if defect > tol:
-        raise NonHermitian(
-            f"hermiticity defect {defect:.3e} exceeds tolerance {tol:.3e}"
-        )
+    _check_hermitian(a, 1e-10)
     try:
         return np.linalg.eigvalsh(a)
     except np.linalg.LinAlgError as exc:
@@ -109,20 +92,18 @@ def general_eigenvalues(m) -> np.ndarray:
 def hermitian_spectrum(m):
     """Eigenvalues and eigenvectors ``(w, v)`` of a Hermitian generator.
 
-    Checks ``m`` as :func:`matrix_exponential` does and returns ``None``
-    when its Hermiticity defect exceeds ``1e-12 * max(1, max|m|)``; such a
-    generator has no spectral propagator. A real ``m`` is diagonalized as a
-    real symmetric matrix, so its eigenvectors ``v`` are float64. Pass the
-    result to :func:`spectral_propagator` to build ``exp(-i m t)`` at any
-    ``t``, or its eigenvalues to :func:`spectral_phases`.
+    Raises ``NonHermitian``, with the defect in its message, when the
+    Hermiticity defect of ``m`` exceeds ``1e-12 * max(1, max|m|)``. A real
+    ``m`` is diagonalized as a real symmetric matrix, so its eigenvectors
+    ``v`` are float64. Pass the result to :func:`spectral_propagator` to
+    build ``exp(-i m t)`` at any ``t``, or its eigenvalues to
+    :func:`spectral_phases`.
     """
     a = _as_square(m, dtype=float if np.isrealobj(m) else complex)
     n = a.shape[0]
     if n > MAX_EXPONENTIAL_DIM:
         raise DimensionTooLarge(f"dimension {n} exceeds cap {MAX_EXPONENTIAL_DIM}")
-    scale = float(np.abs(a).max()) if a.size else 0.0
-    if _hermiticity_defect(a) > 1e-12 * max(1.0, scale):
-        return None
+    _check_hermitian(a, 1e-12 * max(1.0, float(np.abs(a).max()) if a.size else 0.0))
     try:
         return np.linalg.eigh(a)
     except np.linalg.LinAlgError as exc:
@@ -152,31 +133,19 @@ def spectral_propagator(spectrum, t: float) -> np.ndarray:
 
 
 def matrix_exponential(m, t: float) -> np.ndarray:
-    """Propagator ``exp(-i * m * t)``.
+    """Propagator ``exp(-i * m * t)`` of a Hermitian generator ``m``.
 
-    Hermitian generators take the spectral route (:func:`hermitian_spectrum`
-    then :func:`spectral_propagator`), which keeps the result unitary to
-    machine precision; anything else falls back to the general dense
-    exponential.
+    :func:`hermitian_spectrum` then :func:`spectral_propagator`, which keeps
+    the result unitary to machine precision; a non-Hermitian ``m`` raises
+    ``NonHermitian``.
     """
-    spectrum = hermitian_spectrum(m)
-    if spectrum is not None:
-        return spectral_propagator(spectrum, t)
-    if not math.isfinite(t):
-        raise ValueError("t must be finite")
-    import scipy.linalg  # deferred: scipy would dominate the package import
-
-    return scipy.linalg.expm(-1j * t * np.asarray(m, dtype=complex))
+    return spectral_propagator(hermitian_spectrum(m), t)
 
 
 @dataclass(frozen=True)
 class QuadratureSpec:
-    """Integration request for :func:`adaptive_quadrature`.
-
-    ``upper`` may be ``math.inf``; integration then needs the scale of the
-    integrand's exponential envelope so the tail can be cut off where it
-    drops below ``abs_tol`` (see :func:`semi_infinite_cutoff`).
-    """
+    """Integration request for :func:`adaptive_quadrature`: finite bounds
+    ``lower < upper``, positive tolerances and a subdivision budget."""
 
     lower: float
     upper: float
@@ -185,6 +154,8 @@ class QuadratureSpec:
     max_subdivisions: int
 
     def __post_init__(self):
+        if not (math.isfinite(self.lower) and math.isfinite(self.upper)):
+            raise ValueError("bounds must be finite")
         if not self.lower < self.upper:
             raise ValueError("lower bound must lie below upper bound")
         if self.rel_tol <= 0.0 or self.abs_tol <= 0.0:
@@ -193,64 +164,24 @@ class QuadratureSpec:
             raise ValueError("max_subdivisions must be positive")
 
 
-def semi_infinite_cutoff(envelope_scale: float, abs_tol: float) -> float:
-    """Finite stand-in for an infinite upper integration bound.
-
-    For integrands bounded by ``exp(-x / envelope_scale)`` the envelope
-    falls below ``abs_tol`` at ``scale * ln(1 / abs_tol)``; a 40-scale
-    safety margin is added on top, so the discarded tail is negligible
-    against the requested accuracy.
-    """
-    if envelope_scale <= 0.0:
-        raise ValueError("envelope_scale must be positive")
-    return envelope_scale * math.log(1.0 / abs_tol) + 40.0 * envelope_scale
-
-
 def adaptive_quadrature(
-    f: Callable[[float], float],
-    spec: QuadratureSpec,
-    envelope_scale: float | None = None,
-    points=(),
+    f: Callable[[float], float], spec: QuadratureSpec, points=()
 ) -> float:
-    """Integrate ``f`` over ``[spec.lower, spec.upper]``.
+    """Integrate the real ``f`` over ``[spec.lower, spec.upper]``.
 
-    Parameters
-    ----------
-    f : callable
-        Real-valued integrand, finite on the integration interval.
-    spec : QuadratureSpec
-        Bounds, tolerances, and the subdivision budget.
-    envelope_scale : float, optional
-        Required when ``spec.upper`` is infinite; the bound is then
-        replaced by :func:`semi_infinite_cutoff` of this scale.
-    points : sequence of float, optional
-        Breakpoints where ``f`` changes scale; those strictly inside the
-        (finite) interval split it before the adaptive subdivision starts.
-
-    Returns
-    -------
-    float
-        Integral estimate whose reported error is at most
-        ``max(abs_tol, rel_tol * |result|)``.
-
-    Raises
-    ------
-    ToleranceNotMet
-        If the subdivision budget is exhausted or the error estimate
-        misses the requested tolerance.
+    The ``points`` strictly inside the interval, where ``f`` changes scale,
+    split it before the adaptive subdivision starts. The result's reported
+    error is at most ``max(abs_tol, rel_tol * |result|)``; when the
+    subdivision budget runs out, or the estimate misses that tolerance,
+    this raises ``ToleranceNotMet``.
     """
-    upper = spec.upper
-    if math.isinf(upper):
-        if envelope_scale is None:
-            raise ValueError("an infinite upper bound requires envelope_scale")
-        upper = semi_infinite_cutoff(envelope_scale, spec.abs_tol)
     import scipy.integrate  # deferred: scipy would dominate the package import
 
-    inside = sorted(x for x in points if spec.lower < x < upper)
+    inside = sorted(x for x in points if spec.lower < x < spec.upper)
     out = scipy.integrate.quad(
         f,
         spec.lower,
-        upper,
+        spec.upper,
         epsabs=spec.abs_tol,
         epsrel=spec.rel_tol,
         limit=spec.max_subdivisions,

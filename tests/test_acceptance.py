@@ -14,7 +14,6 @@ import scipy.linalg
 from qubit_dephasing.bath import (
     OhmicBath,
     Temperature,
-    default_quadrature,
     g_ohmic,
     suppression_factor,
 )
@@ -107,11 +106,10 @@ def test_criterion_2_partial_entanglement_falls_below_the_product_reference():
 def test_criterion_3_ohmic_exponent_matches_the_closed_form():
     start = time.perf_counter()
     bath = OhmicBath(1e-5, 1e12)
-    quad = default_quadrature()
     temp = Temperature.zero()
     worst = 0.0
     for t in np.logspace(-14.0, -11.0, 50):
-        got = g_ohmic(bath, temp, float(t), quad)
+        got = g_ohmic(bath, temp, float(t))
         expect = 0.5 * 1e-5 * math.log(1.0 + (1e12 * t) ** 2)
         worst = max(worst, abs(got - expect) / expect)
     elapsed = time.perf_counter() - start

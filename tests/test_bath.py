@@ -7,13 +7,12 @@ from qubit_dephasing.bath import (
     DiscreteBath,
     OhmicBath,
     Temperature,
-    default_quadrature,
     g_discrete,
     g_ohmic,
     g_ohmic_closed,
     suppression_factor,
 )
-from qubit_dephasing.bath import _DIRECT_UNTIL, _EULER_MACLAURIN
+from qubit_dephasing.bath import _DIRECT_UNTIL, _EULER_MACLAURIN, _OHMIC_QUADRATURE
 from qubit_dephasing.errors import ToleranceNotMet
 
 # (eta/2) * ln(1 + (omega_c t)^2) for eta=1e-5, omega_c=1e12
@@ -110,43 +109,46 @@ def test_discrete_additive_over_modes():
     )
 
 
+def test_ohmic_quadrature_bound_is_the_envelope_cutoff():
+    # ln(1 / abs_tol) + 40: past it exp(-x) is below abs_tol by e^40
+    assert _OHMIC_QUADRATURE.upper == math.log(1.0 / 1e-30) + 40.0
+    assert _OHMIC_QUADRATURE.upper == pytest.approx(30.0 * math.log(10.0) + 40.0, rel=1e-15)
+    assert math.exp(-_OHMIC_QUADRATURE.upper) < 1e-17 * _OHMIC_QUADRATURE.abs_tol
+
+
 def test_ohmic_zero_time():
     bath = OhmicBath(1e-5, 1e12)
-    assert g_ohmic(bath, Temperature.zero(), 0.0, default_quadrature()) == 0.0
+    assert g_ohmic(bath, Temperature.zero(), 0.0) == 0.0
 
 
 def test_ohmic_matches_closed_form_frozen_values():
     bath = OhmicBath(1e-5, 1e12)
-    quad = default_quadrature()
-    got_1ps = g_ohmic(bath, Temperature.zero(), 1e-12, quad)
-    got_10ps = g_ohmic(bath, Temperature.zero(), 1e-11, quad)
+    got_1ps = g_ohmic(bath, Temperature.zero(), 1e-12)
+    got_10ps = g_ohmic(bath, Temperature.zero(), 1e-11)
     assert got_1ps == pytest.approx(CLOSED_FORM_T1PS, rel=1e-8)
     assert got_10ps == pytest.approx(CLOSED_FORM_T10PS, rel=1e-8)
 
 
 def test_ohmic_matches_closed_form_other_parameters():
     bath = OhmicBath(3e-4, 5e11)
-    quad = default_quadrature()
     for t in (2e-13, 1.7e-12, 8e-12):
-        got = g_ohmic(bath, Temperature.zero(), t, quad)
+        got = g_ohmic(bath, Temperature.zero(), t)
         assert got == pytest.approx(ohmic_zero_t_exponent(3e-4, 5e11, t), rel=1e-8)
 
 
 def test_ohmic_zero_temperature_monotone():
     bath = OhmicBath(1e-5, 1e12)
-    quad = default_quadrature()
     temp = Temperature.zero()
-    values = [g_ohmic(bath, temp, t, quad) for t in np.linspace(0.0, 1.2e-11, 25)]
+    values = [g_ohmic(bath, temp, t) for t in np.linspace(0.0, 1.2e-11, 25)]
     assert all(b > a for a, b in zip(values, values[1:]))
 
 
 def test_ohmic_finite_temperature_enhances():
     bath = OhmicBath(1e-5, 1e12)
-    quad = default_quadrature()
     warm = Temperature.finite(1e-12)
     for t in (3e-13, 2e-12, 9e-12):
-        cold_g = g_ohmic(bath, Temperature.zero(), t, quad)
-        assert g_ohmic(bath, warm, t, quad) > cold_g > 0.0
+        cold_g = g_ohmic(bath, Temperature.zero(), t)
+        assert g_ohmic(bath, warm, t) > cold_g > 0.0
 
 
 def matsubara_reference(omega_c, beta, t, n_terms=200_000):
@@ -215,11 +217,10 @@ def test_ohmic_closed_matches_the_quadrature(omega_c, beta):
     # largest measured gap 1.8e-11, inside its rel_tol of 1e-10
     bath = OhmicBath(1e-5, omega_c)
     temp = Temperature(beta)
-    quad = default_quadrature()
     times = np.logspace(-17, math.log10(300.0 / omega_c), 15)
     got = g_ohmic_closed(bath, temp, times)
     for t, g in zip(times.tolist(), got):
-        assert g == pytest.approx(g_ohmic(bath, temp, t, quad), rel=quad.rel_tol)
+        assert g == pytest.approx(g_ohmic(bath, temp, t), rel=1e-10)
 
 
 @pytest.mark.parametrize("omega_c", [5e11, 1e12, 2e12])
@@ -231,11 +232,10 @@ def test_ohmic_quadrature_matches_the_closed_form_at_low_temperature(omega_c, be
     # to 5.7e-6; with them the largest measured gap is 7.5e-12
     bath = OhmicBath(1e-5, omega_c)
     temp = Temperature(beta_omega_c / omega_c)
-    quad = default_quadrature()
     times = np.logspace(-15, math.log10(300.0 / omega_c), 12)
     got = g_ohmic_closed(bath, temp, times)
     for t, g in zip(times.tolist(), got):
-        assert g == pytest.approx(g_ohmic(bath, temp, t, quad), rel=quad.rel_tol)
+        assert g == pytest.approx(g_ohmic(bath, temp, t), rel=1e-10)
 
 
 def per_term_g(bath, beta, times):
@@ -302,9 +302,8 @@ def test_ohmic_continuum_consistent_with_dense_discretization(temp):
     eta, omega_c = 1e-5, 1e12
     continuum = OhmicBath(eta, omega_c)
     discrete = discretized_ohmic(eta, omega_c, 10_000, 60.0 * omega_c)
-    quad = default_quadrature()
     for t in np.linspace(0.0, 10.0 / omega_c, 9)[1:]:
-        reference = g_ohmic(continuum, temp, float(t), quad)
+        reference = g_ohmic(continuum, temp, float(t))
         summed = g_discrete(discrete, temp, float(t))
         assert summed == pytest.approx(reference, rel=1e-3)
 
@@ -364,7 +363,7 @@ def test_negative_time_rejected():
         with pytest.raises(ValueError, match="^t must be nonnegative$"):
             g_discrete(DiscreteBath(((1.0, 1.0),)), temp, -1e-12)
         with pytest.raises(ValueError, match="^t must be nonnegative$"):
-            g_ohmic(OhmicBath(1e-5, 1e12), temp, -1e-12, default_quadrature())
+            g_ohmic(OhmicBath(1e-5, 1e12), temp, -1e-12)
         with pytest.raises(ValueError, match="^t must be nonnegative$"):
             g_ohmic_closed(OhmicBath(1e-5, 1e12), temp, [0.0, -1e-12])
 
@@ -388,7 +387,7 @@ def test_non_finite_time_rejected(temp, t, message):
     with pytest.raises(ValueError, match=message):
         g_discrete(DiscreteBath(((1.0, 1.0),)), temp, t)
     with pytest.raises(ValueError, match=message):
-        g_ohmic(OhmicBath(1e-5, 1e12), temp, t, default_quadrature())
+        g_ohmic(OhmicBath(1e-5, 1e12), temp, t)
     with pytest.raises(ValueError, match=message):
         g_ohmic_closed(OhmicBath(1e-5, 1e12), temp, [0.0, t])
 
@@ -397,7 +396,7 @@ def test_non_finite_time_rejected(temp, t, message):
 def test_ohmic_quadrature_failure_names_its_time_point(temp):
     # omega_c t = 1000: too many oscillations for the subdivision budget
     with pytest.raises(ToleranceNotMet, match=r"^at t = 1\.000000e-09 s: ") as info:
-        g_ohmic(OhmicBath(1e-5, 1e12), temp, 1e-9, default_quadrature())
+        g_ohmic(OhmicBath(1e-5, 1e12), temp, 1e-9)
     assert isinstance(info.value.__cause__, ToleranceNotMet)
 
 
@@ -407,7 +406,7 @@ def test_ohmic_phase_overflow_names_its_time_point(temp):
     with pytest.raises(
         ToleranceNotMet, match=r"^at t = 1\.000000e\+296 s: integrand phase .* not finite$"
     ):
-        g_ohmic(OhmicBath(1e-5, 1e12), temp, 1e296, default_quadrature())
+        g_ohmic(OhmicBath(1e-5, 1e12), temp, 1e296)
 
 
 @TEMPERATURES

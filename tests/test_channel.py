@@ -340,6 +340,7 @@ BAD_ARGUMENTS = [
         lambda p, half: analytic_bell_state(0.1, 0.1, 2e10, -1e-12),
         "t must be nonnegative",
     ),
+    (lambda p, half: QubitParams(math.inf), "e_j must be finite"),
 ]
 
 

@@ -102,6 +102,10 @@ def test_config_rejects_bad_value():
         config_from_mapping({"n_points": "1"})
     with pytest.raises(ConfigError):
         config_from_mapping({"beta": "0"})
+    with pytest.raises(ConfigError, match="^omega_c must be positive$"):
+        config_from_mapping({"omega_c": "0"})
+    with pytest.raises(ConfigError, match="^t_start must be nonnegative$"):
+        config_from_mapping({"t_start": "-1e-12"})
 
 
 @pytest.mark.parametrize(
@@ -596,10 +600,16 @@ def test_main_exit_three_on_tolerance_failure(tmp_path):
     assert out.exists()  # rows are still written for inspection
 
 
-def test_main_exit_four_on_io_failure(tmp_path):
+def test_main_exit_four_on_io_failure(tmp_path, capsys):
     missing_dir = tmp_path / "no" / "such" / "dir"
     assert main(["gfactor", "--points", "4", "--out", str(missing_dir / "x.csv")]) == 4
     assert main(["gfactor", "--config", str(tmp_path / "absent.conf")]) == 4
+    # fig1's output directory cannot be made under a regular file
+    regular = tmp_path / "regular"
+    regular.write_text("", encoding="utf-8")
+    capsys.readouterr()
+    assert main(["fig1", "--points", "4", "--out", str(regular / "bundle")]) == 4
+    assert capsys.readouterr().err.startswith(f"io error: cannot create {regular / 'bundle'}: ")
 
 
 def test_main_oracle_check_happy_path(tmp_path, capsys):
@@ -932,6 +942,7 @@ def exit_code(argv):
         ["gfactor", "--alpha", "2"],
         ["oracle-check", "--beta", "1e-11"],
         ["oracle-check", "--seed", "-1"],
+        ["fig1", "--alpha", "1+"],  # not a complex number: argparse rejects it
     ],
     ids=" ".join,
 )
@@ -951,6 +962,8 @@ def test_main_exit_two_on_rejected_flags_and_values(tmp_path, argv):
         "oracle_beta = 1e-11",  # thermal tail beyond n_max = 8 is 1.2e-4
         "oracle_seed = -1",
         "oracle_n_max = 1024",  # bath dimension 1025 exceeds the 1024 cap
+        "oracle_omega = 1e308",  # omega n_max overflows at n_max = 8
+        "oracle_g = 7e307",  # |g| sqrt(n_max) overflows at n_max = 8
     ],
 )
 def test_oracle_check_exit_two_on_unusable_config_values(tmp_path, capsys, line):
@@ -973,8 +986,28 @@ def test_oracle_check_exit_two_on_unusable_config_values(tmp_path, capsys, line)
             "oracle_n_max = 1024: bath dimension 1025 exceeds cap 1024",
         ),
         ({"e_j": math.nan, "t": -1.0}, "oracle_t must be positive"),
+        ({"n_max": 0}, "oracle_n_max must be at least 1"),
+        ({"beta": 0.0}, "oracle_beta must be positive when given"),
+        ({"samples": 0}, "oracle_samples must be at least 1"),
+        ({"omega": 1e308}, "oracle_omega * oracle_n_max must be finite"),
+        ({"g": 7e307}, "|oracle_g| * sqrt(oracle_n_max) must be finite"),
+        # the finiteness rule runs before the ladder rule
+        ({"e_j": math.inf, "omega": 1e308}, "oracle_e_j must be finite"),
     ],
-    ids=["nan_omega", "inf_omega", "inf_e_j", "nan_g", "n_max_first", "t_first"],
+    ids=[
+        "nan_omega",
+        "inf_omega",
+        "inf_e_j",
+        "nan_g",
+        "n_max_first",
+        "t_first",
+        "n_max_zero",
+        "beta_zero",
+        "samples_zero",
+        "omega_ladder",
+        "g_ladder",
+        "finite_first",
+    ],
 )
 def test_oracle_config_names_the_first_rule_it_breaks(values, message):
     # a value the oracle's own types would reject reaches no OracleSystem:
@@ -1076,6 +1109,42 @@ def test_importing_the_cli_loads_no_scipy(tmp_path):
         check=True,
     )
     assert out.stdout.splitlines() == ["[]", "0 []", "0 []", "[]"] + ["0 []"] * 4
+
+
+def test_the_oracle_and_the_propagator_load_no_scipy(tmp_path):
+    # every propagator is spectral: a Hermitian generator goes through eigh
+    # and a non-Hermitian one raises NonHermitian, so neither oracle-check
+    # (at zero and finite temperature) nor matrix_exponential loads scipy.
+    # The quadrature behind g_ohmic, the package's one scipy user, does:
+    # the probe would see a load
+    src = os.path.dirname(os.path.dirname(os.path.abspath(qubit_dephasing.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    probe = (
+        "import contextlib, io, sys, numpy as np, qubit_dephasing as qd\n"
+        "from qubit_dephasing import cli\n"
+        "loaded = lambda: sorted(m for m in sys.modules if m.startswith('scipy'))\n"
+        "for extra in ([], ['--beta', '5e-11']):\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        code = cli.main(['oracle-check', '--out', sys.argv[1]] + extra)\n"
+        "    print(code, loaded())\n"
+        "h = np.array([[1.0, 2.0 - 1.0j], [2.0 + 1.0j, -0.5]])\n"
+        "u = qd.matrix_exponential(h, 0.3)\n"
+        "print(np.allclose(u @ u.conj().T, np.eye(2)), loaded())\n"
+        "try:\n"
+        "    qd.matrix_exponential(np.array([[0.0, 1.0], [0.0, 0.0]]), 0.8)\n"
+        "except qd.NonHermitian:\n"
+        "    print('NonHermitian', loaded())\n"
+        "qd.g_ohmic(qd.OhmicBath(1e-5, 1e12), qd.Temperature.zero(), 1e-12)\n"
+        "print('scipy.integrate' in loaded())\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", probe, str(tmp_path / "oracle.csv")],
+        env=env,
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert out.stdout.splitlines() == ["0 []", "0 []", "True []", "NonHermitian []", "True"]
 
 
 # -- one stacked call per table -----------------------------------------------------

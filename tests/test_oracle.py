@@ -1,5 +1,6 @@
 import cmath
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -281,6 +282,21 @@ def test_fock_mode_validation():
     for g in (math.inf, math.nan, complex(0.0, math.inf)):
         with pytest.raises(ValueError, match="^g must be finite$"):
             FockMode(OMEGA, g, 2)
+    # a ladder entry past float range: the largest generator entries, omega
+    # sqrt(n_max)**2 and |g| sqrt(n_max), computed as the generators compute
+    # them; sqrt(8)**2 rounds above 8, so omega = max / 8 overflows the
+    # diagonal at n_max = 8
+    diagonal = r"^omega \* n_max must be finite$"
+    coupling = r"^\|g\| \* sqrt\(n_max\) must be finite$"
+    for omega in (1e308, sys.float_info.max / 8.0):
+        with pytest.raises(ValueError, match=diagonal):
+            FockMode(omega, 1.0, 8)
+    for g in (7e307, complex(7e307, 7e307), complex(1.5e308, 1.5e308)):
+        with pytest.raises(ValueError, match=coupling):
+            FockMode(OMEGA, g, 8)
+    for mode in (FockMode(2e307, 1.0, 8), FockMode(OMEGA, complex(3e307, 3e307), 8)):
+        assert np.isfinite(bath_free_hamiltonian((mode,))).all()
+        assert np.isfinite(bath_coupling_operator((mode,))).all()
 
 
 def test_bath_operators_without_modes_are_scalars():
@@ -1236,6 +1252,19 @@ def test_measurements_reject_bad_times(measure, t, message):
     # no mode, so that no g_discrete call checks t on the measurement's behalf
     with pytest.raises(ValueError, match=f"^{message}$"):
         measure(OracleSystem(E_J, ()), Temperature.zero(), t, 6)
+
+
+@pytest.mark.parametrize(
+    "measure,samples,message",
+    [
+        (split_deviation, 0, "need at least one sample"),
+        (channel_discrepancy, 3, "need at least 4 samples"),
+    ],
+    ids=["split_deviation", "channel_discrepancy"],
+)
+def test_measurements_reject_too_few_samples(measure, samples, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        measure(reference_system(4), Temperature.zero(), 1e-13, samples)
 
 
 @EVOLVES

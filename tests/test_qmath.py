@@ -15,7 +15,6 @@ from qubit_dephasing.qmath import (
     hermitian_eigenvalues,
     hermitian_spectrum,
     matrix_exponential,
-    semi_infinite_cutoff,
     spectral_phases,
     spectral_propagator,
 )
@@ -42,7 +41,8 @@ def test_hermitian_eigenvalues_accepts_defect_within_tol():
 
 
 def test_hermitian_eigenvalues_rejects_nonhermitian():
-    with pytest.raises(NonHermitian):
+    message = r"^hermiticity defect 1\.000e\+00 exceeds tolerance 1\.000e-10$"
+    with pytest.raises(NonHermitian, match=message):
         hermitian_eigenvalues(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
@@ -90,10 +90,10 @@ def test_matrix_exponential_is_unitary_group():
 
 
 def test_matrix_exponential_nonhermitian_generator():
-    # nilpotent generator: exp(-i N t) = 1 - i N t exactly
+    # a nilpotent generator has no spectral propagator
     n = np.array([[0.0, 1.0], [0.0, 0.0]])
-    u = matrix_exponential(n, 0.8)
-    np.testing.assert_allclose(u, np.eye(2) - 0.8j * n, atol=1e-12)
+    with pytest.raises(NonHermitian):
+        matrix_exponential(n, 0.8)
 
 
 def test_matrix_exponential_dimension_cap():
@@ -110,22 +110,14 @@ def test_matrix_exponential_is_the_spectral_propagator_bit_for_bit():
         assert np.array_equal(matrix_exponential(h, t), spectral_propagator(spectrum, t))
 
 
-def test_non_hermitian_generator_has_no_spectrum_and_goes_through_expm(monkeypatch):
-    import scipy.linalg
-
-    calls = []
-    expm = scipy.linalg.expm
-
-    def counted(a):
-        calls.append(a)
-        return expm(a)
-
-    monkeypatch.setattr(scipy.linalg, "expm", counted)
-    n = np.array([[0.0, 1.0], [0.0, 0.0]])
-    assert hermitian_spectrum(n) is None
-    u = matrix_exponential(n, 0.8)
-    assert len(calls) == 1
-    assert np.array_equal(u, expm(-0.8j * n.astype(complex)))
+def test_non_hermitian_generator_raises_with_its_defect():
+    # the defect, 1, against the gate 1e-12 * max(1, max|m|)
+    n = np.array([[0.0, 2.0], [1.0, 0.0]])
+    message = r"^hermiticity defect 1\.000e\+00 exceeds tolerance 2\.000e-12$"
+    with pytest.raises(NonHermitian, match=message):
+        hermitian_spectrum(n)
+    with pytest.raises(NonHermitian, match=message):
+        matrix_exponential(n, 0.8)
 
 
 @pytest.mark.parametrize(
@@ -183,9 +175,11 @@ def test_real_symmetric_input_keeps_a_real_spectrum():
 def test_real_asymmetric_input_has_no_spectrum():
     h = real_symmetric(5, 42)
     h[0, 3] += 1e-9  # defect 1e-9, above the 1e-12 * max|m| gate
-    assert hermitian_spectrum(h) is None
+    with pytest.raises(NonHermitian, match=r"^hermiticity defect 1\.000e-09 "):
+        hermitian_spectrum(h)
     h[0, 3] -= 1e-9 - 1e-15  # a defect within the gate is accepted
-    assert hermitian_spectrum(h) is not None
+    w, v = hermitian_spectrum(h)
+    assert w.shape == (5,) and v.shape == (5, 5)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
@@ -243,28 +237,25 @@ def test_quadrature_spec_validation():
         QuadratureSpec(0.0, 1.0, 1e-8, 1e-12, 0)
 
 
-def test_semi_infinite_cutoff_value():
-    # scale * ln(1/tol) + 40 * scale
-    got = semi_infinite_cutoff(1.0, 1e-30)
-    assert got == pytest.approx(30.0 * math.log(10.0) + 40.0, rel=1e-15)
-    assert semi_infinite_cutoff(2.0, 1e-30) == pytest.approx(2.0 * got, rel=1e-15)
-
-
 def test_adaptive_quadrature_exponential_tail():
-    spec = QuadratureSpec(0.0, math.inf, 1e-10, 1e-14, 200)
-    got = adaptive_quadrature(lambda x: math.exp(-x), spec, envelope_scale=1.0)
+    # exp(-x) over [0, 80]: the tail beyond is 1.8e-35
+    spec = QuadratureSpec(0.0, 80.0, 1e-10, 1e-14, 200)
+    got = adaptive_quadrature(lambda x: math.exp(-x), spec)
     assert got == pytest.approx(1.0, rel=1e-8)
 
 
-def test_adaptive_quadrature_requires_envelope_for_infinite_bound():
-    spec = QuadratureSpec(0.0, math.inf, 1e-10, 1e-14, 200)
-    with pytest.raises(ValueError):
-        adaptive_quadrature(lambda x: math.exp(-x), spec)
+@pytest.mark.parametrize("bound", [math.inf, -math.inf, math.nan])
+def test_quadrature_spec_rejects_a_non_finite_bound(bound):
+    with pytest.raises(ValueError, match="^bounds must be finite$"):
+        QuadratureSpec(0.0, bound, 1e-10, 1e-14, 200)
+    with pytest.raises(ValueError, match="^bounds must be finite$"):
+        QuadratureSpec(bound, 1.0, 1e-10, 1e-14, 200)
 
 
 def test_adaptive_quadrature_gaussian():
-    spec = QuadratureSpec(0.0, math.inf, 1e-12, 1e-14, 200)
-    got = adaptive_quadrature(lambda x: math.exp(-x * x), spec, envelope_scale=1.0)
+    # exp(-x^2) over [0, 12]: the tail beyond is 2e-64
+    spec = QuadratureSpec(0.0, 12.0, 1e-12, 1e-14, 200)
+    got = adaptive_quadrature(lambda x: math.exp(-x * x), spec)
     assert got == pytest.approx(0.5 * math.sqrt(math.pi), rel=1e-10)
 
 
